@@ -230,9 +230,16 @@ def _majorant_args(args):
     if not isinstance(obj, dict):
         raise ParseError('input must be {"x": <stepfn>, "tau": "p/q", "eps": "p/q"}')
     x = StepFunction.from_json(obj.get("x", obj if "alpha" in obj else None))
-    tau = parse_rat(args.tau) if args.tau else parse_rat(obj.get("tau", ""))
-    eps = parse_rat(args.eps) if args.eps else parse_rat(obj.get("eps", ""))
-    return x, tau, eps
+
+    def scalar(key: str):
+        flag = getattr(args, key)
+        if flag:
+            return parse_rat(flag)
+        if key not in obj:
+            raise ParseError(f"input JSON missing key {key!r} (or pass --{key})")
+        return parse_rat(obj[key])
+
+    return x, scalar("tau"), scalar("eps")
 
 
 def _cmd_majorant_pair(args) -> int:
@@ -302,6 +309,8 @@ def _cmd_probe_lkm(args) -> int:
 
 
 def _cmd_prop_test(args) -> int:
+    if args.cases < 1:
+        raise ParseError(f"--cases must be a positive integer, got {args.cases}")
     seed = _resolve_seed(args)
     result = gen.SUITES[args.suite](args.cases, seed)
     payload = result.to_json()

@@ -10,9 +10,12 @@ Verdicts are three-valued (consistent_with_KOC, consistent_with_failure,
 inconclusive) and never claim more than the finitely many indices tested.
 
 All distances are exact: for rearrangements the set {|x_n* - x*| > delta}
-is a finite union of intervals of a step function; for maximal functions
-|x_n** - x**| restricted to a refined segment is |A/t + B|, and the
-exceedance set is resolved by exact interval arithmetic.
+is a finite union of intervals of a step function.  For maximal functions,
+one walk over the merged cuts of the two level integrals reads both exact
+affine segments on every refined piece, so there x_n** - x** = A/t + B
+with A and B the differences of intercepts and slopes; the hyperbola is
+monotone, and |A/t + B| > delta holds on at most two intervals whose ends
+are rational.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .stepfn import (
     constant,
     exceedance_measure,
     ext_str,
+    merge_cuts,
     rat,
     rat_str,
 )
@@ -194,27 +198,15 @@ def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
     if x.alpha != y.alpha:
         raise PreconditionError("operands live on different domains")
     fx, fy = level_integral(x), level_integral(y)
-    cs = sorted({*fx.cuts, *fy.cuts})
-    ends: list[Ext] = [c for c in cs if c > 0]
-    ends.append(fx.alpha)
+    cuts, xi, yi = merge_cuts(fx.cuts, fy.cuts)
     total: Ext = _ZERO
-    lo = _ZERO
-    for hi in ends:
-        probe = (lo + hi) / 2 if hi != INF else lo + 1
-        # on (lo, hi) both integrals are affine: difference = A + B*t,
-        # so x** - y** = A/t + B there
-        def branch(f):
-            v1 = f.value_at(probe)
-            t2 = (probe + hi) / 2 if hi != INF else probe + 1
-            v2 = f.value_at(t2)
-            slope = (v2 - v1) / (t2 - probe)
-            return v1 - slope * probe, slope
-        (ax, bx), (ay, by) = branch(fx), branch(fy)
+    for lo, hi, i, j in zip((_ZERO, *cuts), (*cuts, fx.alpha), xi, yi):
+        _, _, ax, bx = fx.segment(i)
+        _, _, ay, by = fy.segment(j)
         piece = _hyperbolic_exceedance(ax - ay, bx - by, delta, lo, hi)
         if piece == INF:
             return INF
         total += piece
-        lo = hi
     return total
 
 

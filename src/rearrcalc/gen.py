@@ -425,19 +425,15 @@ def run_prop32_suite(cases: int, seed: int, members_per_case: int = 5) -> SuiteR
     tags = {"affine_gap": 0, "affine_chord": 0}
     for i in range(cases):
         x, tau, eps = prop32_instance(rng, plateau=bool(i % 2))
-        problems = _prop32_problems(x, tau, eps, members_per_case, seed * 1000003 + i)
-        trace = None
-        try:
-            trace = majorize.majorant_pair(x, tau, eps)
-            tags[trace.case_tag] += 1
-        except RearrCalcError:
-            pass
+        problems, tag = _prop32_problems(x, tau, eps, members_per_case, seed * 1000003 + i)
+        if tag is not None:
+            tags[tag] += 1
         if problems:
             def keep(case):
                 return bool(_prop32_problems(
                     case["x"], case["tau"], case["eps"],
                     members_per_case, seed * 1000003 + i,
-                ))
+                )[0])
             case = shrink_case({"x": x, "tau": tau, "eps": eps}, keep)
             res.failures.append({
                 "case": i, "problems": problems,
@@ -450,11 +446,13 @@ def run_prop32_suite(cases: int, seed: int, members_per_case: int = 5) -> SuiteR
     return res
 
 
-def _prop32_problems(x, tau, eps, members: int, member_seed: int) -> list[str]:
+def _prop32_problems(x, tau, eps, members: int,
+                     member_seed: int) -> tuple[list[str], Optional[str]]:
+    """(problems found, the construction's case tag or None if it raised)."""
     try:
         trace = majorize.majorant_pair(x, tau, eps)
     except RearrCalcError as e:
-        return [f"construction raised: {e}"]
+        return [f"construction raised: {e}"], None
     problems = []
     if not (0 < trace.gamma < tau < trace.beta):
         problems.append("gamma < tau < beta violated")
@@ -482,7 +480,7 @@ def _prop32_problems(x, tau, eps, members: int, member_seed: int) -> list[str]:
         if not (majorize.hlp_compare(y, trace.z).holds
                 or majorize.hlp_compare(y, trace.w).holds):
             problems.append(f"sampled member {j} covered by neither z nor w")
-    return problems
+    return problems, trace.case_tag
 
 
 def run_spaces_suite(cases: int, seed: int) -> SuiteResult:

@@ -29,6 +29,7 @@ and are returned in a ConstructionTrace.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -39,7 +40,12 @@ from .errors import (
     InfiniteIntegralError,
     PreconditionError,
 )
-from .rearrange import level_integral, rearrangement, _phi_saturated
+from .rearrange import (
+    RearrangementResult,
+    _phi_saturated,
+    level_integral,
+    rearrangement,
+)
 from .stepfn import (
     INF,
     Ext,
@@ -48,8 +54,10 @@ from .stepfn import (
     _require_same_domain,
     block,
     canonicalize,
+    plc_refine,
     rat,
     rat_str,
+    refine,
 )
 
 _ZERO = Fraction(0)
@@ -77,27 +85,15 @@ class HlpVerdict:
 # -- exact comparison of concave piecewise-linear functions -----------------
 
 
-def _branch_on(f: PiecewiseLinearConcave, lo: Fraction, hi: Fraction):
-    """(intercept, slope) of f on a subinterval (lo, hi) containing no node."""
-    t1 = lo + (hi - lo) / 3
-    t2 = lo + 2 * (hi - lo) / 3
-    v1, v2 = f.value_at(t1), f.value_at(t2)
-    slope = (v2 - v1) / (t2 - t1)
-    return v1 - slope * t1, slope
-
-
-def _positive_point_on(f, g, lo: Fraction, hi: Fraction) -> Fraction:
-    """Some t in (lo, hi) with f(t) > g(t), given one exists (f-g linear there)."""
-    af, bf = _branch_on(f, lo, hi)
-    ag, bg = _branch_on(g, lo, hi)
-    da, db = af - ag, bf - bg
+def _positive_point(d0: Fraction, d1: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
+    """Some t in (lo, hi) with d0 + d1*t > 0, given one exists."""
     candidates = [lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
-    if db != 0:
-        root = -da / db
+    if d1 != 0:
+        root = -d0 / d1
         if lo < root < hi:
             candidates += [(lo + root) / 2, (root + hi) / 2]
     for t in candidates:
-        if da + db * t > 0:
+        if d0 + d1 * t > 0:
             return t
     raise AssertionError("no positive point found on a segment that must contain one")
 
@@ -107,28 +103,29 @@ def plc_dominated_by(f: PiecewiseLinearConcave, g: PiecewiseLinearConcave):
 
     Both functions are piecewise linear, so a violation, if any, shows at a
     node of either, near 0 (right-limits), or on the unbounded final branch;
-    between those points the difference is linear.
+    between those points the difference is linear.  One walk over the merged
+    cuts reads both functions there.
     """
     if f.alpha != g.alpha:
         raise PreconditionError("cannot compare functions on different domains")
-    cs = sorted({*f.cuts, *g.cuts})
-    for t in cs:
-        if f.value_at(t) > g.value_at(t):
+    cs, fv, gv = plc_refine(f, g)
+    for t, a, b in zip(cs, fv, gv):
+        if a > b:
             return False, t
     if f.jump0 > g.jump0:
+        (_, _, af, bf), (_, _, ag, bg) = f.segment(0), g.segment(0)
         hi = cs[0] if cs else (_ONE / 2 if f.alpha != INF else _ONE)
-        return False, _positive_point_on(f, g, _ZERO, hi)
+        return False, _positive_point(af - ag, bf - bg, _ZERO, hi)
+    af, bf = f.final_branch()
+    ag, bg = g.final_branch()
     if f.alpha != INF:
-        if f.value_at(f.alpha) > g.value_at(g.alpha):
+        if af + bf * f.alpha > ag + bg * g.alpha:
             lo = cs[-1] if cs else _ZERO
-            return False, _positive_point_on(f, g, lo, f.alpha)
-    else:
-        af, bf = f.final_branch()
-        ag, bg = g.final_branch()
-        if bf > bg:
-            start = cs[-1] if cs else _ZERO
-            crossing = (ag - af) / (bf - bg)
-            return False, max(start, crossing) + 1
+            return False, _positive_point(af - ag, bf - bg, lo, f.alpha)
+    elif bf > bg:
+        start = cs[-1] if cs else _ZERO
+        crossing = (ag - af) / (bf - bg)
+        return False, max(start, crossing) + 1
     return True, None
 
 
@@ -144,12 +141,15 @@ def is_decreasing_rearrangement(f: StepFunction) -> bool:
     return rearrangement(f).star == f
 
 
-def _require_star(x: StepFunction, role: str) -> None:
-    if not is_decreasing_rearrangement(x):
+def _require_star(x: StepFunction, role: str) -> RearrangementResult:
+    """rearrangement(x), once x is checked to be its own rearrangement."""
+    rr = rearrangement(x)
+    if rr.star != x:
         raise PreconditionError(
             f"{role} must be nonnegative and nonincreasing (equal to its "
             "own decreasing rearrangement)"
         )
+    return rr
 
 
 def family_contains(y: StepFunction, x: StepFunction, tau, eps) -> bool:
@@ -158,14 +158,14 @@ def family_contains(y: StepFunction, x: StepFunction, tau, eps) -> bool:
     tau, eps = rat(tau), rat(eps)
     if tau <= 0 or eps <= 0:
         raise PreconditionError(f"need tau > 0 and eps > 0, got tau={tau}, eps={eps}")
-    _require_star(x, "x")
-    if not is_decreasing_rearrangement(y):
+    phi_x = _require_star(x, "x").level_integral
+    ry = rearrangement(y)
+    if ry.star != y:
         return False
-    if not hlp_compare(y, x).holds:
+    phi_y = ry.level_integral
+    if not plc_dominated_by(phi_y, phi_x)[0]:
         return False
-    phi_y = _phi_saturated(level_integral(y), tau)
-    phi_x = _phi_saturated(level_integral(x), tau)
-    return phi_y + eps <= phi_x
+    return _phi_saturated(phi_y, tau) + eps <= _phi_saturated(phi_x, tau)
 
 
 # -- the construction --------------------------------------------------------
@@ -211,36 +211,29 @@ class ConstructionTrace:
         }
 
 
-def _least_above_level(phi: PiecewiseLinearConcave, p: Fraction) -> Fraction:
-    """Least t with phi(t) = p, for 0 < p <= sup phi; phi(0) = 0, jump0 = 0."""
-    prev_s, prev_v = _ZERO, _ZERO
-    for s, v in zip(phi.cuts, phi.node_values):
-        if v >= p:
-            return prev_s + (p - prev_v) / ((v - prev_v) / (s - prev_s))
-        prev_s, prev_v = s, v
-    if phi.final_slope <= 0:
-        raise PreconditionError(f"level {p} is never reached")
-    return prev_s + (p - prev_v) / phi.final_slope
+def _crossing(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
+              start: Fraction, end: Optional[Fraction] = None) -> Fraction:
+    """Least t > start where d(t) = phi(t) - (a + b*t) reaches 0, given
+    d(start) != 0 and, when end is given, d(end) of the opposite sign.
 
-
-def _least_crossing_down(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
-                         start: Fraction) -> Fraction:
-    """Least t >= start with phi(t) <= a + b*t, given phi(start) > a + b*start.
-
-    Requires the line to overtake phi eventually (b larger than the final
-    slope, or the domain to end first for alpha = 1... callers guarantee it).
+    d is linear between phi's nodes, so the crossing is interpolated on the
+    first node interval where d reaches 0; without an end, the search goes on
+    along the final branch (the line must cross it).
     """
-    d_prev = phi.value_at(start) - (a + b * start)
-    t_prev = start
-    for s in phi.cuts:
-        if s <= start:
-            continue
-        d = phi.value_at(s) - (a + b * s)
-        if d <= 0:
+    t_prev, d_prev = start, phi.value_at(start) - (a + b * start)
+    rising = d_prev < 0
+    k = bisect_right(phi.cuts, start)
+    stop = len(phi.cuts) if end is None else bisect_left(phi.cuts, end, k)
+    nodes = list(zip(phi.cuts[k:stop], phi.node_values[k:stop]))
+    if end is not None:
+        nodes.append((end, phi.value_at(end)))
+    for s, v in nodes:
+        d = v - (a + b * s)
+        if (d >= 0) if rising else (d <= 0):
             return t_prev + d_prev * (s - t_prev) / (d_prev - d)
         t_prev, d_prev = s, d
     af, bf = phi.final_branch()
-    if b <= bf:
+    if end is not None or not (bf > b if rising else bf < b):
         raise PreconditionError("line never meets the function again")
     return (af - a) / (b - bf)
 
@@ -262,25 +255,9 @@ def _coincidence_left_end(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
     return gamma
 
 
-def _first_rise_to_line(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
-                        hi: Fraction) -> Fraction:
-    """Unique t in (0, hi) with phi(t) = a + b*t, given phi < line near 0
-    and phi(hi) > a + b*hi (difference concave, single sign change)."""
-    t_prev, d_prev = _ZERO, -(a)  # phi(0)=0, jump0=0
-    for s in phi.cuts:
-        if s >= hi:
-            break
-        d = phi.value_at(s) - (a + b * s)
-        if d >= 0:
-            return t_prev + (-d_prev) * (s - t_prev) / (d - d_prev)
-        t_prev, d_prev = s, d
-    d_hi = phi.value_at(hi) - (a + b * hi)
-    return t_prev + (-d_prev) * (hi - t_prev) / (d_hi - d_prev)
-
-
-def _flatten(x: StepFunction, a: Fraction, b: Fraction) -> StepFunction:
-    """Replace x on [a, b) by its average there; x is nonincreasing."""
-    phi = level_integral(x)
+def _flatten(x: StepFunction, phi: PiecewiseLinearConcave, a: Fraction,
+             b: Fraction) -> StepFunction:
+    """Replace x on [a, b) by its average there; phi is x's level integral."""
     avg = (phi.value_at(b) - phi.value_at(a)) / (b - a)
     return x.window(0, a) + block(avg, a, b, x.alpha) + x.window(b, None)
 
@@ -300,12 +277,12 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
             "construction requires the domain [0, inf): on [0, 1) the ray "
             "of slope (Phi_x(tau) - eps)/tau need not meet Phi_x again"
         )
-    _require_star(x, "x")
-    if rearrangement(x).star_at_infinity != 0:
+    rr = _require_star(x, "x")
+    if rr.star_at_infinity != 0:
         raise PreconditionError("construction requires x*(inf) = 0")
     if tau <= 0 or eps <= 0:
         raise PreconditionError(f"need tau > 0 and eps > 0, got tau={tau}, eps={eps}")
-    phi = level_integral(x)
+    phi = rr.level_integral
     phi_tau = phi.value_at(tau)
     if eps >= phi_tau:
         raise EmptyFamilyError(
@@ -314,18 +291,18 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
             "needs Phi_x(tau) - eps > 0"
         )
     p = phi_tau - eps
-    gamma = _least_above_level(phi, p)
-    beta = _least_crossing_down(phi, _ZERO, p / tau, tau)
+    gamma = _crossing(phi, p, _ZERO, _ZERO)
+    beta = _crossing(phi, _ZERO, p / tau, tau)
     xi = (phi.value_at(beta) - p) / (beta - gamma)
     # does the chord over [gamma, beta] dip strictly below phi inside?
     chord_a = p - xi * gamma
+    inside = slice(bisect_right(phi.cuts, gamma), bisect_left(phi.cuts, beta))
     affine = all(
-        phi.value_at(s) == chord_a + xi * s
-        for s in phi.cuts
-        if gamma < s < beta
+        v == chord_a + xi * s
+        for s, v in zip(phi.cuts[inside], phi.node_values[inside])
     )
     if not affine:
-        z = _flatten(x, gamma, beta)
+        z = _flatten(x, phi, gamma, beta)
         w = z
         tau1 = min(tau - gamma, beta - tau) / 2
         gamma0 = gamma1 = beta1 = None
@@ -335,10 +312,10 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
         if gamma0 <= 0:
             raise AssertionError("chord through the origin cannot be affine-coincident")
         eps_prime = min(eps, chord_a / 2)
-        gamma1 = _first_rise_to_line(phi, chord_a - eps_prime, xi, gamma0)
-        beta1 = _least_crossing_down(phi, chord_a - eps_prime, xi, beta)
-        z = _flatten(x, gamma1, tau)
-        w = _flatten(x, gamma, beta1)
+        gamma1 = _crossing(phi, chord_a - eps_prime, xi, _ZERO, gamma0)
+        beta1 = _crossing(phi, chord_a - eps_prime, xi, beta)
+        z = _flatten(x, phi, gamma1, tau)
+        w = _flatten(x, phi, gamma, beta1)
         tau1 = min(tau - gamma1, beta1 - tau) / 2
         case_tag = "affine_chord"
         if not (0 < gamma1 < gamma0 <= gamma < beta < beta1):
@@ -367,12 +344,12 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
     tau, eps = rat(tau), rat(eps)
     if x.alpha != INF:
         raise PreconditionError("sampling requires the domain [0, inf)")
-    _require_star(x, "x")
-    if rearrangement(x).star_at_infinity != 0:
+    rr = _require_star(x, "x")
+    if rr.star_at_infinity != 0:
         raise PreconditionError("sampling requires x*(inf) = 0")
     if tau <= 0 or eps <= 0:
         raise PreconditionError(f"need tau > 0 and eps > 0, got tau={tau}, eps={eps}")
-    phi = level_integral(x)
+    phi = rr.level_integral
     phi_tau = phi.value_at(tau)
     if eps >= phi_tau:
         raise EmptyFamilyError(
@@ -390,7 +367,7 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
         bound = max(x.support_bound, tau, 1)
         r = Fraction(rng.randint(1, 4 * bound.numerator * bound.denominator),
                      2 * bound.denominator ** 2)
-        y0 = _flatten(x, _ZERO, r) if r > 0 else x
+        y0 = _flatten(x, phi, _ZERO, r) if r > 0 else x
         m = level_integral(y0).value_at(tau)
         c = min(_ONE, (phi_tau - eps) / m) * Fraction(rng.randint(8, 16), 16)
         return y0.scale(c)
@@ -410,17 +387,17 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
             cuts.append(acc)
         v = canonicalize(cuts, values, 0, INF)
         phi_v = level_integral(v)
-        if phi_v.value_at(tau) == 0:
+        phi_v_tau = phi_v.value_at(tau)
+        if phi_v_tau == 0:
             continue
-        ratios = [phi_tau / phi_v.value_at(tau)]
+        ratios = [phi_tau / phi_v_tau]
         head_x = x.values[0] if x.cuts else x.tail
         ratios.append(head_x / values[0])
-        for u in sorted({*phi.cuts, *phi_v.cuts, tau}):
-            if phi_v.value_at(u) > 0:
-                ratios.append(phi.value_at(u) / phi_v.value_at(u))
+        _, at_x, at_v = plc_refine(phi, phi_v)
+        ratios += [a / b for a, b in zip(at_x, at_v) if b > 0]
         mass_x, mass_v = phi.limit_value(), phi_v.limit_value()
         ratios.append(mass_x / mass_v)
-        c = min(min(ratios), (phi_tau - eps) / phi_v.value_at(tau))
+        c = min(min(ratios), (phi_tau - eps) / phi_v_tau)
         if c <= 0:
             continue
         y = v.scale(c * Fraction(rng.randint(8, 16), 16))
@@ -435,16 +412,16 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
 
 def _cumulative_dominated(u: StepFunction, v: StepFunction):
     """Check int_0^t u <= int_0^t v for all t; returns (holds, witness)."""
-    cs = sorted({*u.cuts, *v.cuts})
+    cs, uv, vv = refine(u, v)
     acc_u = acc_v = _ZERO
     prev = _ZERO
-    for c in cs:
-        acc_u += u(prev) * (c - prev)
-        acc_v += v(prev) * (c - prev)
+    for c, a, b in zip(cs, uv, vv):
+        acc_u += a * (c - prev)
+        acc_v += b * (c - prev)
         if acc_u > acc_v:
             return False, c
         prev = c
-    du, dv = u(prev), v(prev)  # final piece slopes
+    du, dv = uv[-1], vv[-1]  # final piece slopes
     if u.alpha != INF:
         end_u = acc_u + du * (u.alpha - prev)
         end_v = acc_v + dv * (v.alpha - prev)
@@ -460,14 +437,13 @@ def _cumulative_dominated(u: StepFunction, v: StepFunction):
 
 def _integral_product(f: StepFunction, g: StepFunction) -> Ext:
     """int_0^alpha f*g exactly; INF when the product has a nonzero tail on [0,inf)."""
-    _require_same_domain(f, g)
-    cs = sorted({*f.cuts, *g.cuts})
+    cs, fv, gv = refine(f, g)
     total = _ZERO
     prev = _ZERO
-    for c in cs:
-        total += f(prev) * g(prev) * (c - prev)
+    for c, a, b in zip(cs, fv, gv):
+        total += a * b * (c - prev)
         prev = c
-    tail_prod = f(prev) * g(prev)
+    tail_prod = fv[-1] * gv[-1]
     if f.alpha != INF:
         return total + tail_prod * (f.alpha - prev)
     if tail_prod == 0:

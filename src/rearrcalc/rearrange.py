@@ -9,6 +9,12 @@ in front, and x*(inf) = |tail|.  The running integral Phi_x(t) = int_0^t x*
 is the increasing concave piecewise-linear ``level_integral``, and the
 maximal function is x**(t) = Phi_x(t)/t, with Phi_x frozen at its limit for
 t >= 1 when alpha = 1.
+
+The sort is exact without Fraction's generic comparison: each |value| p/q
+becomes a slotted key comparing p1*q2 < p2*q1 in plain ints.  (A common
+denominator for all values would give int keys too, but on many large
+coprime denominators it grows to many thousands of bits and is slower.)
+The level integral's nodes are running sums of value * length.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import PreconditionError
 from .stepfn import (
@@ -50,46 +57,61 @@ def distribution(x: StepFunction, lam) -> Ext:
     return exceedance_measure(x, lam)
 
 
+class _Key:
+    """|q| = n/d as a sort key, compared exactly in ints: n1*d2 < n2*d1."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, q: Fraction):
+        self.n, self.d = abs(q.numerator), q.denominator
+
+    def __lt__(self, other: "_Key") -> bool:
+        return self.n * other.d < other.n * self.d
+
+
 @lru_cache(maxsize=8192)
 def _rearrange(x: StepFunction) -> RearrangementResult:
-    finite: list[tuple[Fraction, Fraction]] = []  # (value, length) with |value|
-    for s, e, v in x.pieces():
-        if e != INF:
-            finite.append((abs(v), e - s))
-    plateau = abs(x.tail)
-    if x.alpha == INF:
-        finite = [(v, l) for v, l in finite if v > plateau]
-    # sort by value, descending, merging equal values
-    finite.sort(key=lambda p: p[0], reverse=True)
-    merged: list[tuple[Fraction, Fraction]] = []
-    for v, l in finite:
-        if merged and merged[-1][0] == v:
-            merged[-1] = (v, merged[-1][1] + l)
+    # (key of |value|, value, length) for every piece of finite length
+    pieces: list[tuple[_Key, Fraction, Fraction]] = []
+    start = _ZERO
+    for c, v in zip(x.cuts, x.values):
+        pieces.append((_Key(v), v, c - start))
+        start = c
+    if x.alpha != INF:
+        pieces.append((_Key(x.tail), x.tail, x.alpha - start))
+    else:
+        plateau = _Key(x.tail)
+        pieces = [p for p in pieces if plateau < p[0]]
+    # sort by |value|, descending, merging equal values
+    pieces.sort(key=itemgetter(0), reverse=True)
+    merged: list[list] = []
+    for k, v, l in pieces:
+        if merged and not k < merged[-1][0]:  # sorted: not smaller means equal
+            merged[-1][2] += l
         else:
-            merged.append((v, l))
+            merged.append([k, v, l])
     if x.alpha != INF:
         # the last sorted piece is the tail of the rearrangement
-        plateau = merged.pop()[0] if merged else plateau
+        tail = abs(merged.pop()[1])
+    else:
+        tail = abs(x.tail)
     cuts: list[Fraction] = []
     values: list[Fraction] = []
-    acc = _ZERO
-    for v, l in merged:
+    node_values: list[Fraction] = []
+    acc = total = _ZERO
+    for _, v, l in merged:
+        v = abs(v)
         acc += l
+        total += v * l
         cuts.append(acc)
         values.append(v)
-    star = StepFunction(x.alpha, tuple(cuts), tuple(values), plateau)
-    # running integral of the star: one node per cut, then slope = plateau
-    node_values: list[Fraction] = []
-    total = _ZERO
-    prev = _ZERO
-    for c, v in zip(star.cuts, star.values):
-        total += v * (c - prev)
         node_values.append(total)
-        prev = c
+    star = StepFunction(x.alpha, tuple(cuts), tuple(values), tail)
+    # running integral of the star: one node per cut, then slope = tail
     phi = PiecewiseLinearConcave(
         x.alpha, star.cuts, tuple(node_values), final_slope=star.tail
     )
-    return RearrangementResult(star, phi, plateau if x.alpha == INF else star.tail)
+    return RearrangementResult(star, phi, tail)
 
 
 def rearrangement(x: StepFunction) -> RearrangementResult:

@@ -33,6 +33,7 @@ from .stepfn import (
     integrate,
     parse_alpha,
     parse_rat,
+    plc_refine,
     rat,
     rat_str,
 )
@@ -63,10 +64,6 @@ class Hyperbolic:
 
 
 FundamentalFunction = Union[PiecewiseLinearConcave, Hyperbolic]
-
-
-def phi_value(phi: FundamentalFunction, t) -> Fraction:
-    return phi.value_at(t)
 
 
 def phi_limit(phi: FundamentalFunction, alpha: Ext) -> Ext:
@@ -193,15 +190,14 @@ def _norm_l1(x: StepFunction) -> Ext:
 
 def _norm_marcinkiewicz_star(phi: FundamentalFunction, x: StepFunction) -> Ext:
     star = rearrangement(x).star
-    best: Ext = _ZERO
-    for s, e, v in star.pieces():
-        if v == 0:
-            continue
-        # phi increases, so sup over [s, e) of v*phi is at the right end
-        top = phi_limit(phi, x.alpha) if e == x.alpha else phi_value(phi, e)
+    # phi increases, so sup over a piece [s, e) of the star is v*phi(e)
+    best: Ext = max((v * phi.value_at(e) for e, v in zip(star.cuts, star.values)),
+                    default=_ZERO)
+    if star.tail != 0:
+        top = phi_limit(phi, x.alpha)
         if top == INF:
             return INF
-        best = max(best, v * top)
+        best = max(best, star.tail * top)
     return best
 
 
@@ -211,7 +207,7 @@ def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
     if isinstance(phi, Hyperbolic):
         # Phi(t)/(c+t) is a Moebius transform of an affine function on each
         # segment, hence monotone there: endpoints suffice.
-        cands = [big.value_at(s) / (phi.c + s) for s in big.cuts]
+        cands = [v / (phi.c + s) for s, v in zip(big.cuts, big.node_values)]
         if x.alpha != INF:
             cands.append(big.value_at(x.alpha) / (phi.c + x.alpha))
         else:
@@ -220,8 +216,8 @@ def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
     # piecewise-linear phi: on each refined segment the objective is
     # A/t + B + C*t with A, C >= 0: convex, so endpoints and limits suffice.
     cands: list[Ext] = [_phi_jump0(phi) * _head_value(rr.star)]  # t -> 0+
-    cs = sorted({*big.cuts, *phi.cuts})
-    cands += [big.value_at(s) * phi.value_at(s) / s for s in cs if s < x.alpha]
+    cs, at_big, at_phi = plc_refine(big, phi)
+    cands += [b * p / s for s, b, p in zip(cs, at_big, at_phi)]
     if x.alpha != INF:
         cands.append(big.value_at(x.alpha) * phi.value_at(x.alpha))
     else:
@@ -262,7 +258,7 @@ def fundamental_eval(space: SpaceSpec, t) -> Fraction:
         return _ONE
     if space.kind == "L1plusLinf":
         return min(t, _ONE)
-    return phi_value(space.phi, t)
+    return space.phi.value_at(t)
 
 
 def embeds_in_l1(space: SpaceSpec) -> bool:

@@ -14,12 +14,19 @@ The module also provides :class:`PiecewiseLinearConcave` for the increasing
 concave envelopes that arise as running integrals of decreasing step
 functions, with the same canonical-representative discipline (strictly
 decreasing segment slopes, explicit final slope, explicit right-limit at 0).
+
+Binary kernels walk the common refinement once: :func:`merge_cuts` merges
+two cut lists in one pass and tells which operand piece each merged piece
+lies in; :func:`refine` reads step values off it, and :func:`plc_refine`
+reads concave functions at the merged cuts, taking node values as stored
+and evaluating other points on their exact affine segment
+(:meth:`PiecewiseLinearConcave.segment`).
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -75,11 +82,6 @@ def rat_str(q: Fraction) -> str:
 
 def ext_str(v: Ext) -> str:
     return "inf" if v == INF else rat_str(v)
-
-
-def parse_ext(s: str) -> Ext:
-    s = s.strip()
-    return INF if s == "inf" else parse_rat(s)
 
 
 def parse_alpha(s: str) -> Ext:
@@ -183,9 +185,8 @@ class StepFunction:
     # -- pointwise algebra -------------------------------------------------
 
     def _zip_with(self, other: "StepFunction", op) -> "StepFunction":
-        _require_same_domain(self, other)
-        cs = sorted({*self.cuts, *other.cuts})
-        vals = [op(self(s), other(s)) for s in (_ZERO, *cs)]
+        cs, fv, gv = refine(self, other)
+        vals = list(map(op, fv, gv))
         return canonicalize(cs, vals[:-1], vals[-1], self.alpha)
 
     def _map(self, op) -> "StepFunction":
@@ -230,16 +231,18 @@ class StepFunction:
         hi: Ext = self.alpha if b is None else (INF if b == INF else rat(b))
         if hi != INF and hi > self.alpha:
             raise PreconditionError("window end beyond the domain")
+        hi = self.alpha if hi == INF else hi
         if hi != INF and hi <= a:
             return constant(0, self.alpha)
-        extra = {a} | ({hi} if hi != INF and hi < self.alpha else set())
-        cs = sorted({*self.cuts, *extra} - {_ZERO})
-        cs = [c for c in cs if c < self.alpha]
-        vals = [
-            self(s) if (s >= a and (hi == INF or s < hi)) else _ZERO
-            for s in (_ZERO, *cs)
-        ]
-        return canonicalize(cs, vals[:-1], vals[-1], self.alpha)
+        if hi == self.alpha:
+            k, end, tail = len(self.cuts), [], self.tail
+        else:
+            k, end, tail = bisect_left(self.cuts, hi), [hi], _ZERO
+        i = bisect_right(self.cuts, a)  # pieces i..k of f meet [a, hi)
+        head = [a] if a > 0 else []
+        vals = (*self.values, self.tail)[i:k + len(end)]
+        return canonicalize(head + list(self.cuts[i:k]) + end,
+                            [_ZERO] * len(head) + list(vals), tail, self.alpha)
 
     # -- serialization ------------------------------------------------------
 
@@ -268,6 +271,44 @@ class StepFunction:
             return canonicalize(cuts, values, tail, alpha)
         except PreconditionError as e:
             raise ParseError(f"invalid step function: {e}") from None
+
+
+def merge_cuts(fc, gc) -> tuple[list[Fraction], list[int], list[int]]:
+    """Merge two strictly increasing cut sequences in one linear walk.
+
+    Returns ``(cuts, fi, gi)``: the merged cuts and, for each of the
+    ``len(cuts) + 1`` merged pieces, the index of the f and g piece holding
+    it.  Merged cut k is f's cut ``fi[k]`` exactly when ``fi[k + 1] != fi[k]``.
+    Cuts compare as cross-multiplied ints: exact, and cheaper than Fraction.
+    """
+    n, m = len(fc), len(gc)
+    cuts: list[Fraction] = []
+    fi, gi = [0], [0]
+    i = j = 0
+    while i < n and j < m:
+        a, b = fc[i], gc[j]
+        d = a.numerator * b.denominator - b.numerator * a.denominator
+        cuts.append(a if d <= 0 else b)
+        i += d <= 0  # equal cuts advance both sides
+        j += d >= 0
+        fi.append(i)
+        gi.append(j)
+    cuts += fc[i:]
+    fi += range(i + 1, n + 1)
+    gi += [m] * (n - i)
+    cuts += gc[j:]
+    fi += [n] * (m - j)
+    gi += range(j + 1, m + 1)
+    return cuts, fi, gi
+
+
+def refine(f: StepFunction, g: StepFunction):
+    """Common refinement of two step functions: ``(cuts, fv, gv)``, where
+    fv[k], gv[k] are f and g on merged piece k (the last one ends at alpha)."""
+    _require_same_domain(f, g)
+    cuts, fi, gi = merge_cuts(f.cuts, g.cuts)
+    fvals, gvals = (*f.values, f.tail), (*g.values, g.tail)
+    return cuts, [fvals[i] for i in fi], [gvals[j] for j in gi]
 
 
 def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
@@ -475,12 +516,19 @@ class PiecewiseLinearConcave:
         slope = self.segment_slopes[i] if i < len(self.cuts) else self.final_slope
         return bv + slope * (t - bs)
 
+    def segment(self, j: int) -> tuple[Fraction, Ext, Fraction, Fraction]:
+        """Exact ``(lo, hi, intercept, slope)`` of affine piece j, 0 <= j <=
+        len(cuts): phi(t) = intercept + slope*t on [lo, hi] (phi(0) = 0 aside)."""
+        lo, base = (self.cuts[j - 1], self.node_values[j - 1]) if j else (_ZERO, self.jump0)
+        if j < len(self.cuts):
+            hi, m = self.cuts[j], self.segment_slopes[j]
+        else:
+            hi, m = self.alpha, self.final_slope
+        return lo, hi, base - m * lo, m
+
     def final_branch(self) -> tuple[Fraction, Fraction]:
         """(intercept, slope) of the affine branch valid from the last cut on."""
-        if not self.cuts:
-            return self.jump0, self.final_slope
-        s, v = self.cuts[-1], self.node_values[-1]
-        return v - self.final_slope * s, self.final_slope
+        return self.segment(len(self.cuts))[2:]
 
     def limit_value(self) -> Ext:
         """Value as t -> alpha-; INF when the final slope is positive on [0,inf)."""
@@ -515,6 +563,25 @@ class PiecewiseLinearConcave:
             raise ParseError(f"piecewise-linear JSON missing key {e.args[0]!r}") from None
         except PreconditionError as e:
             raise ParseError(f"invalid piecewise-linear function: {e}") from None
+
+
+def plc_refine(f: PiecewiseLinearConcave, g: PiecewiseLinearConcave):
+    """Two concave functions read at their merged cuts: ``(cuts, fv, gv)``."""
+    cuts, fi, gi = merge_cuts(f.cuts, g.cuts)
+
+    def at(h: PiecewiseLinearConcave, idx: list[int]) -> list[Fraction]:
+        # a cut of h is a node, read as stored; others lie on segment idx[k]
+        out = []
+        for k, t in enumerate(cuts):
+            j = idx[k]
+            if idx[k + 1] != j:
+                out.append(h.node_values[j])
+            else:
+                _, _, c, m = h.segment(j)
+                out.append(c + m * t)
+        return out
+
+    return cuts, at(f, fi), at(g, gi)
 
 
 def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> PiecewiseLinearConcave:

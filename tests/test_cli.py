@@ -243,6 +243,28 @@ def test_parse_and_precondition_exit_codes(capsys):
     assert code == 2
 
 
+def test_prop_test_rejects_nonpositive_case_counts(capsys):
+    for cases in ("-5", "0"):
+        code, out, err = run_cli(capsys, "prop-test", "hlp", "--cases", cases)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--cases must be a positive integer" in err
+
+
+def test_majorant_input_reports_the_missing_key(capsys):
+    scalars = {"tau": "1/2", "eps": "1/4"}
+    for command in ("majorant-pair", "sample-member"):
+        for missing, value in scalars.items():
+            obj = {"x": json.loads(BOX), **scalars}
+            del obj[missing]
+            code, out, err = run_cli(capsys, command, "--input", json.dumps(obj))
+            assert code == 2 and out == ""
+            assert f"missing key '{missing}'" in err and "rational literal" not in err
+            # the flag still stands in for the key
+            code, _, _ = run_cli(capsys, command, "--input", json.dumps(obj),
+                                 f"--{missing}", value)
+            assert code == 0
+
+
 def test_input_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     path = tmp_path / "x.json"
     path.write_text(BOX)

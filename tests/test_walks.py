@@ -1,0 +1,396 @@
+"""Differential tests of the linear walks against slow, independent evaluation.
+
+Every kernel that walks a common refinement (``+``, ``-``, ``*``,
+``window``, ``plc_dominated_by``, ``maximal_distance``) or sorts pieces
+(``rearrangement``) is compared with a reference written here from the
+definitions: step functions are evaluated by scanning their pieces, merged
+cuts come from ``sorted(set(...))``, concave functions are read through
+``value_at``, and the rearrangement is a plain sort of the pieces.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rearrcalc import (
+    INF,
+    PiecewiseLinearConcave,
+    StepFunction,
+    canonicalize,
+    constant,
+    level_integral,
+    maximal_distance,
+    rearrangement,
+)
+from rearrcalc.majorize import plc_dominated_by
+from rearrcalc.stepfn import merge_cuts, plc_from_nodes, plc_refine, refine
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+# pairwise-coprime denominators near 10**6 (all primes)
+BIG_PRIMES = (999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907)
+
+
+# -- strategies ---------------------------------------------------------------
+
+
+def rationals(max_num=24, max_den=8, signed=True):
+    num = st.integers(-max_num if signed else 0, max_num)
+    return st.builds(F, num, st.integers(1, max_den))
+
+
+@st.composite
+def step_functions(draw, alpha=None, max_pieces=8, signed=True, big_dens=False):
+    if alpha is None:
+        alpha = draw(st.sampled_from([INF, F(1)]))
+    k = draw(st.integers(0, max_pieces))
+    if big_dens:
+        dens = st.sampled_from(BIG_PRIMES)
+        value = st.builds(F, st.integers(-10**6 if signed else 0, 10**6), dens)
+        step = st.builds(F, st.integers(1, 10**6), dens)
+    else:
+        value = rationals(signed=signed)
+        step = rationals(signed=False).filter(lambda q: q > 0)
+    if alpha == INF:
+        cuts, acc = [], F(0)
+        for s in draw(st.lists(step, min_size=k, max_size=k)):
+            acc += s
+            cuts.append(acc)
+    else:
+        pool = draw(st.lists(step.map(lambda q: q / (1 + q)), max_size=k))
+        cuts = sorted(set(pool))
+    values = draw(st.lists(value, min_size=len(cuts), max_size=len(cuts)))
+    tail = draw(value) if alpha != INF or draw(st.booleans()) else F(0)
+    return canonicalize(cuts, values, tail, alpha)
+
+
+@st.composite
+def step_pairs(draw, **kw):
+    f = draw(step_functions(**kw))
+    shape = draw(st.sampled_from(["free", "same_cuts", "no_cuts"]))
+    if shape == "same_cuts" and f.cuts:
+        vals = draw(st.lists(rationals(), min_size=len(f.cuts), max_size=len(f.cuts)))
+        g = canonicalize(f.cuts, vals, draw(rationals()), f.alpha)
+    elif shape == "no_cuts":
+        g = constant(draw(rationals()), f.alpha)
+    else:
+        g = draw(step_functions(alpha=f.alpha, **kw))
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
+@st.composite
+def concave_functions(draw, alpha):
+    """A canonical nondecreasing concave PLC, jump0 possibly positive."""
+    k = draw(st.integers(0, 5))
+    slopes = sorted(set(draw(st.lists(rationals(12, 4, signed=False), min_size=k + 1,
+                                      max_size=k + 1))), reverse=True)
+    jump0 = draw(st.sampled_from([F(0), F(0), F(1, 2), F(2)]))
+    if jump0 == 0 and slopes[0] == 0:
+        jump0 = F(1)
+    if alpha == INF:
+        steps = draw(st.lists(rationals(8, 4, signed=False).filter(lambda q: q > 0),
+                              min_size=len(slopes) - 1, max_size=len(slopes) - 1))
+        cuts, acc = [], F(0)
+        for s in steps:
+            acc += s
+            cuts.append(acc)
+    else:
+        cuts = sorted(set(draw(st.lists(st.builds(F, st.integers(1, 47), st.just(48)),
+                                        max_size=len(slopes) - 1))))
+    nodes, v, prev = [], jump0, F(0)
+    for c, m in zip(cuts, slopes):
+        v += m * (c - prev)
+        nodes.append(v)
+        prev = c
+    return plc_from_nodes(cuts, nodes, slopes[len(cuts)], jump0, alpha)
+
+
+@st.composite
+def concave_pairs(draw):
+    alpha = draw(st.sampled_from([INF, F(1)]))
+    return draw(concave_functions(alpha)), draw(concave_functions(alpha))
+
+
+# -- slow references ----------------------------------------------------------
+
+
+def at(f: StepFunction, t):
+    """f(t) by scanning the pieces in order."""
+    for c, v in zip(f.cuts, f.values):
+        if t < c:
+            return v
+    return f.tail
+
+
+def check_points(alpha, *cut_lists):
+    """Every merged cut, the midpoints between them, 0, and a point past the end."""
+    cs = sorted({c for cuts in cut_lists for c in cuts})
+    pts = [F(0), *cs]
+    pts += [(a + b) / 2 for a, b in zip(pts, pts[1:])]
+    last = cs[-1] if cs else F(0)
+    pts.append(last + F(1, 2) if alpha == INF else (last + 1) / 2)
+    return [t for t in pts if t < alpha]
+
+
+def sorted_star(x: StepFunction) -> StepFunction:
+    """x* from a plain sort of (|value|, length) pairs."""
+    bounds = [F(0), *x.cuts] + ([] if x.alpha == INF else [x.alpha])
+    items = sorted(((abs(v), b - a) for a, b, v in zip(bounds, bounds[1:], x.values + (x.tail,))),
+                   reverse=True)
+    if x.alpha == INF:
+        items = [(v, l) for v, l in items if v > abs(x.tail)]
+        tail = abs(x.tail)
+    else:
+        tail = items.pop()[0]
+    cuts, acc = [], F(0)
+    for _, l in items:
+        acc += l
+        cuts.append(acc)
+    return canonicalize(cuts, [v for v, _ in items], tail, x.alpha)
+
+
+def first_node_violation(f, g):
+    for t in sorted({*f.cuts, *g.cuts}):
+        if f.value_at(t) > g.value_at(t):
+            return t
+    return None
+
+
+def violated_somewhere(f, g) -> bool:
+    """f > g somewhere on (0, alpha): at a node, at 0+, at alpha-, or at infinity."""
+    if first_node_violation(f, g) is not None or f.jump0 > g.jump0:
+        return True
+    if f.alpha != INF:
+        return f.value_at(f.alpha) > g.value_at(g.alpha)
+    return f.final_slope > g.final_slope
+
+
+def linear_positive_measure(c0, c1, lo, hi):
+    """mu{ t in (lo, hi) : c0 + c1*t > 0 }; hi may be INF."""
+    if c1 == 0:
+        return (INF if hi == INF else hi - lo) if c0 > 0 else F(0)
+    root = -c0 / c1
+    if c1 > 0:  # t > root
+        start = max(lo, root)
+        return INF if hi == INF else max(F(0), hi - start)
+    end = root if hi == INF else min(hi, root)
+    return max(F(0), end - lo)
+
+
+def slow_maximal_distance(x, y, delta):
+    fx, fy = level_integral(x), level_integral(y)
+    cs = sorted({*fx.cuts, *fy.cuts})
+    total = F(0)
+    for lo, hi in zip([F(0), *cs], [*cs, x.alpha]):
+        t1 = lo + 1 if hi == INF else (2 * lo + hi) / 3
+        t2 = t1 + 1 if hi == INF else (lo + 2 * hi) / 3
+        dv1 = fx.value_at(t1) - fy.value_at(t1)
+        dv2 = fx.value_at(t2) - fy.value_at(t2)
+        b = (dv2 - dv1) / (t2 - t1)
+        a = dv1 - b * t1
+        # |a/t + b| > delta  <=>  a + (b - delta) t > 0  or  -a - (b + delta) t > 0
+        for piece in (linear_positive_measure(a, b - delta, lo, hi),
+                      linear_positive_measure(-a, -(b + delta), lo, hi)):
+            if piece == INF:
+                return INF
+            total += piece
+    return total
+
+
+# -- the merge itself ---------------------------------------------------------
+
+
+@SETTINGS
+@given(step_pairs())
+def test_merge_cuts_matches_sorted_union(pair):
+    f, g = pair
+    cuts, fi, gi = merge_cuts(f.cuts, g.cuts)
+    assert cuts == sorted({*f.cuts, *g.cuts})
+    assert len(fi) == len(gi) == len(cuts) + 1
+    for k, t in enumerate([F(0), *cuts]):
+        assert fi[k] == sum(1 for c in f.cuts if c <= t)
+        assert gi[k] == sum(1 for c in g.cuts if c <= t)
+
+
+@SETTINGS
+@given(step_pairs())
+def test_refine_values_match_pointwise_evaluation(pair):
+    f, g = pair
+    cuts, fv, gv = refine(f, g)
+    for lo, v, w in zip([F(0), *cuts], fv, gv):
+        assert v == at(f, lo) and w == at(g, lo)
+
+
+# -- pointwise algebra and window ------------------------------------------------
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+@SETTINGS
+@given(pair=step_pairs())
+def test_binary_ops_match_pointwise_evaluation(op, pair):
+    f, g = pair
+    fn = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}[op]
+    h = fn(f, g)
+    assert set(h.cuts) <= {*f.cuts, *g.cuts}
+    for t in check_points(f.alpha, f.cuts, g.cuts):
+        assert at(h, t) == fn(at(f, t), at(g, t))
+
+
+@SETTINGS
+@given(pair=step_pairs(big_dens=True, max_pieces=6))
+def test_binary_ops_with_coprime_large_denominators(pair):
+    f, g = pair
+    s, d = f + g, f - g
+    for t in check_points(f.alpha, f.cuts, g.cuts):
+        assert at(s, t) == at(f, t) + at(g, t)
+        assert at(d, t) == at(f, t) - at(g, t)
+
+
+def window_ends(f: StepFunction, draw):
+    span = f.cuts[-1] if f.cuts else F(1)
+    a = draw(st.sampled_from([F(0), span / 3, *f.cuts]))
+    if f.alpha != INF:
+        a = min(a, F(1, 2))
+    choices = [None, INF, a + span / 2, a + F(1, 7), *[c for c in f.cuts if c > a]]
+    if f.alpha != INF:
+        choices = [b for b in choices if b is None or b == INF or b <= 1] + [F(1)]
+    return a, draw(st.sampled_from(choices))
+
+
+@SETTINGS
+@given(f=step_functions(), data=st.data())
+def test_window_matches_pointwise_evaluation(f, data):
+    a, b = window_ends(f, data.draw)
+    hi = f.alpha if b is None or b == INF else b
+    w = f.window(a, b)
+    pts = check_points(f.alpha, f.cuts, [a] + ([hi] if hi != INF else []))
+    for t in pts:
+        assert at(w, t) == (at(f, t) if a <= t < hi else 0)
+
+
+def test_window_named_edge_cases():
+    x = canonicalize([1, 2, 3], [5, -1, 2], 0, INF)
+    assert x.window(0) == x and x.window(0, INF) == x
+    assert x.window(1) == canonicalize([1, 2, 3], [0, -1, 2], 0, INF)  # a on a cut
+    assert x.window(F(1, 2), 2) == canonicalize([F(1, 2), 1, 2], [0, 5, -1], 0, INF)  # hi on a cut
+    assert x.window(3, INF) == constant(0, INF)
+    assert x.window(2, 2) == constant(0, INF)
+    y = canonicalize([F(1, 4), F(1, 2)], [3, -2], 7, 1)  # alpha = 1, nonzero tail
+    assert y.window(0, 1) == y and y.window(0, None) == y and y.window(0, INF) == y
+    assert y.window(F(1, 2), 1) == canonicalize([F(1, 2)], [0], 7, 1)
+    assert y.window(F(1, 4), F(1, 2)) == canonicalize([F(1, 4), F(1, 2)], [0, -2], 0, 1)
+    assert y.window(1, INF) == constant(0, 1)
+    assert constant(4, INF).window(0, 1) == canonicalize([1], [4], 0, INF)  # no cuts
+
+
+# -- concave functions ------------------------------------------------------------
+
+
+@SETTINGS
+@given(concave_pairs())
+def test_plc_refine_reads_value_at(pair):
+    f, g = pair
+    cuts, fv, gv = plc_refine(f, g)
+    assert cuts == sorted({*f.cuts, *g.cuts})
+    assert fv == [f.value_at(t) for t in cuts]
+    assert gv == [g.value_at(t) for t in cuts]
+
+
+@SETTINGS
+@given(concave_pairs().map(lambda p: p[0]))
+def test_segment_is_exact(phi):
+    segs = [phi.segment(j) for j in range(len(phi.cuts) + 1)]
+    assert segs[0][0] == 0 and segs[-1][1] == phi.alpha
+    assert all(s[1] == t[0] for s, t in zip(segs, segs[1:]))
+    assert phi.final_branch() == segs[-1][2:]
+    for lo, hi, a, b in segs:
+        probe = lo + 1 if hi == INF else (lo + hi) / 2
+        assert phi.value_at(probe) == a + b * probe
+        if hi != INF:
+            assert phi.value_at(hi) == a + b * hi
+
+
+@SETTINGS
+@given(concave_pairs())
+def test_plc_dominated_by_verdict_and_witness(pair):
+    for f, g in (pair, pair[::-1]):
+        holds, w = plc_dominated_by(f, g)
+        assert holds == (not violated_somewhere(f, g))
+        if holds:
+            assert w is None
+            continue
+        assert 0 < w and (f.alpha == INF or w < f.alpha)
+        assert f.value_at(w) > g.value_at(w)
+        node = first_node_violation(f, g)
+        if node is not None:
+            assert w == node
+        elif f.jump0 > g.jump0 and (f.cuts or g.cuts):
+            assert w < min(f.cuts + g.cuts)  # the violation right after 0
+
+
+def test_plc_dominated_by_named_witnesses():
+    # jump0 > 0 on the left: the witness sits before the first cut
+    f = PiecewiseLinearConcave(INF, (F(1),), (F(3),), F(0), jump0=F(2))
+    g = PiecewiseLinearConcave(INF, (F(2),), (F(6),), F(0))
+    holds, w = plc_dominated_by(f, g)
+    assert not holds and 0 < w < 1 and f.value_at(w) > g.value_at(w)
+    # the witness is the first third of (0, first merged cut) when that works
+    f = PiecewiseLinearConcave(INF, (), (), F(0), jump0=F(1))
+    g = PiecewiseLinearConcave(INF, (F(1, 4),), (F(2),), F(0))
+    assert plc_dominated_by(f, g) == (False, F(1, 12))
+    # final-branch witness on [0, inf): f overtakes g past every node
+    f = PiecewiseLinearConcave(INF, (), (), F(2))
+    g = PiecewiseLinearConcave(INF, (F(1),), (F(5),), F(1))
+    holds, w = plc_dominated_by(f, g)
+    assert not holds and w > 1 and f.value_at(w) > g.value_at(w)
+    # final-branch witness on [0, 1): only the left limit at 1 is larger
+    f = PiecewiseLinearConcave(1, (), (), F(1))
+    g = PiecewiseLinearConcave(1, (F(1, 2),), (F(1, 2),), F(0))
+    holds, w = plc_dominated_by(f, g)
+    assert not holds and F(1, 2) < w < 1 and f.value_at(w) > g.value_at(w)
+    # no cuts on either side
+    assert plc_dominated_by(PiecewiseLinearConcave(1, (), (), F(1)),
+                            PiecewiseLinearConcave(1, (), (), F(2))) == (True, None)
+
+
+# -- maximal distance and rearrangement ----------------------------------------------
+
+
+@SETTINGS
+@given(pair=step_pairs(max_pieces=6), delta=st.sampled_from([F(1), F(1, 2), F(1, 10), F(7, 3)]))
+def test_maximal_distance_matches_linear_split(pair, delta):
+    x, y = pair
+    assert maximal_distance(x, y, delta) == slow_maximal_distance(x, y, delta)
+
+
+@SETTINGS
+@given(step_functions(max_pieces=12))
+def test_rearrangement_matches_sort(x):
+    rr = rearrangement(x)
+    star = sorted_star(x)
+    assert rr.star == star
+    assert rr.star_at_infinity == (abs(x.tail) if x.alpha == INF else star.tail)
+    li = rr.level_integral
+    assert li.cuts == star.cuts and li.final_slope == star.tail and li.jump0 == 0
+    total, prev = F(0), F(0)
+    for c, v in zip(star.cuts, star.values):
+        total += v * (c - prev)
+        prev = c
+        assert li.value_at(c) == total
+
+
+@SETTINGS
+@given(step_functions(max_pieces=10, big_dens=True))
+def test_rearrangement_with_coprime_large_denominators(x):
+    assert rearrangement(x).star == sorted_star(x)
+
+
+def test_rearrangement_named_edge_cases():
+    # alpha = 1 with a nonzero tail that is not the smallest value
+    x = canonicalize([F(1, 4), F(1, 2)], [-3, 1], 2, 1)
+    assert rearrangement(x).star == canonicalize([F(1, 4), F(3, 4)], [3, 2], 1, 1)
+    # [0, inf) with a plateau that absorbs smaller pieces; equal values merge
+    y = canonicalize([1, 2, 4], [-5, 1, 5], 2, INF)
+    assert rearrangement(y).star == canonicalize([3], [5], 2, INF)
+    assert rearrangement(constant(0, INF)).star == constant(0, INF)
