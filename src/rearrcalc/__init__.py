@@ -41,7 +41,6 @@ from .majorize import (
 )
 from .rearrange import (
     RearrangementResult,
-    distribution,
     equimeasurable,
     level_integral,
     maximal_eval,
@@ -50,7 +49,6 @@ from .rearrange import (
 from .spaces import (
     Hyperbolic,
     SpaceSpec,
-    embeds_in_L1,
     embeds_in_l1,
     fundamental_eval,
     mphi_a_member,
@@ -63,9 +61,7 @@ from .stepfn import (
     block,
     box,
     canonicalize,
-    combine,
     constant,
-    evaluate,
     exceedance_measure,
     integrate,
     parse_rat,
@@ -98,13 +94,9 @@ __all__ = [
     "box",
     "builtin_family",
     "canonicalize",
-    "combine",
     "constant",
-    "distribution",
-    "embeds_in_L1",
     "embeds_in_l1",
     "equimeasurable",
-    "evaluate",
     "exceedance_measure",
     "family_contains",
     "flatten_head",

@@ -242,16 +242,17 @@ def _majorant_args(args):
     return x, scalar("tau"), scalar("eps")
 
 
-def _cmd_majorant_pair(args) -> int:
-    x, tau, eps = _majorant_args(args)
-    trace = majorant_pair(x, tau, eps)
-    payload = {
+def _majorant_payload(x: StepFunction, tau: Fraction, eps: Fraction) -> dict:
+    return {
         "x": x.to_json(),
         "tau": rat_str(tau),
         "eps": rat_str(eps),
-        "trace": trace.to_json(),
+        "trace": majorant_pair(x, tau, eps).to_json(),
     }
-    return _emit(args, payload)
+
+
+def _cmd_majorant_pair(args) -> int:
+    return _emit(args, _majorant_payload(*_majorant_args(args)))
 
 
 def _cmd_sample_member(args) -> int:
@@ -286,10 +287,7 @@ def _probe_common(args):
     x = _load_step(args.input)
     space = _load_space(args.space)
     t_x = parse_rat(args.t_x) if args.t_x else None
-    if args.family in ("remark45", "example46_heads"):
-        family = builtin_family(args.family)
-    else:
-        family = builtin_family(args.family, x, t_x)
+    family = builtin_family(args.family, x, t_x)
     n_list = _parse_n_list(args.n)
     deltas = _parse_deltas(args.delta) if args.delta else DEFAULT_DELTAS
     return x, family, space, n_list, deltas
@@ -316,7 +314,7 @@ def _cmd_prop_test(args) -> int:
     payload = result.to_json()
     summary = (
         f"suite={result.suite} cases={result.cases} seed={result.seed} "
-        f"ok={'yes' if result.ok else 'no'} failures={len(result.failures)}"
+        f"ok={_yes(result.ok)} failures={len(result.failures)}"
     )
     if args.format == "table":
         print(summary)
@@ -330,58 +328,42 @@ def _cmd_prop_test(args) -> int:
 # -- replications -------------------------------------------------------------
 
 
-def _replicate_remark45(args) -> int:
-    n_list = _parse_n_list(args.n) if args.n else tuple(range(1, 11))
-    space = SpaceSpec("L1", None, INF)
-    report = probe_koc(
-        box(1, 1), builtin_family("remark45"), space, n_list,
-        tolerance=Fraction(1, 100),
-    )
-    return _emit(args, report.to_json(), report.to_table())
+def _columns(widths: tuple[int, ...], rows) -> list[str]:
+    """Right-aligned fixed-width columns, two spaces apart."""
+    return ["  ".join(str(c).rjust(w) for c, w in zip(row, widths)) for row in rows]
 
 
-def _replicate_example46(args) -> int:
-    n_list = _parse_n_list(args.n) if args.n else tuple(range(1, 11))
-    phi = Hyperbolic(Fraction(1))
-    space = SpaceSpec("MarcinkiewiczStar", phi, INF)
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _replicate_remark45(n_list):
+    report = probe_koc(box(1, 1), builtin_family("remark45"), SpaceSpec("L1", None, INF),
+                       n_list, tolerance=Fraction(1, 100))
+    return report.to_json(), report.to_table()
+
+
+def _replicate_example46(n_list):
+    space = SpaceSpec("MarcinkiewiczStar", Hyperbolic(Fraction(1)), INF)
     x = constant(1, INF)
-    report = probe_koc(
-        x, builtin_family("example46_heads"), space, n_list,
-        tolerance=Fraction(1, 10),
-    )
+    report = probe_koc(x, builtin_family("example46_heads"), space, n_list,
+                       tolerance=Fraction(1, 10))
     payload = report.to_json()
     payload["base_norm"] = ext_str(norm(space, x))
-    table = f"base point norm = {ext_str(norm(space, x))}\n" + report.to_table()
-    return _emit(args, payload, table)
-
-
-def _replicate_prop32(args, case: int) -> int:
-    if case == 1:
-        x = box(1, 1)
-        tau, eps = Fraction(1, 2), Fraction(1, 4)
-    else:
-        x = canonicalize([1, 4], [2, 1], 0, INF)
-        tau, eps = Fraction(2), Fraction(1, 5)
-    trace = majorant_pair(x, tau, eps)
-    payload = {
-        "x": x.to_json(),
-        "tau": rat_str(tau),
-        "eps": rat_str(eps),
-        "trace": trace.to_json(),
-    }
-    return _emit(args, payload)
+    return payload, f"base point norm = {payload['base_norm']}\n" + report.to_table()
 
 
 _LEMMA43_X = canonicalize([1, 3], [2, 1], 0, INF)
-_LEMMA43_PHI = PiecewiseLinearConcave(INF, (Fraction(1), Fraction(3)),
-                                      (Fraction(1), Fraction(2)), Fraction(0))
+_LEMMA43_SPACE = SpaceSpec(
+    "Marcinkiewicz",
+    PiecewiseLinearConcave(INF, (Fraction(1), Fraction(3)), (Fraction(1), Fraction(2)),
+                           Fraction(0)),
+    INF,
+)
 
 
-def _replicate_lemma43(args) -> int:
-    n_list = _parse_n_list(args.n) if args.n else tuple(range(1, 11))
-    x = _LEMMA43_X
-    space = SpaceSpec("Marcinkiewicz", _LEMMA43_PHI, INF)
-    t_x = Fraction(1)
+def _replicate_lemma43(n_list):
+    x, space, t_x = _LEMMA43_X, _LEMMA43_SPACE, Fraction(1)
     fam_y = builtin_family("lemma43_y", x, t_x)
     fam_x = builtin_family("lemma43_x", x)
     rows = []
@@ -401,30 +383,23 @@ def _replicate_lemma43(args) -> int:
         "embeds_in_L1": embeds_in_l1(space),
         "rows": rows,
     }
-    lines = [
-        f"embeds_in_L1 = {'yes' if payload['embeds_in_L1'] else 'no'}",
-        f"{'n':>4}  {'norm_y':>10}  {'norm_x':>10}  {'y_hlp':>6}  {'x_hlp':>6}",
-    ]
-    for r in rows:
-        lines.append(
-            f"{r['n']:>4}  {r['norm_y']:>10}  {r['norm_x']:>10}  "
-            f"{'yes' if r['y_hlp'] else 'no':>6}  {'yes' if r['x_hlp'] else 'no':>6}"
-        )
-    return _emit(args, payload, "\n".join(lines))
+    table = _columns((4, 10, 10, 6, 6), [
+        ("n", "norm_y", "norm_x", "y_hlp", "x_hlp"),
+        *((r["n"], r["norm_y"], r["norm_x"], _yes(r["y_hlp"]), _yes(r["x_hlp"]))
+          for r in rows),
+    ])
+    return payload, "\n".join([f"embeds_in_L1 = {_yes(payload['embeds_in_L1'])}", *table])
 
 
-def _replicate_thm47(args) -> int:
-    n_list = _parse_n_list(args.n) if args.n else tuple(range(1, 11))
-    x = _LEMMA43_X
-    space = SpaceSpec("Marcinkiewicz", _LEMMA43_PHI, INF)
+def _replicate_thm47(n_list):
+    x, space = _LEMMA43_X, _LEMMA43_SPACE
     star = rearrangement(x).star
     rows = []
     for n in n_list:
-        y_n = flatten_head(x, n)
         head = fundamental_eval(space, n) * maximal_eval(x, n)
         tail_norm = norm(space, star.window(n, None))
         bound = head + tail_norm
-        norm_y = norm(space, y_n)
+        norm_y = norm(space, flatten_head(x, n))
         rows.append({
             "n": n,
             "norm_y": ext_str(norm_y),
@@ -434,32 +409,30 @@ def _replicate_thm47(args) -> int:
             "within_bound": norm_y <= bound,
         })
     payload = {"x": x.to_json(), "space": space.to_json(), "rows": rows}
-    lines = [
-        f"{'n':>4}  {'norm_y':>10}  {'head_term':>10}  {'tail_norm':>10}  "
-        f"{'bound':>10}  ok",
-    ]
-    for r in rows:
-        lines.append(
-            f"{r['n']:>4}  {r['norm_y']:>10}  {r['head_term']:>10}  "
-            f"{r['tail_norm']:>10}  {r['bound']:>10}  "
-            f"{'yes' if r['within_bound'] else 'no'}"
-        )
-    return _emit(args, payload, "\n".join(lines))
+    table = _columns((4, 10, 10, 10, 10, 0), [
+        ("n", "norm_y", "head_term", "tail_norm", "bound", "ok"),
+        *((r["n"], r["norm_y"], r["head_term"], r["tail_norm"], r["bound"],
+           _yes(r["within_bound"])) for r in rows),
+    ])
+    return payload, "\n".join(table)
+
+
+# target -> fn(n_list) -> (payload, table text or None for the generic table)
+_REPLICATIONS = {
+    "remark45": _replicate_remark45,
+    "example46": _replicate_example46,
+    "prop32-case1": lambda n_list: (
+        _majorant_payload(box(1, 1), Fraction(1, 2), Fraction(1, 4)), None),
+    "prop32-case2": lambda n_list: (
+        _majorant_payload(canonicalize([1, 4], [2, 1], 0, INF), Fraction(2), Fraction(1, 5)),
+        None),
+    "lemma43": _replicate_lemma43,
+    "thm47": _replicate_thm47,
+}
 
 
 def _cmd_replicate(args) -> int:
-    target = args.target
-    if target == "remark45":
-        return _replicate_remark45(args)
-    if target == "example46":
-        return _replicate_example46(args)
-    if target == "prop32-case1":
-        return _replicate_prop32(args, 1)
-    if target == "prop32-case2":
-        return _replicate_prop32(args, 2)
-    if target == "lemma43":
-        return _replicate_lemma43(args)
-    return _replicate_thm47(args)
+    return _emit(args, *_REPLICATIONS[args.target](_parse_n_list(args.n)))
 
 
 # -- parser -------------------------------------------------------------------
@@ -532,9 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
 
     sp = sub.add_parser("replicate", help="canned replications")
-    sp.add_argument("target", choices=("remark45", "example46", "prop32-case1",
-                                       "prop32-case2", "lemma43", "thm47"))
-    sp.add_argument("--n", help="N or A..B (where applicable)")
+    sp.add_argument("target", choices=tuple(_REPLICATIONS))
+    sp.add_argument("--n", default="1..10", help="N or A..B (where applicable)")
     sp.add_argument("--format", choices=("json", "table", "csv"), default="table")
     sp.set_defaults(handler=_cmd_replicate)
 

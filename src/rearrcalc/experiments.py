@@ -25,14 +25,13 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import PreconditionError
-from .majorize import hlp_compare, is_decreasing_rearrangement
+from .majorize import _flatten, hlp_compare
 from .rearrange import level_integral, maximal_eval, rearrangement
 from .spaces import SpaceSpec, norm
 from .stepfn import (
     INF,
     Ext,
     StepFunction,
-    block,
     box,
     constant,
     exceedance_measure,
@@ -75,8 +74,8 @@ def flatten_head(x: StepFunction, n: int) -> StepFunction:
         raise PreconditionError("head flattening needs a nonnegative x")
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"head length must be an integer >= 1, got {n!r}")
-    star = rearrangement(x).star
-    y = block(maximal_eval(x, n), 0, n) + star.window(n, None)
+    rr = rearrangement(x)
+    y = _flatten(rr.star, rr.level_integral, _ZERO, n)
     verdict = hlp_compare(y, x)
     if not verdict.holds:
         raise AssertionError(
@@ -240,12 +239,9 @@ class ProbeRecord:
         return out
 
 
-VERDICTS = ("consistent_with_KOC", "consistent_with_failure", "inconclusive")
-
-
 @dataclass(frozen=True)
 class ProbeReport:
-    """Finite evidence from a probe run; serializes to JSON, table and CSV."""
+    """Finite evidence from a probe run; serializes to JSON and a table."""
 
     probe: str
     family: str
@@ -270,7 +266,7 @@ class ProbeReport:
             out["tolerance"] = rat_str(self.tolerance)
         return out
 
-    def _rows(self) -> tuple[list[str], list[list[str]]]:
+    def to_table(self) -> str:
         deltas = [d for d, _ in self.records[0].star_distances] if self.records else []
         header = ["n", "norm", "hlp"]
         header += [f"d*[{rat_str(d)}]" for d in deltas]
@@ -287,10 +283,6 @@ class ProbeReport:
             if r.norm_gap is not None:
                 row.append(ext_str(r.norm_gap))
             rows.append(row)
-        return header, rows
-
-    def to_table(self) -> str:
-        header, rows = self._rows()
         widths = [
             max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
             for i in range(len(header))
@@ -305,12 +297,6 @@ class ProbeReport:
         lines += [fmt(r) for r in rows]
         lines.append(f"notes: {self.notes}")
         return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        header, rows = self._rows()
-        out = [",".join(header)]
-        out += [",".join(r) for r in rows]
-        return "\n".join(out)
 
 
 def _norm_gap(a: Ext, b: Ext) -> Ext:

@@ -21,11 +21,10 @@ from .stepfn import (
     INF,
     Ext,
     StepFunction,
-    block,
     box,
     canonicalize,
-    combine,
     constant,
+    exceedance_measure,
     integrate,
     plc_from_nodes,
     rat_str,
@@ -185,10 +184,7 @@ def majorized_pair(rng: random.Random, alpha: Ext = INF):
         r = star.support_bound * Fraction(rng.randint(1, 16), 8)
         if alpha != INF and r >= 1:
             r = (star.support_bound + 1) / 2
-        big = rearrange.level_integral(star)
-        avg = big.value_at(r) / r
-        y = block(avg, 0, r, alpha) + star.window(r, None)
-        return y, x
+        return majorize._flatten(star, rearrange.level_integral(star), _ZERO, r), x
     return star, x
 
 
@@ -241,14 +237,33 @@ def _sorted_oracle_star(x: StepFunction) -> StepFunction:
     return canonicalize(cuts, values, plateau, INF)
 
 
-def _distribution_oracle(x: StepFunction, lam: Fraction) -> Ext:
-    total = _ZERO
-    for s, e, v in x.pieces():
-        if abs(v) > lam:
-            if e == INF:
-                return INF
-            total += e - s
-    return total
+def _distribution_oracle(star: StepFunction, lam: Fraction) -> Ext:
+    """d(lam) read off a decreasing star in closed form: the whole domain when
+    the tail exceeds lam, else the right end of its last leading piece above lam."""
+    if star.tail > lam:
+        return star.alpha
+    k = 0
+    while k < len(star.values) and star.values[k] > lam:
+        k += 1
+    return star.cuts[k - 1] if k else _ZERO
+
+
+def _rearrange_problems(x: StepFunction) -> list[str]:
+    problems = []
+    star = rearrange.rearrangement(x).star
+    if star != _sorted_oracle_star(x):
+        problems.append("star != sorted oracle")
+    levels = {abs(v) for v in (*x.values, x.tail)} | {_ZERO}
+    levels |= {l + Fraction(1, 3) for l in list(levels)[:4]}
+    for lam in levels:
+        if exceedance_measure(x, lam) != _distribution_oracle(star, lam):
+            problems.append(f"distribution mismatch at lam={rat_str(lam)}")
+            break
+    if not rearrange.equimeasurable(x, star):
+        problems.append("x not equimeasurable with its star")
+    if not majorize.is_decreasing_rearrangement(star):
+        problems.append("star is not its own rearrangement")
+    return problems
 
 
 def run_rearrange_suite(cases: int, seed: int) -> SuiteResult:
@@ -259,25 +274,9 @@ def run_rearrange_suite(cases: int, seed: int) -> SuiteResult:
     for i in range(cases):
         alpha = INF if rng.random() < 0.6 else _ONE
         x = rand_step(rng, alpha, nonzero_tail=True)
-        star = rearrange.rearrangement(x).star
-        problems = []
-        oracle = _sorted_oracle_star(x)
-        if star != oracle:
-            problems.append("star != sorted oracle")
-        levels = {abs(v) for v in (*x.values, x.tail)} | {_ZERO}
-        levels |= {l + Fraction(1, 3) for l in list(levels)[:4]}
-        for lam in levels:
-            if rearrange.distribution(x, lam) != _distribution_oracle(star, lam):
-                problems.append(f"distribution mismatch at lam={rat_str(lam)}")
-                break
-        if not rearrange.equimeasurable(x, star):
-            problems.append("x not equimeasurable with its star")
-        if not majorize.is_decreasing_rearrangement(star):
-            problems.append("star is not its own rearrangement")
+        problems = _rearrange_problems(x)
         if problems:
-            case = {"x": x}
-            keep = _still_fails_rearrange(problems[0])
-            case = shrink_case(case, keep)
+            case = shrink_case({"x": x}, lambda c: bool(_rearrange_problems(c["x"])))
             res.failures.append({
                 "case": i, "problems": problems,
                 "x": case["x"].to_json(),
@@ -285,27 +284,6 @@ def run_rearrange_suite(cases: int, seed: int) -> SuiteResult:
             if len(res.failures) >= 5:
                 break
     return res
-
-
-def _still_fails_rearrange(problem: str):
-    def keep(case: dict) -> bool:
-        x = case["x"]
-        try:
-            star = rearrange.rearrangement(x).star
-            if problem == "star != sorted oracle":
-                return star != _sorted_oracle_star(x)
-            if problem.startswith("distribution"):
-                levels = {abs(v) for v in (*x.values, x.tail)} | {_ZERO}
-                return any(
-                    rearrange.distribution(x, lam) != _distribution_oracle(star, lam)
-                    for lam in levels
-                )
-            if problem == "x not equimeasurable with its star":
-                return not rearrange.equimeasurable(x, star)
-            return not majorize.is_decreasing_rearrangement(star)
-        except RearrCalcError:
-            return False
-    return keep
 
 
 def _phi_grid_le(x: StepFunction, y: StepFunction, grid: int) -> Optional[Fraction]:
@@ -353,6 +331,25 @@ def _phi_grid_le(x: StepFunction, y: StepFunction, grid: int) -> Optional[Fracti
     return None
 
 
+def _hlp_problems(y: StepFunction, x: StepFunction, grid: int) -> tuple[list[str], bool]:
+    """(problems found, whether hlp_compare says y ≺ x)."""
+    problems = []
+    verdict = majorize.hlp_compare(y, x)
+    if verdict.holds:
+        grid_hit = _phi_grid_le(y, x, grid)
+        if grid_hit is not None:
+            problems.append(f"grid oracle found violation at t={rat_str(grid_hit)}")
+    else:
+        w = verdict.witness
+        if not (0 < w and (x.alpha == INF or w < x.alpha)):
+            problems.append("witness outside the domain")
+        elif rearrange.level_integral(y).value_at(w) <= rearrange.level_integral(x).value_at(w):
+            problems.append("witness does not witness")
+    if not majorize.hlp_compare(x, x).holds:
+        problems.append("reflexivity fails")
+    return problems, verdict.holds
+
+
 def run_hlp_suite(cases: int, seed: int, grid: int = 10000) -> SuiteResult:
     """hlp_compare against a dense-grid oracle, witness validity, reflexivity,
     and transitivity along constructed chains."""
@@ -366,23 +363,8 @@ def run_hlp_suite(cases: int, seed: int, grid: int = 10000) -> SuiteResult:
         else:
             x = rand_step(rng, alpha, max_pieces=8)
             y = rand_step(rng, alpha, max_pieces=8)
-        problems = []
-        verdict = majorize.hlp_compare(y, x)
-        grid_hit = _phi_grid_le(y, x, grid)
-        if verdict.holds and grid_hit is not None:
-            problems.append(f"grid oracle found violation at t={rat_str(grid_hit)}")
-        if not verdict.holds:
-            w = verdict.witness
-            fy = rearrange.level_integral(y)
-            fx = rearrange.level_integral(x)
-            if not (0 < w and (x.alpha == INF or w < x.alpha)):
-                problems.append("witness outside the domain")
-            elif fy.value_at(w) <= fx.value_at(w):
-                problems.append("witness does not witness")
-        else:
-            agree += 1
-        if not majorize.hlp_compare(x, x).holds:
-            problems.append("reflexivity fails")
+        problems, holds = _hlp_problems(y, x, grid)
+        agree += holds
         # transitivity along a constructed chain zz ≺ yy ≺ xx
         yy, xx = majorized_pair(rng, alpha)
         zz = rearrange.rearrangement(yy).star.scale(Fraction(rng.randint(0, 8), 8))
@@ -392,21 +374,8 @@ def run_hlp_suite(cases: int, seed: int, grid: int = 10000) -> SuiteResult:
                 "x": xx.to_json(), "y": yy.to_json(), "z": zz.to_json(),
             })
         if problems:
-            def keep(case: dict) -> bool:
-                try:
-                    v = majorize.hlp_compare(case["y"], case["x"])
-                    if v.holds:
-                        return _phi_grid_le(case["y"], case["x"], grid) is not None
-                    w2 = v.witness
-                    fy2 = rearrange.level_integral(case["y"])
-                    fx2 = rearrange.level_integral(case["x"])
-                    return (
-                        not (0 < w2 and (case["x"].alpha == INF or w2 < case["x"].alpha))
-                        or fy2.value_at(w2) <= fx2.value_at(w2)
-                    )
-                except RearrCalcError:
-                    return False
-            case = shrink_case({"x": x, "y": y}, keep)
+            case = shrink_case(
+                {"x": x, "y": y}, lambda c: bool(_hlp_problems(c["y"], c["x"], grid)[0]))
             res.failures.append({
                 "case": i, "problems": problems,
                 "x": case["x"].to_json(), "y": case["y"].to_json(),
@@ -429,12 +398,9 @@ def run_prop32_suite(cases: int, seed: int, members_per_case: int = 5) -> SuiteR
         if tag is not None:
             tags[tag] += 1
         if problems:
-            def keep(case):
-                return bool(_prop32_problems(
-                    case["x"], case["tau"], case["eps"],
-                    members_per_case, seed * 1000003 + i,
-                )[0])
-            case = shrink_case({"x": x, "tau": tau, "eps": eps}, keep)
+            case = shrink_case({"x": x, "tau": tau, "eps": eps}, lambda c: bool(
+                _prop32_problems(c["x"], c["tau"], c["eps"], members_per_case,
+                                 seed * 1000003 + i)[0]))
             res.failures.append({
                 "case": i, "problems": problems,
                 "x": case["x"].to_json(), "tau": rat_str(case["tau"]),
@@ -498,14 +464,8 @@ def run_spaces_suite(cases: int, seed: int) -> SuiteResult:
         y = rand_step(rng, alpha, max_pieces=6)
         problems = _space_problems(space, x, y, rng, banach)
         if problems:
-            def keep(case):
-                try:
-                    return bool(_space_problems(
-                        space, case["x"], case["y"], random.Random(seed + i), banach
-                    ))
-                except RearrCalcError:
-                    return False
-            case = shrink_case({"x": x, "y": y}, keep)
+            case = shrink_case({"x": x, "y": y}, lambda c: bool(
+                _space_problems(space, c["x"], c["y"], random.Random(seed + i), banach)))
             res.failures.append({
                 "case": i, "problems": problems, "space": space.to_json(),
                 "x": case["x"].to_json(), "y": case["y"].to_json(),
@@ -543,7 +503,7 @@ def _space_problems(space, x, y, rng, banach) -> list[str]:
         if spaces.norm(space, box(1, t, space.alpha)) != spaces.fundamental_eval(space, t):
             problems.append("fundamental mismatch with the indicator norm")
     # lattice property: |w| <= |x| pointwise forces norm(w) <= norm(x)
-    w = x.window(t, None) if rng.random() < 0.5 else combine(abs(x), abs(y), "min")
+    w = x.window(t, None) if rng.random() < 0.5 else abs(x)._zip_with(abs(y), min)
     if spaces.norm(space, w) > nx:
         problems.append("norm not monotone under pointwise domination")
     # majorization monotonicity for the kinds where it is a theorem

@@ -262,24 +262,15 @@ def _flatten(x: StepFunction, phi: PiecewiseLinearConcave, a: Fraction,
     return x.window(0, a) + block(avg, a, b, x.alpha) + x.window(b, None)
 
 
-def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
-    """Construct the covering pair z, w for M(x, tau, eps) with full geometry.
-
-    Preconditions: x on [0, inf) with x = x* and x*(inf) = 0; tau > 0;
-    0 < eps < Phi_x(tau).  The ray and chord intersections used by the
-    construction need the running integral to go flat eventually, which is
-    exactly the half-line case with vanishing rearrangement at infinity;
-    alpha = 1 inputs are rejected.
-    """
+def _section(x: StepFunction, tau, eps, role: str):
+    """(tau, eps, Phi_x, Phi_x(tau)) once the preconditions shared by the
+    construction and the sampler hold (see majorant_pair)."""
     tau, eps = rat(tau), rat(eps)
     if x.alpha != INF:
-        raise PreconditionError(
-            "construction requires the domain [0, inf): on [0, 1) the ray "
-            "of slope (Phi_x(tau) - eps)/tau need not meet Phi_x again"
-        )
+        raise PreconditionError(f"{role} requires the domain [0, inf)")
     rr = _require_star(x, "x")
     if rr.star_at_infinity != 0:
-        raise PreconditionError("construction requires x*(inf) = 0")
+        raise PreconditionError(f"{role} requires x*(inf) = 0")
     if tau <= 0 or eps <= 0:
         raise PreconditionError(f"need tau > 0 and eps > 0, got tau={tau}, eps={eps}")
     phi = rr.level_integral
@@ -287,9 +278,23 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
     if eps >= phi_tau:
         raise EmptyFamilyError(
             f"eps = {rat_str(eps)} >= Phi_x(tau) = {rat_str(phi_tau)}: "
-            "M(x, tau, eps) contains no nonzero member and the construction "
-            "needs Phi_x(tau) - eps > 0"
+            f"M(x, tau, eps) contains no nonzero member ({role} needs "
+            "Phi_x(tau) - eps > 0)"
         )
+    return tau, eps, phi, phi_tau
+
+
+def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
+    """Construct the covering pair z, w for M(x, tau, eps) with full geometry.
+
+    Preconditions: x on [0, inf) with x = x* and x*(inf) = 0; tau > 0;
+    0 < eps < Phi_x(tau).  The ray and chord intersections used by the
+    construction need the running integral to go flat eventually, which is
+    exactly the half-line case with vanishing rearrangement at infinity;
+    alpha = 1 inputs are rejected: on [0, 1) the ray of slope
+    (Phi_x(tau) - eps)/tau need not meet Phi_x again.
+    """
+    tau, eps, phi, phi_tau = _section(x, tau, eps, "construction")
     p = phi_tau - eps
     gamma = _crossing(phi, p, _ZERO, _ZERO)
     beta = _crossing(phi, _ZERO, p / tau, tau)
@@ -341,21 +346,7 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
     copy ((Phi_x(tau) - eps)/Phi_x(tau)) * x; other seeds mix scaling,
     head-averaging, and independently drawn shapes fitted under x.
     """
-    tau, eps = rat(tau), rat(eps)
-    if x.alpha != INF:
-        raise PreconditionError("sampling requires the domain [0, inf)")
-    rr = _require_star(x, "x")
-    if rr.star_at_infinity != 0:
-        raise PreconditionError("sampling requires x*(inf) = 0")
-    if tau <= 0 or eps <= 0:
-        raise PreconditionError(f"need tau > 0 and eps > 0, got tau={tau}, eps={eps}")
-    phi = rr.level_integral
-    phi_tau = phi.value_at(tau)
-    if eps >= phi_tau:
-        raise EmptyFamilyError(
-            f"eps = {rat_str(eps)} >= Phi_x(tau) = {rat_str(phi_tau)}: "
-            "no nonzero member to sample"
-        )
+    tau, eps, phi, phi_tau = _section(x, tau, eps, "sampling")
     rng = random.Random(seed)
     strategy = 0 if seed == 0 else rng.choice(["scale", "head", "shape"])
     if strategy == 0 or strategy == "scale":
@@ -371,40 +362,31 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
         m = level_integral(y0).value_at(tau)
         c = min(_ONE, (phi_tau - eps) / m) * Fraction(rng.randint(8, 16), 16)
         return y0.scale(c)
-    # independently drawn nonincreasing shape, scaled to fit under Phi_x
-    for _ in range(64):
-        k = rng.randint(1, 6)
-        lengths = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
-        drops = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
-        values = []
-        total_drop = sum(drops)
-        for d in drops:
-            values.append(total_drop)
-            total_drop -= d
-        cuts, acc = [], _ZERO
-        for l in lengths:
-            acc += l
-            cuts.append(acc)
-        v = canonicalize(cuts, values, 0, INF)
-        phi_v = level_integral(v)
-        phi_v_tau = phi_v.value_at(tau)
-        if phi_v_tau == 0:
-            continue
-        ratios = [phi_tau / phi_v_tau]
-        head_x = x.values[0] if x.cuts else x.tail
-        ratios.append(head_x / values[0])
-        _, at_x, at_v = plc_refine(phi, phi_v)
-        ratios += [a / b for a, b in zip(at_x, at_v) if b > 0]
-        mass_x, mass_v = phi.limit_value(), phi_v.limit_value()
-        ratios.append(mass_x / mass_v)
-        c = min(min(ratios), (phi_tau - eps) / phi_v_tau)
-        if c <= 0:
-            continue
-        y = v.scale(c * Fraction(rng.randint(8, 16), 16))
-        if family_contains(y, x, tau, eps):
-            return y
-    # fall back to the always-valid scaled copy
-    return x.scale((phi_tau - eps) / phi_tau)
+    # independently drawn nonincreasing shape v, scaled to fit under Phi_x.
+    # Phi_v and Phi_x are 0 at 0, linear between merged cuts and flat past
+    # the last one, so c*Phi_v <= Phi_x at every merged cut gives it
+    # everywhere; the first and last merged cuts carry the head and
+    # total-mass ratios.
+    k = rng.randint(1, 6)
+    lengths = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
+    drops = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
+    values = []
+    total_drop = sum(drops)
+    for d in drops:
+        values.append(total_drop)
+        total_drop -= d
+    cuts, acc = [], _ZERO
+    for l in lengths:
+        acc += l
+        cuts.append(acc)
+    v = canonicalize(cuts, values, 0, INF)
+    phi_v = level_integral(v)
+    _, at_x, at_v = plc_refine(phi, phi_v)
+    c = min(min(a / b for a, b in zip(at_x, at_v)), (phi_tau - eps) / phi_v.value_at(tau))
+    y = v.scale(c * Fraction(rng.randint(8, 16), 16))
+    if not family_contains(y, x, tau, eps):
+        raise AssertionError("fitted shape left M(x, tau, eps)")
+    return y
 
 
 # -- Hardy's lemma ------------------------------------------------------------

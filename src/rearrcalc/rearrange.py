@@ -1,9 +1,9 @@
 """Decreasing rearrangements of step functions, exactly.
 
-For a step function x on [0, alpha), the distribution function
-d_x(lam) = mu{ |x| > lam } and the decreasing rearrangement
-x*(t) = inf{ lam : d_x(lam) <= t } are computed by sorting the pieces of |x|
-by value.  On [0, inf) a nonzero eventual value |tail| acts as an infinite
+For a step function x on [0, alpha), the decreasing rearrangement
+x*(t) = inf{ lam : d_x(lam) <= t }, with d_x(lam) = mu{ |x| > lam } the
+distribution function (``stepfn.exceedance_measure``), is computed by
+sorting the pieces of |x| by value.  On [0, inf) a nonzero eventual value |tail| acts as an infinite
 plateau: pieces with |value| <= |tail| are absorbed by it, larger ones stack
 in front, and x*(inf) = |tail|.  The running integral Phi_x(t) = int_0^t x*
 is the increasing concave piecewise-linear ``level_integral``, and the
@@ -27,11 +27,9 @@ from operator import itemgetter
 from .errors import PreconditionError
 from .stepfn import (
     INF,
-    Ext,
     PiecewiseLinearConcave,
     StepFunction,
     _require_same_domain,
-    exceedance_measure,
     rat,
 )
 
@@ -50,11 +48,6 @@ class RearrangementResult:
     star: StepFunction
     level_integral: PiecewiseLinearConcave
     star_at_infinity: Fraction
-
-
-def distribution(x: StepFunction, lam) -> Ext:
-    """d_x(lam) = mu{ t : |x(t)| > lam }; INF when a level set is unbounded."""
-    return exceedance_measure(x, lam)
 
 
 class _Key:

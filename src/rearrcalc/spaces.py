@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import ParseError, PreconditionError
-from .rearrange import rearrangement
+from .rearrange import RearrangementResult, rearrangement
 from .stepfn import (
     INF,
     Ext,
@@ -71,17 +71,6 @@ def phi_limit(phi: FundamentalFunction, alpha: Ext) -> Ext:
     if isinstance(phi, Hyperbolic):
         return phi.value_at(alpha) if alpha != INF else _ONE
     return phi.limit_value()
-
-
-def phi_ratio_limit(phi: FundamentalFunction) -> Fraction:
-    """lim_{t->inf} phi(t)/t (exists by concavity; 0 for the hyperbola)."""
-    if isinstance(phi, Hyperbolic):
-        return _ZERO
-    return phi.final_slope
-
-
-def _phi_jump0(phi: FundamentalFunction) -> Fraction:
-    return _ZERO if isinstance(phi, Hyperbolic) else phi.jump0
 
 
 def _validate_fundamental(phi: FundamentalFunction, alpha: Ext) -> None:
@@ -201,6 +190,20 @@ def _norm_marcinkiewicz_star(phi: FundamentalFunction, x: StepFunction) -> Ext:
     return best
 
 
+def _limits(phi: FundamentalFunction, rr: RearrangementResult) -> tuple[Fraction, Ext]:
+    """Limits of x**(t)*phi(t) as t -> 0+ and as t -> inf, for x with
+    rearrangement rr on [0, inf)."""
+    if isinstance(phi, Hyperbolic):
+        # Phi(t)/(c+t): 0 at 0+, the final slope of Phi = x*(inf) at infinity
+        return _ZERO, rr.star_at_infinity
+    at_zero = phi.jump0 * _head_value(rr.star)
+    a_big, b_big = rr.level_integral.final_branch()
+    a_phi, b_phi = phi.final_branch()
+    if b_big > 0 and b_phi > 0:
+        return at_zero, INF
+    return at_zero, a_big * b_phi + b_big * a_phi
+
+
 def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
     rr = rearrangement(x)
     big = rr.level_integral
@@ -208,24 +211,19 @@ def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
         # Phi(t)/(c+t) is a Moebius transform of an affine function on each
         # segment, hence monotone there: endpoints suffice.
         cands = [v / (phi.c + s) for s, v in zip(big.cuts, big.node_values)]
-        if x.alpha != INF:
-            cands.append(big.value_at(x.alpha) / (phi.c + x.alpha))
-        else:
-            cands.append(rr.star_at_infinity)  # limit of Phi(t)/(c+t) as t->inf
-        return max(cands, default=_ZERO)
-    # piecewise-linear phi: on each refined segment the objective is
-    # A/t + B + C*t with A, C >= 0: convex, so endpoints and limits suffice.
-    cands: list[Ext] = [_phi_jump0(phi) * _head_value(rr.star)]  # t -> 0+
-    cs, at_big, at_phi = plc_refine(big, phi)
-    cands += [b * p / s for s, b, p in zip(cs, at_big, at_phi)]
+    else:
+        # piecewise-linear phi: on each refined segment the objective is
+        # A/t + B + C*t with A, C >= 0: convex, so endpoints and limits suffice.
+        cs, at_big, at_phi = plc_refine(big, phi)
+        cands = [b * p / s for s, b, p in zip(cs, at_big, at_phi)]
+    at_zero, at_inf = _limits(phi, rr)
+    cands.append(at_zero)
     if x.alpha != INF:
         cands.append(big.value_at(x.alpha) * phi.value_at(x.alpha))
+    elif at_inf == INF:
+        return INF
     else:
-        a_big, b_big = big.final_branch()
-        a_phi, b_phi = phi.final_branch()
-        if b_big > 0 and b_phi > 0:
-            return INF
-        cands.append(a_big * b_phi + b_big * a_phi)  # limit at infinity
+        cands.append(at_inf)
     return max(cands)
 
 
@@ -270,10 +268,8 @@ def embeds_in_l1(space: SpaceSpec) -> bool:
         return True
     if space.kind in ("Linf", "L1plusLinf"):
         return False
-    return phi_ratio_limit(space.phi) > 0
-
-
-embeds_in_L1 = embeds_in_l1
+    # lim phi(t)/t is the final slope of a PLC phi, and 0 for the hyperbola
+    return isinstance(space.phi, PiecewiseLinearConcave) and space.phi.final_slope > 0
 
 
 def mphi_a_member(phi: FundamentalFunction, x: StepFunction) -> bool:
@@ -282,16 +278,4 @@ def mphi_a_member(phi: FundamentalFunction, x: StepFunction) -> bool:
     if x.alpha != INF:
         raise PreconditionError("membership test is about [0, inf) spaces")
     _validate_fundamental(phi, INF)
-    rr = rearrangement(x)
-    if isinstance(phi, Hyperbolic):
-        zero_limit: Ext = _ZERO
-        inf_limit: Ext = rr.star_at_infinity
-    else:
-        zero_limit = phi.jump0 * _head_value(rr.star)
-        a_big, b_big = rr.level_integral.final_branch()
-        a_phi, b_phi = phi.final_branch()
-        if b_big > 0 and b_phi > 0:
-            inf_limit = INF
-        else:
-            inf_limit = a_big * b_phi + b_big * a_phi
-    return zero_limit == 0 and inf_limit == 0
+    return _limits(phi, rearrangement(x)) == (0, 0)

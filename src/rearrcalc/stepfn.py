@@ -72,6 +72,10 @@ def parse_rat(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ParseError(f"bad rational literal: {s!r} (zero denominator)") from None
+    except ValueError:  # more digits than Python converts from a string
+        raise ParseError(
+            f"bad rational literal: {s[:20]}... ({len(s)} characters, too many digits)"
+        ) from None
 
 
 def rat_str(q: Fraction) -> str:
@@ -102,6 +106,25 @@ def _coerce_alpha(alpha) -> Ext:
     if alpha == 1:
         return _ONE
     raise PreconditionError(f"domain endpoint must be 1 or inf, got {alpha!r}")
+
+
+def _check_cuts(cuts, alpha) -> None:
+    """Cuts must increase strictly inside (0, alpha)."""
+    prev = _ZERO
+    for c in cuts:
+        if c <= prev:
+            raise PreconditionError(f"cuts not strictly increasing at {c}")
+        prev = c
+    if alpha != INF and cuts and cuts[-1] >= alpha:
+        raise PreconditionError(f"cut {cuts[-1]} outside [0,{alpha_str(alpha)})")
+
+
+def _rat_list(obj: dict, key: str) -> list[Fraction]:
+    """obj[key] read as a JSON list of rational literals."""
+    items = obj[key]
+    if not isinstance(items, list):
+        raise ParseError(f"{key!r} must be a JSON list, got {type(items).__name__}")
+    return [parse_rat(c) for c in items]
 
 
 def _require_same_domain(f, g) -> None:
@@ -138,15 +161,7 @@ class StepFunction:
                 f"{len(self.cuts)} cuts need {len(self.cuts)} values, "
                 f"got {len(self.values)}"
             )
-        prev = _ZERO
-        for c in self.cuts:
-            if c <= prev:
-                raise PreconditionError(f"cuts not strictly increasing at {c}")
-            prev = c
-        if self.alpha != INF and self.cuts and self.cuts[-1] >= self.alpha:
-            raise PreconditionError(
-                f"cut {self.cuts[-1]} outside [0,{alpha_str(self.alpha)})"
-            )
+        _check_cuts(self.cuts, self.alpha)
         for a, b in zip(self.values, self.values[1:]):
             if a == b:
                 raise PreconditionError(
@@ -260,8 +275,8 @@ class StepFunction:
             raise ParseError(f"step function JSON must be an object, got {type(obj).__name__}")
         try:
             alpha = parse_alpha(obj["alpha"])
-            cuts = [parse_rat(c) for c in obj["breakpoints"]]
-            values = [parse_rat(v) for v in obj["values"]]
+            cuts = _rat_list(obj, "breakpoints")
+            values = _rat_list(obj, "values")
             tail = parse_rat(obj["tail"])
         except KeyError as e:
             raise ParseError(f"step function JSON missing key {e.args[0]!r}") from None
@@ -325,13 +340,7 @@ def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
         raise PreconditionError(
             f"{len(ts)} breakpoints need {len(ts)} values, got {len(vs) - 1}"
         )
-    prev = _ZERO
-    for t in ts:
-        if t <= prev:
-            raise PreconditionError(f"breakpoints not strictly increasing at {t}")
-        prev = t
-    if alpha != INF and ts and ts[-1] >= alpha:
-        raise PreconditionError(f"breakpoint {ts[-1]} outside [0,{alpha_str(alpha)})")
+    _check_cuts(ts, alpha)
     cuts: list[Fraction] = []
     vals: list[Fraction] = []
     cur = vs[0]
@@ -363,40 +372,6 @@ def box(height, width, alpha=INF) -> StepFunction:
 def block(height, a, b, alpha=INF) -> StepFunction:
     """height * indicator of [a, b); b may be INF when alpha is INF."""
     return constant(height, alpha).window(a, b)
-
-
-def evaluate(f: StepFunction, t) -> Fraction:
-    return f(t)
-
-
-def combine(f: StepFunction, g=None, mode="add", scalar=None) -> StepFunction:
-    """Pointwise combination dispatcher.
-
-    Binary modes (need g): add, sub, mul, min, max.  Unary modes: scale
-    (needs scalar), abs, neg, pos_part (alias pos).
-    """
-    binary = {
-        "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
-        "mul": lambda a, b: a * b,
-        "min": min,
-        "max": max,
-    }
-    if mode in binary:
-        if g is None:
-            raise PreconditionError(f"combine mode {mode!r} needs a second operand")
-        return f._zip_with(g, binary[mode])
-    if mode == "scale":
-        if scalar is None:
-            raise PreconditionError("combine mode 'scale' needs scalar=")
-        return f.scale(scalar)
-    if mode == "abs":
-        return abs(f)
-    if mode == "neg":
-        return -f
-    if mode in ("pos_part", "pos"):
-        return f.positive_part()
-    raise PreconditionError(f"unknown combine mode {mode!r}")
 
 
 def integrate(f: StepFunction, a, b) -> Fraction:
@@ -474,13 +449,7 @@ class PiecewiseLinearConcave:
             raise PreconditionError("cuts and node_values must have equal length")
         if self.jump0 < 0:
             raise PreconditionError(f"jump at 0 must be nonnegative, got {self.jump0}")
-        prev = _ZERO
-        for c in self.cuts:
-            if c <= prev:
-                raise PreconditionError(f"cuts not strictly increasing at {c}")
-            prev = c
-        if self.alpha != INF and self.cuts and self.cuts[-1] >= self.alpha:
-            raise PreconditionError(f"cut {self.cuts[-1]} outside the domain")
+        _check_cuts(self.cuts, self.alpha)
         slopes = list(self.segment_slopes) + [self.final_slope]
         for m in slopes:
             if m < 0:
@@ -553,8 +522,8 @@ class PiecewiseLinearConcave:
             raise ParseError("piecewise-linear JSON must be an object")
         try:
             return plc_from_nodes(
-                [parse_rat(c) for c in obj["breakpoints"]],
-                [parse_rat(v) for v in obj["node_values"]],
+                _rat_list(obj, "breakpoints"),
+                _rat_list(obj, "node_values"),
                 parse_rat(obj["final_slope"]),
                 parse_rat(obj.get("jump0", "0/1")),
                 parse_alpha(obj["alpha"]),
@@ -590,12 +559,13 @@ def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> Piecew
     node_values = [rat(v) for v in node_values]
     final_slope = rat(final_slope)
     jump0 = rat(jump0)
+    if len(cuts) != len(node_values):
+        raise PreconditionError("cuts and node_values must have equal length")
+    _check_cuts(cuts, INF)  # before any slope divides by a cut difference
     pts = list(zip(cuts, node_values))
     kept: list[tuple[Fraction, Fraction]] = []
     ps, pv = _ZERO, jump0
     for j, (s, v) in enumerate(pts):
-        if s <= ps:
-            raise PreconditionError(f"cuts not strictly increasing at {s}")
         slope_in = (v - pv) / (s - ps)
         if j + 1 < len(pts):
             ns, nv = pts[j + 1]

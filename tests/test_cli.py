@@ -242,6 +242,11 @@ def test_parse_and_precondition_exit_codes(capsys):
     code, _, err = run_cli(capsys, "maximal", "--input", BOX, "--t", "zebra")
     assert code == 2
 
+    # more digits than Python converts from a string: one line, exit 2
+    long_cut = '{"alpha":"inf","breakpoints":["%s"],"values":["1"],"tail":"0"}' % ("1" * 5000)
+    code, _, err = run_cli(capsys, "rearrange", "--input", long_cut)
+    assert code == 2 and err.count("\n") == 1 and len(err) < 200
+
 
 def test_prop_test_rejects_nonpositive_case_counts(capsys):
     for cases in ("-5", "0"):

@@ -15,15 +15,14 @@ from rearrcalc import (
     StepFunction,
     box,
     canonicalize,
-    combine,
     constant,
-    evaluate,
     exceedance_measure,
     integrate,
     parse_rat,
     rat,
     rat_str,
 )
+from rearrcalc.stepfn import plc_from_nodes
 
 
 def test_rat_parsing_and_formatting():
@@ -35,7 +34,7 @@ def test_rat_parsing_and_formatting():
     assert parse_rat("-2/3") == F(-2, 3)
     with pytest.raises(ParseError):
         rat(0.5)
-    for bad in ("", "1.5", "a/b", "1/0", 7, None):
+    for bad in ("", "1.5", "a/b", "1/0", 7, None, "1" * 5000):
         with pytest.raises(ParseError):
             parse_rat(bad)
 
@@ -60,44 +59,41 @@ def test_canonicalize_merges_and_validates():
 
 
 def test_evaluate_examples():
-    assert evaluate(box(1, 1), F(1, 2)) == 1
-    assert evaluate(box(F(1, 3), 3), 5) == 0
+    assert box(1, 1)(F(1, 2)) == 1
+    assert box(F(1, 3), 3)(5) == 0
     f = canonicalize([1, 3], [2, 1], 0, INF)
-    assert [evaluate(f, t) for t in (0, 1, 2, 3, 10)] == [2, 1, 1, 0, 0]
+    assert [f(t) for t in (0, 1, 2, 3, 10)] == [2, 1, 1, 0, 0]
     with pytest.raises(PreconditionError):
-        evaluate(box(1, F(1, 2), alpha=1), 1)  # 1 is outside [0, 1)
+        box(1, F(1, 2), alpha=1)(1)  # 1 is outside [0, 1)
 
 
 def test_pointwise_algebra():
-    s = combine(box(1, 1), box(1, 2), "add")
-    assert s == canonicalize([1, 2], [2, 1], 0, INF)
-    d = combine(box(1, 1), box(1, 2), "sub")
-    assert d == canonicalize([1, 2], [0, -1], 0, INF)
-    m = combine(box(2, 2), box(3, 1), "mul")
-    assert m == box(6, 1)
-    assert combine(box(1, 1), box(1, 2), "min") == box(1, 1)
-    assert combine(box(1, 1), box(1, 2), "max") == box(1, 2)
-    assert combine(box(-2, 1), None, "abs") == box(2, 1)
-    assert combine(box(-2, 1), None, "neg") == box(2, 1)
+    assert box(1, 1) + box(1, 2) == canonicalize([1, 2], [2, 1], 0, INF)
+    assert box(1, 1) - box(1, 2) == canonicalize([1, 2], [0, -1], 0, INF)
+    assert box(2, 2) * box(3, 1) == box(6, 1)
+    assert box(1, 1)._zip_with(box(1, 2), min) == box(1, 1)
+    assert abs(box(-2, 1)) == box(2, 1)
+    assert -box(-2, 1) == box(2, 1)
     mixed = canonicalize([1, 2], [1, -1], 0, INF)
-    assert combine(mixed, None, "pos_part") == box(1, 1)
-    assert combine(mixed, None, "pos") == box(1, 1)
-    assert combine(box(1, 2), None, "scale", scalar=F(3, 2)) == box(F(3, 2), 2)
+    assert mixed.positive_part() == box(1, 1)
+    assert box(1, 2).scale(F(3, 2)) == box(F(3, 2), 2)
     with pytest.raises(DomainMismatchError):
-        combine(box(1, 1), box(1, F(1, 2), alpha=1), "add")
+        box(1, 1) + box(1, F(1, 2), alpha=1)
 
 
-def test_operator_sugar_matches_combine():
+def test_operators_match_pointwise_values():
     rng = random.Random(5)
     for _ in range(50):
         cuts = sorted(rng.sample(range(1, 20), 3))
         f = canonicalize(cuts, [rng.randint(-4, 4) for _ in cuts], 0, INF)
         g = box(rng.randint(1, 3), rng.randint(1, 10))
-        assert f + g == combine(f, g, "add")
-        assert f - g == combine(f, g, "sub")
-        assert -f == combine(f, None, "neg")
-        assert abs(f) == combine(f, None, "abs")
-        assert f * 2 == combine(f, None, "scale", scalar=F(2))
+        for t in (F(k, 2) for k in range(45)):
+            assert (f + g)(t) == f(t) + g(t)
+            assert (f - g)(t) == f(t) - g(t)
+            assert (-f)(t) == -f(t)
+            assert abs(f)(t) == abs(f(t))
+            assert (f * 2)(t) == f.scale(F(2))(t) == 2 * f(t)
+            assert f._zip_with(g, min)(t) == min(f(t), g(t))
 
 
 def test_window_restriction():
@@ -162,6 +158,9 @@ def test_step_function_json_rejects_garbage():
         lambda d: d.update(breakpoints=[1]),
         lambda d: d.update(values=["1/1", "2/1"]),
         lambda d: d.update(tail="x"),
+        # a string is not a list, even when its characters parse
+        lambda d: d.update(breakpoints="1"),
+        lambda d: d.update(values="1"),
     ):
         bad = {k: (list(v) if isinstance(v, list) else v) for k, v in good.items()}
         mutate(bad)
@@ -189,6 +188,13 @@ def test_plc_validation_and_evaluation():
 
     loaded = PiecewiseLinearConcave.from_json(phi.to_json())
     assert loaded == phi
+    for key, text in (("breakpoints", "13"), ("node_values", "24")):
+        with pytest.raises(ParseError):
+            PiecewiseLinearConcave.from_json({**phi.to_json(), key: text})
+    with pytest.raises(PreconditionError):
+        plc_from_nodes([1, 1], [1, 2], 0)  # repeated cut
+    with pytest.raises(PreconditionError):
+        plc_from_nodes([1, 2], [1], 0)  # one node value short
 
 
 def test_plc_jump_at_zero():
@@ -202,7 +208,7 @@ def test_plc_jump_at_zero():
 def test_alpha_one_domain():
     f = box(2, F(1, 2), alpha=1)
     assert f.alpha == 1
-    assert evaluate(f, F(1, 4)) == 2
+    assert f(F(1, 4)) == 2
     assert integrate(f, 0, 1) == 1
     g = StepFunction.from_json(f.to_json())
     assert g == f and g.alpha == 1

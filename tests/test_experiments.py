@@ -15,6 +15,7 @@ from rearrcalc import (
     box,
     builtin_family,
     canonicalize,
+    cli,
     constant,
     flatten_head,
     hlp_compare,
@@ -213,10 +214,10 @@ def test_probe_report_serialization_round_trip():
     assert lines[0].startswith("probe=")
     assert any("norm" in line for line in lines)
 
-    csv_text = report.to_csv()
-    rows = csv_text.splitlines()
-    assert rows[0].split(",")[0] == "n"
-    assert len(rows) == 1 + len(report.records)
+    # CSV goes through the CLI's generic renderer: one key,value line per leaf
+    rows = cli._render(payload, "csv").splitlines()
+    assert "verdict,consistent_with_failure" in rows
+    assert [r for r in rows if r.startswith("records[2].norm,")] == ["records[2].norm,1/1"]
 
 
 def test_probe_validates_n_list():

@@ -11,24 +11,24 @@ from rearrcalc import (
     box,
     canonicalize,
     constant,
-    distribution,
     equimeasurable,
+    exceedance_measure,
     level_integral,
     maximal_eval,
     rearrangement,
 )
-from rearrcalc.gen import _sorted_oracle_star, rand_step
+from rearrcalc.gen import _distribution_oracle, _sorted_oracle_star, rand_step
 
 
 def test_distribution_examples():
     x = box(1, 1)
-    assert distribution(x, 0) == 1
-    assert distribution(x, 1) == 0
+    assert exceedance_measure(x, 0) == 1
+    assert exceedance_measure(x, 1) == 0
     z = constant(0, INF)
     for lam in (0, 1, F(1, 3)):
-        assert distribution(z, lam) == 0
+        assert exceedance_measure(z, lam) == 0
     s = canonicalize([1, 3], [-2, 1], 0, INF)
-    assert distribution(s, F(3, 2)) == 1
+    assert exceedance_measure(s, F(3, 2)) == 1
 
 
 def test_rearrangement_sorts_pieces():
@@ -114,5 +114,6 @@ def test_distribution_matches_star_at_all_levels():
         star = rearrangement(x).star
         levels = {abs(v) for v in x.values} | {abs(x.tail), F(0)}
         for lam in levels:
-            assert distribution(x, lam) == distribution(star, lam)
-            assert distribution(x, lam + F(1, 7)) == distribution(star, lam + F(1, 7))
+            for level in (lam, lam + F(1, 7)):
+                assert exceedance_measure(x, level) == exceedance_measure(star, level)
+                assert exceedance_measure(x, level) == _distribution_oracle(star, level)

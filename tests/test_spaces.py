@@ -15,7 +15,6 @@ from rearrcalc import (
     box,
     canonicalize,
     constant,
-    embeds_in_L1,
     embeds_in_l1,
     fundamental_eval,
     mphi_a_member,
@@ -156,7 +155,6 @@ def test_embeds_in_l1_examples():
     assert embeds_in_l1(L1)
     assert not embeds_in_l1(SpaceSpec("Linf", None, INF))
     assert not embeds_in_l1(SpaceSpec("L1plusLinf", None, INF))
-    assert embeds_in_L1 is embeds_in_l1
     with pytest.raises(PreconditionError):
         embeds_in_l1(SpaceSpec("L1", None, 1))
 
