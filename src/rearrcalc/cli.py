@@ -53,10 +53,12 @@ _EXIT_PROPERTY = 4
 
 
 def _load_json(source: str):
-    """Load JSON from an inline string, a file path, or '-' (stdin)."""
+    """Load JSON from an inline string, a file path, or '-' (stdin).
+
+    Text starting with '{' or '[' (after whitespace) is inline JSON."""
     if source == "-":
         text = sys.stdin.read()
-    elif source.lstrip().startswith("{"):
+    elif source.lstrip().startswith(("{", "[")):
         text = source
     else:
         try:

@@ -10,11 +10,22 @@ is the increasing concave piecewise-linear ``level_integral``, and the
 maximal function is x**(t) = Phi_x(t)/t, with Phi_x frozen at its limit for
 t >= 1 when alpha = 1.
 
-The sort is exact without Fraction's generic comparison: each |value| p/q
-becomes a slotted key comparing p1*q2 < p2*q1 in plain ints.  (A common
-denominator for all values would give int keys too, but on many large
-coprime denominators it grows to many thousands of bits and is slower.)
-The level integral's nodes are running sums of value * length.
+The arithmetic is on int pairs, not Fractions.  Each piece's length is a
+gcd-reduced pair (numerator, denominator); the sort key of |value| p/q is a
+slotted key comparing p1*q2 < p2*q1 in plain ints; pieces of equal |value|
+are merged by adding their length pairs; and the star's cuts and the level
+integral's nodes are running sums of pairs, reduced with ``math.gcd`` at
+every step.  One Fraction is built per output entry.  Pairs are kept rather
+than one common denominator, which on many large coprime denominators grows
+to many thousands of bits.
+
+A star passes through: when x is already x* (values strictly decreasing
+down to a tail >= 0, checked with int compares), the rearrangement returns
+x itself as ``star``, without sorting or merging, so ``rearrangement(x).star
+== x`` costs an identity compare of x's fields.  The star and its level
+integral are built by the trusted constructor (see ``stepfn``): they are
+canonical by construction, and the level integral's segment slopes are the
+star's values, with no division.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import itemgetter
 
 from .errors import PreconditionError
@@ -30,6 +42,7 @@ from .stepfn import (
     PiecewiseLinearConcave,
     StepFunction,
     _require_same_domain,
+    _trusted,
     rat,
 )
 
@@ -62,49 +75,98 @@ class _Key:
         return self.n * other.d < other.n * self.d
 
 
-@lru_cache(maxsize=8192)
-def _rearrange(x: StepFunction) -> RearrangementResult:
-    # (key of |value|, value, length) for every piece of finite length
-    pieces: list[tuple[_Key, Fraction, Fraction]] = []
-    start = _ZERO
-    for c, v in zip(x.cuts, x.values):
-        pieces.append((_Key(v), v, c - start))
-        start = c
+def _lengths(x: StepFunction) -> list[tuple[int, int]]:
+    """Lengths of x's pieces of finite length, as reduced int pairs (n, d)."""
+    out = []
+    pn, pd = 0, 1
+    for c in x.cuts:
+        cn, cd = c.numerator, c.denominator
+        n, d = cn * pd - pn * cd, cd * pd
+        g = gcd(n, d)
+        out.append((n // g, d // g))
+        pn, pd = cn, cd
     if x.alpha != INF:
-        pieces.append((_Key(x.tail), x.tail, x.alpha - start))
-    else:
+        out.append((pd - pn, pd))  # 1 - pn/pd, reduced as pn/pd is
+    return out
+
+
+def _running_sums(terms) -> list[Fraction]:
+    """The partial sums of the int pairs (n, d) in ``terms``, as Fractions."""
+    out = []
+    sn, sd = 0, 1
+    for n, d in terms:
+        n, d = sn * d + n * sd, sd * d
+        g = gcd(n, d)
+        sn, sd = n // g, d // g
+        out.append(Fraction(sn, sd))
+    return out
+
+
+def _is_star(x: StepFunction) -> bool:
+    """x = x*: values strictly decreasing down to a tail >= 0 (int compares)."""
+    n, d = x.tail.numerator, x.tail.denominator
+    if n < 0:
+        return False
+    for v in reversed(x.values):
+        vn, vd = v.numerator, v.denominator
+        if vn * d <= n * vd:
+            return False
+        n, d = vn, vd
+    return True
+
+
+def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
+    """x* by sorting the pieces of |x|, with the length pairs of its pieces."""
+    # [key of |value|, value, length numerator, length denominator]
+    pieces = [[_Key(v), v, n, d] for v, (n, d) in zip((*x.values, x.tail), lengths)]
+    if x.alpha == INF:
         plateau = _Key(x.tail)
         pieces = [p for p in pieces if plateau < p[0]]
     # sort by |value|, descending, merging equal values
     pieces.sort(key=itemgetter(0), reverse=True)
     merged: list[list] = []
-    for k, v, l in pieces:
-        if merged and not k < merged[-1][0]:  # sorted: not smaller means equal
-            merged[-1][2] += l
+    for p in pieces:
+        if merged and not p[0] < merged[-1][0]:  # sorted: not smaller means equal
+            m = merged[-1]
+            n, d = m[2] * p[3] + p[2] * m[3], m[3] * p[3]
+            g = gcd(n, d)
+            m[2], m[3] = n // g, d // g
         else:
-            merged.append([k, v, l])
-    if x.alpha != INF:
-        # the last sorted piece is the tail of the rearrangement
-        tail = abs(merged.pop()[1])
-    else:
-        tail = abs(x.tail)
-    cuts: list[Fraction] = []
-    values: list[Fraction] = []
-    node_values: list[Fraction] = []
-    acc = total = _ZERO
-    for _, v, l in merged:
-        v = abs(v)
-        acc += l
-        total += v * l
-        cuts.append(acc)
-        values.append(v)
-        node_values.append(total)
-    star = StepFunction(x.alpha, tuple(cuts), tuple(values), tail)
-    # running integral of the star: one node per cut, then slope = tail
-    phi = PiecewiseLinearConcave(
-        x.alpha, star.cuts, tuple(node_values), final_slope=star.tail
+            merged.append(p)
+    # on [0, 1) the last sorted piece is the tail of the rearrangement
+    tail = abs(merged.pop()[1] if x.alpha != INF else x.tail)
+    lengths = [(n, d) for _, _, n, d in merged]
+    star = _trusted(
+        StepFunction,
+        alpha=x.alpha,
+        cuts=tuple(_running_sums(lengths)),
+        values=tuple(v if v.numerator > 0 else -v for _, v, _, _ in merged),
+        tail=tail,
     )
-    return RearrangementResult(star, phi, tail)
+    return star, lengths
+
+
+@lru_cache(maxsize=8192)
+def _rearrange(x: StepFunction) -> RearrangementResult:
+    lengths = _lengths(x)
+    if _is_star(x):
+        star = x
+    else:
+        star, lengths = _sorted_star(x, lengths)
+    # running integral of the star: one node per cut, then slope = tail
+    nodes = _running_sums(
+        (v.numerator * n, v.denominator * d) for v, (n, d) in zip(star.values, lengths)
+    )
+    phi = _trusted(
+        PiecewiseLinearConcave,
+        alpha=x.alpha,
+        cuts=star.cuts,
+        node_values=tuple(nodes),
+        final_slope=star.tail,
+        jump0=_ZERO,
+        segment_slopes=star.values,
+    )
+    return RearrangementResult(star, phi, star.tail)
 
 
 def rearrangement(x: StepFunction) -> RearrangementResult:

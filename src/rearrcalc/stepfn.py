@@ -21,11 +21,24 @@ lies in; :func:`refine` reads step values off it, and :func:`plc_refine`
 reads concave functions at the merged cuts, taking node values as stored
 and evaluating other points on their exact affine segment
 (:meth:`PiecewiseLinearConcave.segment`).
+
+Validated at the boundary, trusted inside.  The public constructors
+(``StepFunction(...)``, ``PiecewiseLinearConcave(...)``, :func:`canonicalize`,
+:func:`plc_from_nodes`, :func:`constant`, :func:`box`, :func:`block` and both
+``from_json``) coerce every scalar and check every canonical-form condition.
+Objects that are canonical by construction skip that second pass: the
+output of ``canonicalize``'s merge, the results of ``+ - *``, ``abs``, ``-``,
+``scale``, ``positive_part`` and ``window`` on canonical operands, and the
+rearrangement's star and level integral (``rearrange``) are built by
+:func:`_trusted`, which sets the fields without running ``__post_init__``.
+A StepFunction's hash is computed once, from the numerators and
+denominators of its cuts, values and tail, and kept on the instance.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,10 +91,22 @@ def parse_rat(s: str) -> Fraction:
         ) from None
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-string limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or n.bit_length() < 3 * limit:  # fewer than 3*limit bits: < limit digits
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits (log10(2) > 3/10)
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
 def rat_str(q: Fraction) -> str:
     """Serialize a Fraction as "p/q" (always with the slash, e.g. "3/1")."""
     q = rat(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def ext_str(v: Ext) -> str:
@@ -125,6 +150,14 @@ def _rat_list(obj: dict, key: str) -> list[Fraction]:
     if not isinstance(items, list):
         raise ParseError(f"{key!r} must be a JSON list, got {type(items).__name__}")
     return [parse_rat(c) for c in items]
+
+
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass from fields already canonical: no
+    coercion and no validation, so ``__post_init__`` does not run."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def _require_same_domain(f, g) -> None:
@@ -172,6 +205,16 @@ class StepFunction:
                 f"not canonical: last value equals tail {self.tail} (use canonicalize)"
             )
 
+    @cached_property
+    def _hash(self) -> int:
+        # from (numerator, denominator) pairs: cheaper than hashing Fractions,
+        # and consistent with the dataclass __eq__ (equal fields, equal ints)
+        pairs = map(Fraction.as_integer_ratio, (*self.cuts, *self.values, self.tail))
+        return hash((self.alpha, *pairs))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -201,13 +244,10 @@ class StepFunction:
 
     def _zip_with(self, other: "StepFunction", op) -> "StepFunction":
         cs, fv, gv = refine(self, other)
-        vals = list(map(op, fv, gv))
-        return canonicalize(cs, vals[:-1], vals[-1], self.alpha)
+        return _merged(self.alpha, cs, list(map(op, fv, gv)))
 
     def _map(self, op) -> "StepFunction":
-        return canonicalize(
-            self.cuts, [op(v) for v in self.values], op(self.tail), self.alpha
-        )
+        return _merged(self.alpha, self.cuts, [op(v) for v in (*self.values, self.tail)])
 
     def __add__(self, other):
         if not isinstance(other, StepFunction):
@@ -228,7 +268,8 @@ class StepFunction:
     def __mul__(self, other):
         if isinstance(other, StepFunction):
             return self._zip_with(other, lambda a, b: a * b)
-        return self._map(lambda v: v * rat(other))
+        c = rat(other)
+        return self._map(lambda v: v * c)
 
     __rmul__ = __mul__
 
@@ -256,8 +297,8 @@ class StepFunction:
         i = bisect_right(self.cuts, a)  # pieces i..k of f meet [a, hi)
         head = [a] if a > 0 else []
         vals = (*self.values, self.tail)[i:k + len(end)]
-        return canonicalize(head + list(self.cuts[i:k]) + end,
-                            [_ZERO] * len(head) + list(vals), tail, self.alpha)
+        return _merged(self.alpha, head + list(self.cuts[i:k]) + end,
+                       [_ZERO] * len(head) + [*vals, tail])
 
     # -- serialization ------------------------------------------------------
 
@@ -341,15 +382,23 @@ def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
             f"{len(ts)} breakpoints need {len(ts)} values, got {len(vs) - 1}"
         )
     _check_cuts(ts, alpha)
-    cuts: list[Fraction] = []
-    vals: list[Fraction] = []
-    cur = vs[0]
-    for t, nxt in zip(ts, vs[1:]):
+    return _merged(alpha, ts, vs)
+
+
+def _merged(alpha, cuts, values) -> StepFunction:
+    """The canonical StepFunction of checked piece data, trusted: cuts are
+    Fractions increasing strictly inside (0, alpha), values are Fractions,
+    one per piece, the last being the tail.  Equal neighbours are merged."""
+    out_cuts: list[Fraction] = []
+    out_vals: list[Fraction] = []
+    cur = values[0]
+    for t, nxt in zip(cuts, values[1:]):
         if nxt != cur:
-            cuts.append(t)
-            vals.append(cur)
+            out_cuts.append(t)
+            out_vals.append(cur)
             cur = nxt
-    return StepFunction(alpha, tuple(cuts), tuple(vals), cur)
+    return _trusted(StepFunction, alpha=alpha, cuts=tuple(out_cuts),
+                    values=tuple(out_vals), tail=cur)
 
 
 def constant(c, alpha=INF) -> StepFunction:

@@ -248,6 +248,32 @@ def test_parse_and_precondition_exit_codes(capsys):
     assert code == 2 and err.count("\n") == 1 and len(err) < 200
 
 
+def test_inline_json_list_is_parsed_not_read_as_a_path(capsys):
+    code, out, err = run_cli(capsys, "rearrange", "--input", "[1]")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "must be an object" in err
+    code, _, err = run_cli(capsys, "rearrange", "--input", "  [1")
+    assert code == 2 and "not valid JSON" in err
+
+
+def test_rearrange_prints_numbers_past_the_int_string_limit(capsys):
+    # a legal input whose level integral has a 6,000-digit denominator
+    nines, sevens = "9" * 3000, "7" * 3000
+    source = json.dumps({"alpha": "inf", "breakpoints": [f"1/{sevens}"],
+                         "values": [f"1/{nines}"], "tail": "0/1"})
+    for fmt in ("json", "table", "csv"):
+        code, out, err = run_cli(capsys, "rearrange", "--input", source, "--format", fmt)
+        assert code == 0 and err == "" and f"1/{nines}" in out
+    payload = json.loads(run_cli(capsys, "rearrange", "--input", source)[1])
+    num, den = payload["level_integral"]["node_values"][0].split("/")
+    assert num == "1" and len(den) == 6000
+    # the digits read back, in chunks under the limit, to (10^3000 - 1)^2 * 7/9
+    value = 0
+    for i in range(0, len(den), 1000):
+        value = value * 10**1000 + int(den[i:i + 1000])
+    assert value == (10**3000 - 1) ** 2 * 7 // 9
+
+
 def test_prop_test_rejects_nonpositive_case_counts(capsys):
     for cases in ("-5", "0"):
         code, out, err = run_cli(capsys, "prop-test", "hlp", "--cases", cases)

@@ -39,6 +39,30 @@ def test_rat_parsing_and_formatting():
             parse_rat(bad)
 
 
+def _int_of_digits(text: str) -> int:
+    # int() of a digit string in chunks, each under the int-string limit
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    n = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return sign * n
+
+
+def test_rat_str_prints_past_the_int_string_limit():
+    rng = random.Random(5)
+    digits = [str(rng.randint(1, 9))] + [str(rng.randint(0, 9)) for _ in range(8999)]
+    texts = ["".join(digits), "9" * 5000, "1" + "0" * 5000, "1" + "0" * 4399 + "7",
+             "4" * 4300, "12345"]
+    for text in texts:
+        for num in (text, "-" + text):
+            assert rat_str(F(_int_of_digits(num), 7)) == f"{num}/7"
+        assert rat_str(F(1, _int_of_digits(text))) == f"1/{text}"
+    # parsing keeps the interpreter's limit: an overlong literal is rejected
+    with pytest.raises(ParseError):
+        parse_rat("1/" + "3" * 5000)
+
+
 def test_canonicalize_merges_and_validates():
     f = canonicalize([1, 2, 3], [2, 2, 1], 0, INF)
     assert f.cuts == (F(2), F(3))

@@ -1,0 +1,169 @@
+"""Objects built on the trusted path are canonical, and hash like their equals.
+
+Canonical-by-construction objects (``canonicalize``'s merge, the algebra on
+canonical operands, ``window``, the rearrangement's star and level integral)
+skip ``__post_init__``.  Each one is rebuilt here through the public
+constructor, which coerces and validates everything, and must come back
+equal, with the same exact types.  The stored segment slopes of a level
+integral are checked against the quotients of its nodes.
+"""
+
+import json
+from fractions import Fraction as F
+
+from hypothesis import given, settings, strategies as st
+
+from rearrcalc import (
+    INF,
+    PiecewiseLinearConcave,
+    StepFunction,
+    canonicalize,
+    constant,
+    rearrangement,
+)
+from rearrcalc.rearrange import _rearrange
+from test_walks import rationals, sorted_star, step_functions, window_ends
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+def revalidated(f: StepFunction) -> StepFunction:
+    """f rebuilt through the validating constructor, with its field types checked."""
+    assert f.alpha == INF or (type(f.alpha) is F and f.alpha == 1)
+    assert type(f.cuts) is tuple and type(f.values) is tuple
+    assert all(type(q) is F for q in (*f.cuts, *f.values, f.tail))
+    g = StepFunction(f.alpha, f.cuts, f.values, f.tail)
+    assert g == f and hash(g) == hash(f)
+    return g
+
+
+def revalidated_plc(phi: PiecewiseLinearConcave) -> None:
+    assert all(type(q) is F for q in (*phi.cuts, *phi.node_values, phi.final_slope, phi.jump0))
+    rebuilt = PiecewiseLinearConcave(phi.alpha, phi.cuts, phi.node_values,
+                                     phi.final_slope, phi.jump0)
+    assert rebuilt == phi
+    quotients, ps, pv = [], F(0), phi.jump0
+    for s, v in zip(phi.cuts, phi.node_values):
+        quotients.append((v - pv) / (s - ps))
+        ps, pv = s, v
+    assert list(phi.segment_slopes) == quotients
+
+
+@st.composite
+def raw_pieces(draw):
+    """Raw canonicalize input whose values repeat, so the merge has work."""
+    alpha = draw(st.sampled_from([INF, F(1)]))
+    k = draw(st.integers(0, 10))
+    if alpha == INF:
+        cuts = sorted(set(draw(st.lists(rationals(40, 4, signed=False).filter(bool),
+                                        max_size=k))))
+    else:
+        cuts = sorted(set(draw(st.lists(st.builds(F, st.integers(1, 23), st.just(24)),
+                                        max_size=k))))
+    value = st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(2)])
+    values = draw(st.lists(value, min_size=len(cuts), max_size=len(cuts)))
+    return cuts, values, draw(value), alpha
+
+
+@st.composite
+def stars(draw):
+    """x = x*: values strictly decreasing down to a tail >= 0."""
+    alpha = draw(st.sampled_from([INF, F(1)]))
+    values = sorted(set(draw(st.lists(rationals(24, 6, signed=False), max_size=9))),
+                    reverse=True)
+    tail, values = values[-1] if values else F(0), values[:-1]
+    if alpha == INF:
+        cuts, acc = [], F(0)
+        for step in draw(st.lists(rationals(12, 4, signed=False).filter(bool),
+                                  min_size=len(values), max_size=len(values))):
+            acc += step
+            cuts.append(acc)
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, 47), min_size=len(values),
+                                   max_size=len(values))))
+        cuts = [F(c, 48) for c in cuts]
+    return canonicalize(cuts, values, tail, alpha)
+
+
+def uncached_rearrangement(x: StepFunction):
+    # the cache would hand back the result of an equal function seen earlier
+    return _rearrange.__wrapped__(x)
+
+
+def copy_of(f: StepFunction) -> StepFunction:
+    """An equal but distinct object, through the JSON boundary."""
+    g = StepFunction.from_json(json.loads(json.dumps(f.to_json())))
+    assert g == f and g is not f
+    return g
+
+
+@SETTINGS
+@given(raw_pieces())
+def test_canonicalize_output_is_canonical(raw):
+    cuts, values, tail, alpha = raw
+    revalidated(canonicalize(cuts, values, tail, alpha))
+
+
+@SETTINGS
+@given(x=step_functions(), data=st.data())
+def test_algebra_results_are_canonical(x, data):
+    y = data.draw(step_functions(alpha=x.alpha))
+    c = data.draw(rationals())
+    for f in (x + y, x - y, x * y, abs(x), -x, x.scale(c), x * c, c * x,
+              x.positive_part()):
+        revalidated(f)
+    revalidated(x.window(*window_ends(x, data.draw)))
+
+
+@SETTINGS
+@given(step_functions(max_pieces=12))
+def test_rearrangement_of_any_function_is_canonical(x):
+    rr = rearrangement(x)
+    assert revalidated(rr.star) == sorted_star(x)
+    revalidated_plc(rr.level_integral)
+    assert rr.level_integral.cuts == rr.star.cuts
+    assert rr.level_integral.segment_slopes == rr.star.values
+    assert rr.level_integral.final_slope == rr.star.tail == rr.star_at_infinity
+
+
+@SETTINGS
+@given(stars())
+def test_a_star_passes_through(x):
+    rr = uncached_rearrangement(x)
+    assert rr.star is x
+    assert revalidated(rr.star) == sorted_star(x)
+    revalidated_plc(rr.level_integral)
+    assert rr.level_integral.segment_slopes == x.values
+
+
+@SETTINGS
+@given(step_functions(max_pieces=12))
+def test_only_a_star_passes_through(x):
+    assert (uncached_rearrangement(x).star is x) == (sorted_star(x) == x)
+
+
+@SETTINGS
+@given(stars())
+def test_equal_functions_hash_equal_however_built(x):
+    raw = x.to_json()
+    by_json = StepFunction.from_json(json.loads(json.dumps(raw)))
+    by_canonicalize = canonicalize(x.cuts, x.values, x.tail, x.alpha)
+    by_arithmetic = by_json + constant(0, x.alpha)
+    by_pass_through = uncached_rearrangement(copy_of(x)).star
+    built = [by_json, by_canonicalize, by_arithmetic, by_pass_through]
+    assert len({id(f) for f in built}) == len(built)
+    for f in built:
+        assert f == x and hash(f) == hash(x)
+
+
+@SETTINGS
+@given(step_functions(max_pieces=12))
+def test_an_equal_distinct_function_hits_the_cache(x):
+    first, second = copy_of(x), copy_of(x)
+    assert first is not second and hash(first) == hash(second)
+    rearrangement(first)
+    before = _rearrange.cache_info()
+    rr = rearrangement(second)
+    after = _rearrange.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+    assert rr.star == sorted_star(x)
