@@ -403,9 +403,10 @@ def probe_lkm(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
         x_n = family(n)
         _check_family_below(x, family, n, x_n)
         star_n = rearrangement(x_n).star
+        norm_n = norm(space, x_n)
         records.append(ProbeRecord(
             n=n,
-            norm=norm(space, x_n),
+            norm=norm_n,
             hlp_holds=True,
             star_distances=tuple(
                 (d, measure_distance(star_n, star_x, d)) for d in deltas
@@ -413,7 +414,7 @@ def probe_lkm(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
             maximal_distances=tuple(
                 (d, maximal_distance(x_n, x, d)) for d in deltas
             ),
-            norm_gap=_norm_gap(norm(space, x_n), norm_x),
+            norm_gap=_norm_gap(norm_n, norm_x),
         ))
     final = records[-1]
     all_final_zero = all(m == 0 for _, m in final.star_distances) and all(

@@ -51,9 +51,13 @@ from .stepfn import (
     Ext,
     PiecewiseLinearConcave,
     StepFunction,
+    _lengths,
+    _products,
     _require_same_domain,
+    _running_sums,
     block,
     canonicalize,
+    integrate,
     plc_refine,
     rat,
     rat_str,
@@ -393,46 +397,38 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
 
 
 def _cumulative_dominated(u: StepFunction, v: StepFunction):
-    """Check int_0^t u <= int_0^t v for all t; returns (holds, witness)."""
+    """Check int_0^t u <= int_0^t v for all t; returns (holds, witness).
+
+    D(t) = int_0^t (u - v) is summed over the merged pieces of refine(u, v),
+    not of the canonical u - v, whose merging of equal neighbours drops the
+    cuts a witness is read from.
+    """
     cs, uv, vv = refine(u, v)
-    acc_u = acc_v = _ZERO
-    prev = _ZERO
-    for c, a, b in zip(cs, uv, vv):
-        acc_u += a * (c - prev)
-        acc_v += b * (c - prev)
-        if acc_u > acc_v:
+    slopes = [a - b for a, b in zip(uv, vv)]
+    sums = _running_sums(_products(slopes, _lengths(cs, u.alpha)))
+    for c, d in zip(cs, sums):
+        if d > 0:
             return False, c
-        prev = c
-    du, dv = uv[-1], vv[-1]  # final piece slopes
+    # past the last cut D is linear with slope m and D(last) <= 0, so a
+    # rise above 0 starts at root = last - D(last)/m
+    last, at_last = (cs[-1], sums[len(cs) - 1]) if cs else (_ZERO, _ZERO)
+    m = slopes[-1]
     if u.alpha != INF:
-        end_u = acc_u + du * (u.alpha - prev)
-        end_v = acc_v + dv * (v.alpha - prev)
-        if end_u > end_v:
-            # crossing inside (prev, 1); the difference is linear there
-            root = prev + (acc_v - acc_u) / (du - dv)
-            return False, (max(root, prev) + u.alpha) / 2
-    elif du > dv:
-        root = prev + (acc_v - acc_u) / (du - dv)
-        return False, max(root, prev) + 1
+        if sums[-1] > 0:
+            return False, (last - at_last / m + u.alpha) / 2
+    elif m > 0:
+        return False, last - at_last / m + 1
     return True, None
 
 
 def _integral_product(f: StepFunction, g: StepFunction) -> Ext:
-    """int_0^alpha f*g exactly; INF when the product has a nonzero tail on [0,inf)."""
-    cs, fv, gv = refine(f, g)
-    total = _ZERO
-    prev = _ZERO
-    for c, a, b in zip(cs, fv, gv):
-        total += a * b * (c - prev)
-        prev = c
-    tail_prod = fv[-1] * gv[-1]
-    if f.alpha != INF:
-        return total + tail_prod * (f.alpha - prev)
-    if tail_prod == 0:
-        return total
-    if tail_prod < 0:
-        raise InfiniteIntegralError("product integral diverges to -inf")
-    return INF
+    """int_0^alpha f*g exactly; INF when the product has a positive tail on [0,inf)."""
+    h = f * g
+    if h.alpha == INF and h.tail != 0:
+        if h.tail < 0:
+            raise InfiniteIntegralError("product integral diverges to -inf")
+        return INF
+    return integrate(h, 0, h.alpha)
 
 
 def hardy_check(u: StepFunction, v: StepFunction, w: StepFunction) -> bool:

@@ -10,14 +10,13 @@ is the increasing concave piecewise-linear ``level_integral``, and the
 maximal function is x**(t) = Phi_x(t)/t, with Phi_x frozen at its limit for
 t >= 1 when alpha = 1.
 
-The arithmetic is on int pairs, not Fractions.  Each piece's length is a
-gcd-reduced pair (numerator, denominator); the sort key of |value| p/q is a
-slotted key comparing p1*q2 < p2*q1 in plain ints; pieces of equal |value|
-are merged by adding their length pairs; and the star's cuts and the level
-integral's nodes are running sums of pairs, reduced with ``math.gcd`` at
-every step.  One Fraction is built per output entry.  Pairs are kept rather
-than one common denominator, which on many large coprime denominators grows
-to many thousands of bits.
+The arithmetic is on int pairs, not Fractions, through the summation
+kernel of ``stepfn``: each piece's length is a gcd-reduced pair
+(numerator, denominator), and the star's cuts and the level integral's
+nodes are running sums of pairs, one Fraction per output entry.  Here, the
+sort key of |value| p/q is a slotted key comparing p1*q2 < p2*q1 in plain
+ints, and pieces of equal |value| are merged by adding their length
+pairs.
 
 A star passes through: when x is already x* (values strictly decreasing
 down to a tail >= 0, checked with int compares), the rearrangement returns
@@ -41,7 +40,10 @@ from .stepfn import (
     INF,
     PiecewiseLinearConcave,
     StepFunction,
+    _lengths,
+    _products,
     _require_same_domain,
+    _running_sums,
     _trusted,
     rat,
 )
@@ -73,33 +75,6 @@ class _Key:
 
     def __lt__(self, other: "_Key") -> bool:
         return self.n * other.d < other.n * self.d
-
-
-def _lengths(x: StepFunction) -> list[tuple[int, int]]:
-    """Lengths of x's pieces of finite length, as reduced int pairs (n, d)."""
-    out = []
-    pn, pd = 0, 1
-    for c in x.cuts:
-        cn, cd = c.numerator, c.denominator
-        n, d = cn * pd - pn * cd, cd * pd
-        g = gcd(n, d)
-        out.append((n // g, d // g))
-        pn, pd = cn, cd
-    if x.alpha != INF:
-        out.append((pd - pn, pd))  # 1 - pn/pd, reduced as pn/pd is
-    return out
-
-
-def _running_sums(terms) -> list[Fraction]:
-    """The partial sums of the int pairs (n, d) in ``terms``, as Fractions."""
-    out = []
-    sn, sd = 0, 1
-    for n, d in terms:
-        n, d = sn * d + n * sd, sd * d
-        g = gcd(n, d)
-        sn, sd = n // g, d // g
-        out.append(Fraction(sn, sd))
-    return out
 
 
 def _is_star(x: StepFunction) -> bool:
@@ -148,15 +123,13 @@ def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
 
 @lru_cache(maxsize=8192)
 def _rearrange(x: StepFunction) -> RearrangementResult:
-    lengths = _lengths(x)
+    lengths = _lengths(x.cuts, x.alpha)
     if _is_star(x):
         star = x
     else:
         star, lengths = _sorted_star(x, lengths)
     # running integral of the star: one node per cut, then slope = tail
-    nodes = _running_sums(
-        (v.numerator * n, v.denominator * d) for v, (n, d) in zip(star.values, lengths)
-    )
+    nodes = _running_sums(_products(star.values, lengths))
     phi = _trusted(
         PiecewiseLinearConcave,
         alpha=x.alpha,

@@ -2,9 +2,9 @@
 
 Five space kinds over a base interval [0, alpha):
 
-* ``L1``            ||x|| = int |x|
+* ``L1``            ||x|| = int |x| = Phi_x(alpha-)
 * ``Linf``          ||x|| = ess sup |x| = x*(0+)
-* ``L1plusLinf``    ||x|| = int_0^1 x*  (the usual K-functional at 1)
+* ``L1plusLinf``    ||x|| = int_0^1 x* = Phi_x(1)  (the usual K-functional at 1)
 * ``Marcinkiewicz``       ||x|| = sup_t x**(t) * phi(t)
 * ``MarcinkiewiczStar``   ||x|| = sup_t x*(t) * phi(t)   (quasinorm)
 
@@ -14,6 +14,13 @@ Everything is exact: suprema of x**(t)*phi(t) are computed per refined
 segment, where the objective has the form A/t + B + C*t with A, C >= 0
 (convex, so the supremum sits at segment endpoints or at the limits t -> 0+
 and t -> alpha-); +inf is returned when the far limit diverges.
+
+The three classical norms are read off the rearrangement (``rearrange``),
+where Phi_x is the level integral: L1 is its limit Phi_x(alpha-), Linf is
+the star's head value x*(0+), and L1 + Linf is Phi_x(1).  The fundamental
+function of every kind is the exact data of
+:meth:`SpaceSpec.fundamental_function`, which ``fundamental_eval`` and
+``embeds_in_l1`` read.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from .stepfn import (
     PiecewiseLinearConcave,
     StepFunction,
     alpha_str,
-    integrate,
     parse_alpha,
     parse_rat,
     plc_refine,
@@ -166,17 +172,6 @@ class SpaceSpec:
             raise ParseError(f"invalid space: {e}") from None
 
 
-def _head_value(star: StepFunction) -> Fraction:
-    """x*(0+) = ess sup |x|."""
-    return star.values[0] if star.cuts else star.tail
-
-
-def _norm_l1(x: StepFunction) -> Ext:
-    if x.alpha == INF and x.tail != 0:
-        return INF
-    return integrate(abs(x), 0, x.alpha)
-
-
 def _norm_marcinkiewicz_star(phi: FundamentalFunction, x: StepFunction) -> Ext:
     star = rearrangement(x).star
     # phi increases, so sup over a piece [s, e) of the star is v*phi(e)
@@ -196,7 +191,7 @@ def _limits(phi: FundamentalFunction, rr: RearrangementResult) -> tuple[Fraction
     if isinstance(phi, Hyperbolic):
         # Phi(t)/(c+t): 0 at 0+, the final slope of Phi = x*(inf) at infinity
         return _ZERO, rr.star_at_infinity
-    at_zero = phi.jump0 * _head_value(rr.star)
+    at_zero = phi.jump0 * rr.star(0)
     a_big, b_big = rr.level_integral.final_branch()
     a_phi, b_phi = phi.final_branch()
     if b_big > 0 and b_phi > 0:
@@ -234,9 +229,9 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
             f"x lives on [0,{alpha_str(x.alpha)}), space on [0,{alpha_str(space.alpha)})"
         )
     if space.kind == "L1":
-        return _norm_l1(x)
+        return rearrangement(x).level_integral.limit_value()
     if space.kind == "Linf":
-        return _head_value(rearrangement(x).star)
+        return rearrangement(x).star(0)
     if space.kind == "L1plusLinf":
         # int_0^1 x*; value_at(1) is the left limit when alpha = 1
         return rearrangement(x).level_integral.value_at(_ONE)
@@ -250,13 +245,7 @@ def fundamental_eval(space: SpaceSpec, t) -> Fraction:
     t = rat(t)
     if not 0 < t < space.alpha:
         raise PreconditionError(f"need 0 < t < {alpha_str(space.alpha)}, got {t}")
-    if space.kind == "L1":
-        return t
-    if space.kind == "Linf":
-        return _ONE
-    if space.kind == "L1plusLinf":
-        return min(t, _ONE)
-    return space.phi.value_at(t)
+    return space.fundamental_function().value_at(t)
 
 
 def embeds_in_l1(space: SpaceSpec) -> bool:
@@ -264,12 +253,9 @@ def embeds_in_l1(space: SpaceSpec) -> bool:
     lim_{t->inf} phi_E(t)/t > 0.  Defined for alpha = inf only."""
     if space.alpha != INF:
         raise PreconditionError("the embedding criterion is about [0, inf) spaces")
-    if space.kind == "L1":
-        return True
-    if space.kind in ("Linf", "L1plusLinf"):
-        return False
     # lim phi(t)/t is the final slope of a PLC phi, and 0 for the hyperbola
-    return isinstance(space.phi, PiecewiseLinearConcave) and space.phi.final_slope > 0
+    phi = space.fundamental_function()
+    return isinstance(phi, PiecewiseLinearConcave) and phi.final_slope > 0
 
 
 def mphi_a_member(phi: FundamentalFunction, x: StepFunction) -> bool:

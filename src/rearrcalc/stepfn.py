@@ -22,6 +22,14 @@ reads concave functions at the merged cuts, taking node values as stored
 and evaluating other points on their exact affine segment
 (:meth:`PiecewiseLinearConcave.segment`).
 
+Every integral and measure of a step function is one int-pair sum:
+lengths are gcd-reduced (numerator, denominator) pairs, value times length
+is a pair of int products, and pairs are added with one ``math.gcd`` per
+step into running sums (the rearrangement) or a total (:func:`integrate`,
+:func:`exceedance_measure`, ``majorize``'s integrals), one Fraction per
+result.  Pairs beat one common denominator, which grows to thousands of
+bits on coprime denominators.
+
 Validated at the boundary, trusted inside.  The public constructors
 (``StepFunction(...)``, ``PiecewiseLinearConcave(...)``, :func:`canonicalize`,
 :func:`plc_from_nodes`, :func:`constant`, :func:`box`, :func:`block` and both
@@ -43,6 +51,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterator, Union
 
 from .errors import (
@@ -433,25 +442,14 @@ def integrate(f: StepFunction, a, b) -> Fraction:
     hi: Ext = INF if b == INF else rat(b)
     if a < 0 or hi < a:
         raise PreconditionError(f"bad integration bounds [{a}, {ext_str(hi)}]")
-    if hi != INF and hi > f.alpha:
+    if hi > f.alpha:
         raise PreconditionError("integration beyond the domain")
-    if hi == INF:
-        if f.alpha != INF:
-            raise PreconditionError("integration beyond the domain")
-        if f.tail != 0:
-            raise InfiniteIntegralError(
-                f"integral diverges: tail value {rat_str(f.tail)} on an infinite interval"
-            )
-        hi = max(a, f.support_bound)
-    total = _ZERO
-    for s, e, v in f.pieces():
-        if v == 0:
-            continue
-        lo = max(s, a)
-        up = hi if e == INF else min(e, hi)
-        if up > lo:
-            total += v * (up - lo)
-    return total
+    if hi == INF and f.tail != 0:
+        raise InfiniteIntegralError(
+            f"integral diverges: tail value {rat_str(f.tail)} on an infinite interval"
+        )
+    w = f.window(a, hi)  # its tail is 0 on [0, inf): the finite pieces carry it all
+    return _total(_products((*w.values, w.tail), _lengths(w.cuts, w.alpha)))
 
 
 def exceedance_measure(f: StepFunction, lam) -> Ext:
@@ -459,13 +457,55 @@ def exceedance_measure(f: StepFunction, lam) -> Ext:
     lam = rat(lam)
     if lam < 0:
         raise PreconditionError(f"level must be nonnegative, got {lam}")
-    total = _ZERO
-    for s, e, v in f.pieces():
-        if abs(v) > lam:
-            if e == INF:
-                return INF
-            total += e - s
-    return total
+    if f.alpha == INF and abs(f.tail) > lam:
+        return INF
+    lengths = _lengths(f.cuts, f.alpha)  # none for the tail on [0, inf)
+    return _total(l for v, l in zip((*f.values, f.tail), lengths) if abs(v) > lam)
+
+
+# -- the int-pair summation kernel --------------------------------------------
+
+
+def _lengths(cuts, alpha) -> list[tuple[int, int]]:
+    """Reduced int pairs (n, d) of the finite piece lengths that ``cuts``
+    make in [0, alpha): one per cut, and 1 - cuts[-1] when alpha = 1."""
+    out = []
+    pn, pd = 0, 1
+    for c in cuts:
+        cn, cd = c.numerator, c.denominator
+        n, d = cn * pd - pn * cd, cd * pd
+        g = gcd(n, d)
+        out.append((n // g, d // g))
+        pn, pd = cn, cd
+    if alpha != INF:
+        out.append((pd - pn, pd))  # 1 - pn/pd, reduced as pn/pd is
+    return out
+
+
+def _products(values, lengths) -> Iterator[tuple[int, int]]:
+    """Int pairs of value * length, for Fraction values and length pairs."""
+    return ((v.numerator * n, v.denominator * d) for v, (n, d) in zip(values, lengths))
+
+
+def _sums(pairs) -> Iterator[tuple[int, int]]:
+    """Running sums of int pairs (n, d), d > 0, each reduced by gcd."""
+    sn, sd = 0, 1
+    for n, d in pairs:
+        n, d = sn * d + n * sd, sd * d
+        g = gcd(n, d)
+        sn, sd = n // g, d // g
+        yield sn, sd
+
+
+def _running_sums(pairs) -> list[Fraction]:
+    return [Fraction(n, d) for n, d in _sums(pairs)]
+
+
+def _total(pairs) -> Fraction:
+    n, d = 0, 1
+    for n, d in _sums(pairs):  # keeps the last running sum
+        pass
+    return Fraction(n, d)
 
 
 # -- increasing concave piecewise-linear functions --------------------------

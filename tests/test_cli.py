@@ -221,6 +221,25 @@ def test_prop_test_success_and_failure_exit_codes(capsys, monkeypatch):
     assert json.loads(out)["failures"][0]["problems"] == ["synthetic"]
 
 
+
+def test_prop32_reports_broken_construction_invariants(capsys, monkeypatch):
+    def broken(message):
+        def raise_(*args):
+            raise AssertionError(message)
+        return raise_
+
+    majorize = cli.gen.majorize
+    for name, message in (("majorant_pair", "gamma < tau < beta violated"),
+                          ("sample_family_member", "fitted shape left M(x, tau, eps)")):
+        with monkeypatch.context() as m:
+            m.setattr(majorize, name, broken(message))
+            code, out, err = run_cli(capsys, "prop-test", "prop32",
+                                     "--cases", "2", "--seed", "1")
+        assert code == 4 and "Traceback" not in err
+        failure = json.loads(out)["failures"][0]
+        assert failure["problems"] == [f"construction invariant broken: {message}"]
+        StepFunction.from_json(failure["x"])  # the shrunk input, as JSON
+
 def test_parse_and_precondition_exit_codes(capsys):
     code, _, err = run_cli(capsys, "rearrange", "--input", "{bad")
     assert code == 2 and err

@@ -1,8 +1,10 @@
 """Pinned outputs and the names the benchmark reaches from outside.
 
 The replicate digests were recorded before the replicate handlers were
-folded into one registry, and the prop-test digests before the
-rearrangement moved to int-pair arithmetic; a refactor that changes any
+folded into one registry, the prop-test digests before the
+rearrangement moved to int-pair arithmetic, and the norm, fundamental and
+probe digests before every step-function integral and measure moved onto
+the int-pair summation kernel; a refactor that changes any
 byte of these outputs fails here, even when it changes them the same way
 on every run.
 """
@@ -11,6 +13,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -79,6 +82,202 @@ def test_prop_test_stdout_digests(capsys, suite):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PROP_TEST_DIGESTS[suite], suite
+
+
+# inputs and spaces of the pinned norm, fundamental and probe commands
+_X = {
+    "unit": {"alpha": "1", "breakpoints": ["1/4", "1/2", "5/6"],
+             "values": ["-3/2", "2", "1/3"], "tail": "-5/4"},
+    "half": {"alpha": "inf", "breakpoints": ["1/3", "1", "5/2", "4"],
+             "values": ["5/2", "-1", "3", "1/2"], "tail": "0"},
+    "half_tail": {"alpha": "inf", "breakpoints": ["1/3", "1", "5/2", "4"],
+                  "values": ["5/2", "-1", "3", "1/2"], "tail": "-1/5"},
+}
+_PHI = {
+    "1": {"kind": "piecewise_linear_concave", "alpha": "1", "breakpoints": ["1/2"],
+          "node_values": ["1"], "final_slope": "1/2"},
+    "inf": {"kind": "piecewise_linear_concave", "alpha": "inf",
+            "breakpoints": ["1/2", "2"], "node_values": ["1", "2"], "final_slope": "1/4"},
+}
+_HYPERBOLIC = {"kind": "rational_hyperbolic", "c": "3/2"}
+
+
+def _space(kind: str, alpha: str) -> str:
+    space = {"kind": kind, "alpha": alpha}
+    if kind == "Marcinkiewicz":
+        space["phi"] = _PHI[alpha]
+    elif kind == "MarcinkiewiczStar":
+        space["phi"] = _HYPERBOLIC
+    return json.dumps(space)
+
+
+_KINDS = ("L1", "Linf", "L1plusLinf", "Marcinkiewicz", "MarcinkiewiczStar")
+_DECREASING = json.dumps({"alpha": "inf", "breakpoints": ["1/2", "3/2", "4"],
+                          "values": ["3", "2", "1/3"], "tail": "0"})
+
+#: command name -> argv without --format
+COMMANDS = {
+    **{f"norm {kind} {x}": ["norm", "--input", json.dumps(_X[x]),
+                            "--space", _space(kind, _X[x]["alpha"])]
+       for kind in _KINDS for x in _X},
+    **{f"fundamental {kind} {alpha}": ["fundamental", "--space", _space(kind, alpha),
+                                       "--t", "1/3,1/2,3/4" if alpha == "1" else "1/3,1,5/2,7"]
+       for kind in _KINDS for alpha in ("1", "inf")},
+    "probe-koc L1": ["probe-koc", "--input", _DECREASING, "--family", "thm47_flatten",
+                     "--space", _space("L1", "inf"), "--n", "1..8",
+                     "--tolerance", "1/100"],
+    "probe-lkm Marcinkiewicz": ["probe-lkm", "--input", _DECREASING,
+                                "--family", "lemma43_x",
+                                "--space", _space("Marcinkiewicz", "inf"), "--n", "1..8"],
+}
+
+# sha256 of stdout in json, table and csv, in that order
+COMMAND_DIGESTS = {
+    "norm L1 unit": (
+        "02b3c0bf59ba01cf4bd98ed46a6a9059948fbf04af10c4b3e65fb3d9eeb13f8d",
+        "2595ab1f43f79a3523382531bb63102370084a092d85ca7d47c28ab0d17f940a",
+        "c9dcccf8c60fcf8825d5fae121e5edd3a5ea18efd13a0381471be55ce934abf4",
+    ),
+    "norm L1 half": (
+        "5dc95ae627fc50a82c528583e4e89bd7aa940e7f09485e07dd78059009193946",
+        "924c947a7ff8a2890552feda9e14ffc2b3407b40f13fcba9680db5ec47a2444e",
+        "4ceedd7130803aa6819af504cb3404c3b3a8bd536bf694588dfff98681252405",
+    ),
+    "norm L1 half_tail": (
+        "ffa404e0fdc0fe93d7b9682c81c879dc7dcdcd332b9cf1f3c97b6fb73757f9a1",
+        "a94f86038a3e288acf45b72f2dd7bc817b20f4f20155b18bd3afffe622b9add4",
+        "d874530ea8c572bfc63a7759f85110a8ff1476130e07c8f54855be6e7b404a20",
+    ),
+    "norm Linf unit": (
+        "a9ec3744e87cb3e9b7cac74194a38349f83167e079e626a59a4cb7b5e1865cf8",
+        "ea3074872a3f20064b2f121d99799d70ccb65af12b02e6899ef0847dd8b63ac7",
+        "e0263601e508957fef476526f1579a2f8e241f106548d5e8cea3b7c2bba4df30",
+    ),
+    "norm Linf half": (
+        "3ff3c1058c035d75f611cc072abf67384104661c3a78c92ea4210a5bd4340415",
+        "9499b523342e33f20597917d85a0f8b092553b72936e61414785fd5dcf9122c4",
+        "144f6c608c774962b88634f8df73f71950813f2d3af73c5fda54999190b63837",
+    ),
+    "norm Linf half_tail": (
+        "02ac48fd1fd878f3ad5f96e304b6f98ebb6f0eb9b98cc6d3d805d554bb24882a",
+        "ef4e11ef6320a533b166e1619533f82220de406c2d814dfc7fd2ccb8130a9c1c",
+        "6c9ce70553c9fb0126946cc722ac312c6c5aa116ba29f687d9477c063d5773dc",
+    ),
+    "norm L1plusLinf unit": (
+        "e16e8a6ab1902c0c19d9592906bbced333bc0f6616132e83ee17e7474f3e0766",
+        "739ffbda661f48d1a67fa9688f1f3d60982406bb5c10b5841b211a9320601515",
+        "574111d4275c6e2da2d0b28db47a8f2d064c77e0873a3e48adbac30fe799f12e",
+    ),
+    "norm L1plusLinf half": (
+        "b1c314b828b48cb8906639ed9d615bd0b2101f8b56e9a0ff9b080f8fd0b44e9f",
+        "9d90f04c9932fb8f5ba89f03edc28bf132b93e0348f92349d764f51307577475",
+        "c2569e09c34623b3133b68269637b67bc3aa94fa08b4357e0e4a8ee4e2c5ec0a",
+    ),
+    "norm L1plusLinf half_tail": (
+        "e302e7d3d5a3781e4e20583f3c16aea184301fd1511edb3020dcfec58056df52",
+        "2820cc61eb50c653f14df83749285ba5cfaf865b9618cae7cd042448f85398bf",
+        "a2d965f718d47434baf3a0674a9623b41ee4bbcebde9bb56f35b311d178c99ed",
+    ),
+    "norm Marcinkiewicz unit": (
+        "5b02dd2a4011c803af9ec17a3f7c0c519ccd50940e2bd15b37581d04c65f1abd",
+        "2e176c5ea98f0ac917b57444e42d7d35f234dfd253794b082025824f6a95425f",
+        "99274949012ecf8c7d307553465f02b09fd0a0b3092dbbfafb167c614e7ec907",
+    ),
+    "norm Marcinkiewicz half": (
+        "8753104dc190874c6fdb6ba223d5a4adbb2a442a048094bd9ca1679e449d5e79",
+        "b28da93f7375eddfda0cd3ee494f9fe6e41fdd435e7ba03b9b95b231fca16f75",
+        "46c48342f1fac7724a77d914c61c914268b3e4743b590969631d231c64994b41",
+    ),
+    "norm Marcinkiewicz half_tail": (
+        "3a795410b4808b286e0deb20fec70678098157f07509ab65bd40a2e6a3598693",
+        "4ca778f18f219c80198566a5116a70d2c7ed6db251cf13d0b271376e5a825b85",
+        "a905fa52d979594749888783bdc102b640504aa2d7f1c09e33b73c50542bb7a6",
+    ),
+    "norm MarcinkiewiczStar unit": (
+        "fa9a11c282369d6ba64e78c2655b1225bda720fbf956efefea82f9ccbd026502",
+        "9186cb6f8323df5c785a2c78bb7bbf66a71ef71cda88ba7cbaf2d8391c9b9e22",
+        "dc49872ceb218cbccc67e28e41b9bbb0dd76c6111a9a5a99baff9f68700bcd42",
+    ),
+    "norm MarcinkiewiczStar half": (
+        "adfd731eedf24056cea24646652e0113f1a3f61c6c96059f2b6e20ae6a8948db",
+        "a9bb01ecd244262a141ad998ee2ffa17da5a2d7349be8017a68759bd95d0b058",
+        "318a77dec3dfa411f5c50d36ab7ac37f4c8cccde59c6305d283bf77810dd0ccb",
+    ),
+    "norm MarcinkiewiczStar half_tail": (
+        "5aca26318358143e3f1f04acc5c6a8cece4b12db68fb0a79c2dd2d10bf80bee3",
+        "77474bb4c7e4b70c9f636f5e23b5e2781379eeebbaf38fa2ab256a259a715a07",
+        "64e0e0466a59612f7ad412e07d8f57494a008fba98ff03c66ac5ec749eae7b35",
+    ),
+    "fundamental L1 1": (
+        "f7c7c08a7a3a1001b076bf6d8cc36eb3d743c82a967cdf7e4c36a0cb7c681b0c",
+        "2465be69b803b60a90550727708cb858ca0b634a4f40c793946415bb5c8d16f6",
+        "8b7f8358c64b71c39ab19027f919ddfd98c838a2469ee285b0a9604b03e52eec",
+    ),
+    "fundamental L1 inf": (
+        "3d7d11a2234cf2e383574514a9bc3057e751904a56baf9a8b90d2b39c7c2289f",
+        "57c51de40acd7fe9707c17f22d040a2894cc62fb2225ccf73e7f8ca4bc417b2c",
+        "f57a0301e1a9451f82fbff94cb1a43c29c5afc34ae430c7dc64ba19eff6b64e7",
+    ),
+    "fundamental Linf 1": (
+        "7ac43b227f7c710b320fda9b55154448826182c48dc559571c30623f43f06358",
+        "1e7c66409bd414f1cc220c5a346b033ab96415bc761d6bf6a9d948dda49a5a5f",
+        "ca29a6dc0870ce72d1f1ad1d3cb6e9c58c65ece495e79b73e665610fccc76e65",
+    ),
+    "fundamental Linf inf": (
+        "5b371ad0ff8f92328a589774277f5147ac7287f0ea04f903299a03f9c7744232",
+        "02d0c05c20d74428dabac98d357f6d8941d7c34c58276f03558fd7eac2ff808a",
+        "cd92b73d27d21f96973282b0091c162c729113b1e94b2b81922ef734882081cc",
+    ),
+    "fundamental L1plusLinf 1": (
+        "a1c074b8ceea4cca4d97975d7e9ab98c5d4d2a12c12911208ba506148449edc8",
+        "bd0fb7356182a6016325bd8eebcaa1df7ebb9190f074ebcf2f6f8e910dab9a16",
+        "01022a4ca64ff9a6d5e91bee2c49803e70d6a31ae6c7af959d8b3099e9dd89c9",
+    ),
+    "fundamental L1plusLinf inf": (
+        "137d5be00ba94030466cfca4d5eba84ad5629397262f938f004371c347f69877",
+        "c65eac84f7d5f76b6f0ad192b8a4982d9c34522185b6613c31977232b69a4d9f",
+        "6b38183bb4f21758198eaa8a6fc66f942e684e826fcb9d5b7b96663bcb6ba5fb",
+    ),
+    "fundamental Marcinkiewicz 1": (
+        "860c8da0c54e7b7ee8012588b2ca88ae5237f34369d9bbdf5a0c8ef2f7ec3363",
+        "34112818d2b875be2ce18f781bd7c4f23951b36493278d6dac09be222deefedb",
+        "d9df431bfbe59b757d89316b3105f8533861f48a70770ceb25abd0a3249ad097",
+    ),
+    "fundamental Marcinkiewicz inf": (
+        "f2bc2c90f27ed0435e706744fa6c6f68e8f6dff5a2ce18b2091fbbbffacff768",
+        "905a0e788fb1e8c59482251ca7baa4ebd0cf9f546eb5ad76a980611bce80a963",
+        "3a12b64c73a6bd088162f71cd79a80596abf1e1047b956781040ca13f5b219ea",
+    ),
+    "fundamental MarcinkiewiczStar 1": (
+        "3e3ee1d32960d73b0427d0b0b220a655b096e22ec187e59701abbff934e4d6fd",
+        "f2df6ae16d505e28e903ddb4f5783b69abe57d8a9cf41f84be14ca441b1e024a",
+        "89a9ee2c714ab2a01c1750be320b041dd19be7132ec76e2730495a93a6345d90",
+    ),
+    "fundamental MarcinkiewiczStar inf": (
+        "1dc71b51188651946f7d6564071b22c82fe5e710ad9fc5618fb4ddb027e9d240",
+        "0ca5174468d9698f63d21dd756874da1f6061ca58456c309cedee7d8df890a46",
+        "543f1e1616ed482efc1ff5fcb31c84dd6dd66301e7f7d60bb83b59c912730f1e",
+    ),
+    "probe-koc L1": (
+        "e2bf38603825f77834802364f25dd695d052a70b9432e5665ef303245f06e2dd",
+        "54bab5f70d344cae5233a11471d073b27a72e1a78e07ce9238dba2581a7a2bfc",
+        "f632c4b426a1996065907caf6b5c2ff51ba32f6822192bbbbdc75e45b82b7889",
+    ),
+    "probe-lkm Marcinkiewicz": (
+        "7444bbe53a57bc12cedbddf522dcbf009e5fd3cf63d0de822ac604e721062901",
+        "b045f406d093d9b06f1db81b17991fe9488854734916664e3601c9a7f6930e2f",
+        "b8e85e7ebc87d9641c4516242ae4717bfd8a5ea72895def24d1d53008f4a7c20",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_stdout_digests(capsys, name):
+    for fmt, digest in zip(("json", "table", "csv"), COMMAND_DIGESTS[name]):
+        code = cli.main([*COMMANDS[name], "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, fmt)
 
 
 def _load_spans():

@@ -21,6 +21,7 @@ from rearrcalc import (
     norm,
     rearrangement,
 )
+from rearrcalc import gen
 from rearrcalc.gen import rand_phi, rand_step
 
 L1 = SpaceSpec("L1", None, INF)
@@ -210,3 +211,17 @@ def test_space_spec_validation_and_json():
 def test_norm_respects_domain():
     with pytest.raises(PreconditionError):
         norm(L1, box(1, F(1, 2), alpha=1))
+
+
+def test_spaces_suite_shrinks_against_the_draws_that_failed(monkeypatch):
+    states = []
+
+    def fails_always(space, x, y, rng, banach):
+        states.append(rng.getstate())
+        return ["synthetic"]
+
+    monkeypatch.setattr(gen, "_space_problems", fails_always)
+    result = gen.run_spaces_suite(1, 5)
+    assert result.failures[0]["problems"] == ["synthetic"]
+    assert len(states) > 1  # detection, then the shrink predicate's calls
+    assert all(s == states[0] for s in states)

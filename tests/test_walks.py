@@ -5,7 +5,10 @@ Every kernel that walks a common refinement (``+``, ``-``, ``*``,
 (``rearrangement``) is compared with a reference written here from the
 definitions: step functions are evaluated by scanning their pieces, merged
 cuts come from ``sorted(set(...))``, concave functions are read through
-``value_at``, and the rearrangement is a plain sort of the pieces.
+``value_at``, and the rearrangement is a plain sort of the pieces.  The
+int-pair summation kernel (``integrate``, ``exceedance_measure``,
+``majorize._integral_product``, ``majorize._cumulative_dominated``, the L1
+and Linf norms) is compared with Fraction loops over the pieces.
 """
 
 from fractions import Fraction as F
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from rearrcalc import (
     INF,
+    InfiniteIntegralError,
     PiecewiseLinearConcave,
     StepFunction,
     canonicalize,
@@ -23,8 +27,16 @@ from rearrcalc import (
     maximal_distance,
     rearrangement,
 )
-from rearrcalc.majorize import plc_dominated_by
-from rearrcalc.stepfn import merge_cuts, plc_from_nodes, plc_refine, refine
+from rearrcalc.majorize import _cumulative_dominated, _integral_product, plc_dominated_by
+from rearrcalc.spaces import SpaceSpec, norm
+from rearrcalc.stepfn import (
+    exceedance_measure,
+    integrate,
+    merge_cuts,
+    plc_from_nodes,
+    plc_refine,
+    refine,
+)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -394,3 +406,134 @@ def test_rearrangement_named_edge_cases():
     y = canonicalize([1, 2, 4], [-5, 1, 5], 2, INF)
     assert rearrangement(y).star == canonicalize([3], [5], 2, INF)
     assert rearrangement(constant(0, INF)).star == constant(0, INF)
+
+
+# -- the int-pair summation kernel ---------------------------------------------
+
+
+def pieces(f: StepFunction):
+    """(start, end, value) of every piece; the last end is alpha."""
+    return zip((F(0), *f.cuts), (*f.cuts, f.alpha), (*f.values, f.tail))
+
+
+def slow_integral(f: StepFunction, a, b):
+    """int_a^b f clipped piece by piece; None when it diverges."""
+    total = F(0)
+    for s, e, v in pieces(f):
+        lo, hi = max(s, a), min(e, b)
+        if hi == INF:
+            if v != 0:
+                return None
+        elif hi > lo:
+            total += v * (hi - lo)
+    return total
+
+
+def slow_exceedance(f: StepFunction, lam):
+    total = F(0)
+    for s, e, v in pieces(f):
+        if abs(v) > lam:
+            if e == INF:
+                return INF
+            total += e - s
+    return total
+
+
+def slow_product_integral(f: StepFunction, g: StepFunction):
+    """int f*g over the merged pieces, by evaluating both at each start."""
+    bounds = [F(0), *sorted({*f.cuts, *g.cuts}), f.alpha]
+    total = F(0)
+    for s, e in zip(bounds, bounds[1:]):
+        p = at(f, s) * at(g, s)
+        if e == INF:
+            return total if p == 0 else INF if p > 0 else None
+        total += p * (e - s)
+    return total
+
+
+def slow_cumulative(u: StepFunction, v: StepFunction):
+    """The first merged cut where int_0^t (u - v) > 0; else the crossing on
+    the final piece, halfway to 1 on [0, 1) and one past it on [0, inf)."""
+    cs = sorted({*u.cuts, *v.cuts})
+    for c in cs:
+        if slow_integral(u, 0, c) > slow_integral(v, 0, c):
+            return False, c
+    last = cs[-1] if cs else F(0)
+    d, m = slow_integral(u, 0, last) - slow_integral(v, 0, last), u.tail - v.tail
+    if u.alpha != INF:
+        if slow_integral(u, 0, 1) > slow_integral(v, 0, 1):
+            return False, (last - d / m + 1) / 2
+    elif m > 0:
+        return False, last - d / m + 1
+    return True, None
+
+
+def kernel_points(f: StepFunction, draw):
+    """Two points a <= b of [0, alpha], b = INF allowed on [0, inf)."""
+    top = 40 if f.alpha == INF else 1
+    pool = [F(0), *f.cuts, *([] if f.alpha == INF else [F(1)])]
+    point = st.one_of(st.sampled_from(pool), st.builds(F, st.integers(0, 48 * top), st.just(48)))
+    a, b = sorted([draw(point), draw(point)])
+    if f.alpha == INF and draw(st.booleans()):
+        b = INF
+    return a, b
+
+
+@SETTINGS
+@given(f=step_functions(), data=st.data())
+def test_integrate_matches_piece_loop(f, data):
+    a, b = kernel_points(f, data.draw)
+    expected = slow_integral(f, a, b)
+    if expected is None:
+        with pytest.raises(InfiniteIntegralError):
+            integrate(f, a, b)
+    else:
+        got = integrate(f, a, b)
+        assert type(got) is F and got == expected
+
+
+@SETTINGS
+@given(f=step_functions(big_dens=True, max_pieces=6), data=st.data())
+def test_integrate_with_coprime_large_denominators(f, data):
+    a, b = kernel_points(f, data.draw)
+    expected = slow_integral(f, a, b)
+    if expected is not None:
+        assert integrate(f, a, b) == expected
+
+
+@SETTINGS
+@given(f=step_functions(), data=st.data())
+def test_exceedance_measure_matches_piece_loop(f, data):
+    levels = sorted({abs(v) for v in (*f.values, f.tail)})
+    lam = data.draw(st.one_of(st.sampled_from(levels), rationals(signed=False)))
+    assert exceedance_measure(f, lam) == slow_exceedance(f, lam)
+
+
+@SETTINGS
+@given(step_pairs())
+def test_integral_product_matches_piece_loop(pair):
+    f, g = pair
+    expected = slow_product_integral(f, g)
+    if expected is None:
+        with pytest.raises(InfiniteIntegralError):
+            _integral_product(f, g)
+    else:
+        assert _integral_product(f, g) == expected
+
+
+@SETTINGS
+@given(step_pairs(signed=False))
+def test_cumulative_dominated_verdict_and_witness(pair):
+    u, v = pair
+    holds, witness = _cumulative_dominated(u, v)
+    assert (holds, witness) == slow_cumulative(u, v)
+    if not holds:
+        assert slow_integral(u, 0, witness) > slow_integral(v, 0, witness)
+
+
+@SETTINGS
+@given(step_functions())
+def test_l1_and_linf_norms_match_piece_loop(x):
+    l1 = slow_integral(abs(x), 0, x.alpha)
+    assert norm(SpaceSpec("L1", alpha=x.alpha), x) == (INF if l1 is None else l1)
+    assert norm(SpaceSpec("Linf", alpha=x.alpha), x) == max(abs(v) for _, _, v in pieces(x))
