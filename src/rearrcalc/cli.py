@@ -79,6 +79,9 @@ def _load_space(source: str) -> SpaceSpec:
     return SpaceSpec.from_json(_load_json(source))
 
 
+_MAX_N_COUNT = 10_000
+
+
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
@@ -86,20 +89,24 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
             lo, hi = int(a), int(b)
             if lo < 1 or hi < lo:
                 raise ValueError
+            _check_n_count(hi - lo + 1)
             return tuple(range(lo, hi + 1))
-        if "," in text:
-            ns = tuple(int(p) for p in text.split(","))
-            if any(n < 1 for n in ns):
-                raise ValueError
-            return ns
-        n = int(text)
-        if n < 1:
+        _check_n_count(text.count(",") + 1)
+        ns = tuple(int(p) for p in text.split(","))
+        if any(n < 1 for n in ns):
             raise ValueError
-        return (n,)
+        return ns
+    except ParseError:
+        raise
     except ValueError:
         raise ParseError(
             f"bad --n value {text!r}: want N, A..B, or a comma list of integers >= 1"
         ) from None
+
+
+def _check_n_count(count: int) -> None:
+    if count > _MAX_N_COUNT:
+        raise ParseError(f"--n lists {count} indices; at most {_MAX_N_COUNT} are allowed")
 
 
 def _parse_deltas(text: str) -> tuple[Fraction, ...]:

@@ -54,7 +54,7 @@ from .stepfn import (
     _lengths,
     _products,
     _require_same_domain,
-    _running_sums,
+    _sums,
     block,
     canonicalize,
     integrate,
@@ -86,58 +86,43 @@ class HlpVerdict:
         }
 
 
-# -- exact comparison of concave piecewise-linear functions -----------------
+# -- the Hardy-Littlewood-Polya order ----------------------------------------
 
 
-def _positive_point(d0: Fraction, d1: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    """Some t in (lo, hi) with d0 + d1*t > 0, given one exists."""
-    candidates = [lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
-    if d1 != 0:
-        root = -d0 / d1
-        if lo < root < hi:
-            candidates += [(lo + root) / 2, (root + hi) / 2]
-    for t in candidates:
-        if d0 + d1 * t > 0:
-            return t
-    raise AssertionError("no positive point found on a segment that must contain one")
+def plc_dominated_by(u: StepFunction, v: StepFunction):
+    """Decide int_0^t u <= int_0^t v for every t in (0, alpha), that is, the
+    piecewise-linear running integrals of u and v; returns (holds, witness).
 
-
-def plc_dominated_by(f: PiecewiseLinearConcave, g: PiecewiseLinearConcave):
-    """Decide f <= g on (0, alpha); returns (holds, witness-or-None).
-
-    Both functions are piecewise linear, so a violation, if any, shows at a
-    node of either, near 0 (right-limits), or on the unbounded final branch;
-    between those points the difference is linear.  One walk over the merged
-    cuts reads both functions there.
+    D(t) = int_0^t (u - v) is summed in int pairs over the merged pieces of
+    refine(u, v), not of the canonical u - v, whose merging of equal
+    neighbours drops the cuts a witness is read from.  D is linear between
+    merged cuts, so a violation shows at the first cut with D > 0 or on the
+    final piece; only the witness is built as a Fraction.
     """
-    if f.alpha != g.alpha:
-        raise PreconditionError("cannot compare functions on different domains")
-    cs, fv, gv = plc_refine(f, g)
-    for t, a, b in zip(cs, fv, gv):
-        if a > b:
-            return False, t
-    if f.jump0 > g.jump0:
-        (_, _, af, bf), (_, _, ag, bg) = f.segment(0), g.segment(0)
-        hi = cs[0] if cs else (_ONE / 2 if f.alpha != INF else _ONE)
-        return False, _positive_point(af - ag, bf - bg, _ZERO, hi)
-    af, bf = f.final_branch()
-    ag, bg = g.final_branch()
-    if f.alpha != INF:
-        if af + bf * f.alpha > ag + bg * g.alpha:
-            lo = cs[-1] if cs else _ZERO
-            return False, _positive_point(af - ag, bf - bg, lo, f.alpha)
-    elif bf > bg:
-        start = cs[-1] if cs else _ZERO
-        crossing = (ag - af) / (bf - bg)
-        return False, max(start, crossing) + 1
+    cs, uv, vv = refine(u, v)
+    slopes = [a - b for a, b in zip(uv, vv)]
+    sums = _sums(_products(slopes, _lengths(cs, u.alpha)))
+    at_last = (0, 1)  # D at the last cut, as an int pair; D(0) = 0
+    for c, at_last in zip(cs, sums):
+        if at_last[0] > 0:
+            return False, c
+    # past the last cut D is linear with slope m and D(last) <= 0, so a
+    # rise above 0 starts at root = last - D(last)/m
+    last, m = (cs[-1] if cs else _ZERO), slopes[-1]
+    if u.alpha != INF:
+        if next(sums)[0] <= 0:  # D(1)
+            return True, None
+        root = last - Fraction(*at_last) / m
+        return False, next(t for t in ((2 * last + 1) / 3, (last + 2) / 3, (root + 1) / 2)
+                           if t > root)
+    if m > 0:
+        return False, last - Fraction(*at_last) / m + 1
     return True, None
 
 
 def hlp_compare(y: StepFunction, x: StepFunction) -> HlpVerdict:
     """Decide y ≺ x (int_0^t y* <= int_0^t x* for all t) exactly."""
-    _require_same_domain(y, x)
-    holds, witness = plc_dominated_by(level_integral(y), level_integral(x))
-    return HlpVerdict(holds, witness)
+    return HlpVerdict(*plc_dominated_by(rearrangement(y).star, rearrangement(x).star))
 
 
 def is_decreasing_rearrangement(f: StepFunction) -> bool:
@@ -164,12 +149,9 @@ def family_contains(y: StepFunction, x: StepFunction, tau, eps) -> bool:
         raise PreconditionError(f"need tau > 0 and eps > 0, got tau={tau}, eps={eps}")
     phi_x = _require_star(x, "x").level_integral
     ry = rearrangement(y)
-    if ry.star != y:
+    if ry.star != y or not plc_dominated_by(y, x)[0]:
         return False
-    phi_y = ry.level_integral
-    if not plc_dominated_by(phi_y, phi_x)[0]:
-        return False
-    return _phi_saturated(phi_y, tau) + eps <= _phi_saturated(phi_x, tau)
+    return _phi_saturated(ry.level_integral, tau) + eps <= _phi_saturated(phi_x, tau)
 
 
 # -- the construction --------------------------------------------------------
@@ -396,31 +378,6 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
 # -- Hardy's lemma ------------------------------------------------------------
 
 
-def _cumulative_dominated(u: StepFunction, v: StepFunction):
-    """Check int_0^t u <= int_0^t v for all t; returns (holds, witness).
-
-    D(t) = int_0^t (u - v) is summed over the merged pieces of refine(u, v),
-    not of the canonical u - v, whose merging of equal neighbours drops the
-    cuts a witness is read from.
-    """
-    cs, uv, vv = refine(u, v)
-    slopes = [a - b for a, b in zip(uv, vv)]
-    sums = _running_sums(_products(slopes, _lengths(cs, u.alpha)))
-    for c, d in zip(cs, sums):
-        if d > 0:
-            return False, c
-    # past the last cut D is linear with slope m and D(last) <= 0, so a
-    # rise above 0 starts at root = last - D(last)/m
-    last, at_last = (cs[-1], sums[len(cs) - 1]) if cs else (_ZERO, _ZERO)
-    m = slopes[-1]
-    if u.alpha != INF:
-        if sums[-1] > 0:
-            return False, (last - at_last / m + u.alpha) / 2
-    elif m > 0:
-        return False, last - at_last / m + 1
-    return True, None
-
-
 def _integral_product(f: StepFunction, g: StepFunction) -> Ext:
     """int_0^alpha f*g exactly; INF when the product has a positive tail on [0,inf)."""
     h = f * g
@@ -447,7 +404,7 @@ def hardy_check(u: StepFunction, v: StepFunction, w: StepFunction) -> bool:
         raise HypothesisError("v must be nonnegative", None)
     if not is_decreasing_rearrangement(w):
         raise HypothesisError("w must be nonnegative and nonincreasing", None)
-    holds, witness = _cumulative_dominated(u, v)
+    holds, witness = plc_dominated_by(u, v)
     if not holds:
         raise HypothesisError(
             f"cumulative domination fails at t = {rat_str(witness)}: "

@@ -15,12 +15,12 @@ segment, where the objective has the form A/t + B + C*t with A, C >= 0
 (convex, so the supremum sits at segment endpoints or at the limits t -> 0+
 and t -> alpha-); +inf is returned when the far limit diverges.
 
-The three classical norms are read off the rearrangement (``rearrange``),
-where Phi_x is the level integral: L1 is its limit Phi_x(alpha-), Linf is
-the star's head value x*(0+), and L1 + Linf is Phi_x(1).  The fundamental
-function of every kind is the exact data of
-:meth:`SpaceSpec.fundamental_function`, which ``fundamental_eval`` and
-``embeds_in_l1`` read.
+L1 and Linf need no rearrangement: L1 is the int-pair total of |value| times
+length over the pieces (``stepfn``), Linf the largest |value|.  L1 + Linf is
+Phi_x(1), read off the level integral of the rearrangement (``rearrange``).
+The fundamental function of every kind is the exact data of
+:meth:`SpaceSpec.fundamental_function` (built once per kind and domain for
+the classical kinds), which ``fundamental_eval`` and ``embeds_in_l1`` read.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .stepfn import (
     Ext,
     PiecewiseLinearConcave,
     StepFunction,
+    _lengths,
+    _products,
+    _total,
     alpha_str,
     parse_alpha,
     parse_rat,
@@ -97,6 +100,17 @@ def _validate_fundamental(phi: FundamentalFunction, alpha: Ext) -> None:
 _KINDS = ("L1", "Linf", "L1plusLinf", "Marcinkiewicz", "MarcinkiewiczStar")
 _PHI_KINDS = ("Marcinkiewicz", "MarcinkiewiczStar")
 
+# fundamental functions of the classical kinds, per (kind, alpha): t, the
+# indicator of (0, alpha), and min(t, 1), which on [0, 1) is just t
+_CLASSICAL_PHI = {
+    ("L1", _ONE): PiecewiseLinearConcave(_ONE, (), (), _ONE),
+    ("L1", INF): PiecewiseLinearConcave(INF, (), (), _ONE),
+    ("Linf", _ONE): PiecewiseLinearConcave(_ONE, (), (), _ZERO, jump0=_ONE),
+    ("Linf", INF): PiecewiseLinearConcave(INF, (), (), _ZERO, jump0=_ONE),
+    ("L1plusLinf", _ONE): PiecewiseLinearConcave(_ONE, (), (), _ONE),
+    ("L1plusLinf", INF): PiecewiseLinearConcave(INF, (_ONE,), (_ONE,), _ZERO),
+}
+
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -125,14 +139,7 @@ class SpaceSpec:
     def fundamental_function(self) -> FundamentalFunction:
         if self.kind in _PHI_KINDS:
             return self.phi
-        if self.kind == "L1":
-            return PiecewiseLinearConcave(self.alpha, (), (), _ONE)
-        if self.kind == "Linf":
-            return PiecewiseLinearConcave(self.alpha, (), (), _ZERO, jump0=_ONE)
-        # L1plusLinf: min(t, 1), which on [0,1) is just t
-        if self.alpha != INF:
-            return PiecewiseLinearConcave(self.alpha, (), (), _ONE)
-        return PiecewiseLinearConcave(INF, (_ONE,), (_ONE,), _ZERO)
+        return _CLASSICAL_PHI[self.kind, self.alpha]
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "alpha": alpha_str(self.alpha)}
@@ -229,9 +236,12 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
             f"x lives on [0,{alpha_str(x.alpha)}), space on [0,{alpha_str(space.alpha)})"
         )
     if space.kind == "L1":
-        return rearrangement(x).level_integral.limit_value()
+        if x.alpha == INF and x.tail != 0:
+            return INF
+        return _total(_products((abs(v) for v in (*x.values, x.tail)),
+                                _lengths(x.cuts, x.alpha)))
     if space.kind == "Linf":
-        return rearrangement(x).star(0)
+        return max(abs(v) for v in (*x.values, x.tail))
     if space.kind == "L1plusLinf":
         # int_0^1 x*; value_at(1) is the left limit when alpha = 1
         return rearrangement(x).level_integral.value_at(_ONE)

@@ -25,10 +25,11 @@ and evaluating other points on their exact affine segment
 Every integral and measure of a step function is one int-pair sum:
 lengths are gcd-reduced (numerator, denominator) pairs, value times length
 is a pair of int products, and pairs are added with one ``math.gcd`` per
-step into running sums (the rearrangement) or a total (:func:`integrate`,
-:func:`exceedance_measure`, ``majorize``'s integrals), one Fraction per
-result.  Pairs beat one common denominator, which grows to thousands of
-bits on coprime denominators.
+step into running sums (the rearrangement), a total (:func:`integrate`,
+:func:`exceedance_measure`, the L1 norm, ``majorize``'s integrals), one
+Fraction per result, or signs (``majorize.plc_dominated_by``).  Pairs beat
+one common denominator, which grows to thousands of bits on coprime
+denominators.
 
 Validated at the boundary, trusted inside.  The public constructors
 (``StepFunction(...)``, ``PiecewiseLinearConcave(...)``, :func:`canonicalize`,

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rearrcalc import StepFunction, cli
 from rearrcalc.gen import SuiteResult
 
@@ -265,6 +267,16 @@ def test_parse_and_precondition_exit_codes(capsys):
     long_cut = '{"alpha":"inf","breakpoints":["%s"],"values":["1"],"tail":"0"}' % ("1" * 5000)
     code, _, err = run_cli(capsys, "rearrange", "--input", long_cut)
     assert code == 2 and err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("n", ["1..10001", "1..1000000000", ",".join(["1"] * 10001)])
+def test_index_lists_are_bounded(capsys, n):
+    # rejected before any index is built: one line, exit 2, nothing on stdout
+    code, out, err = run_cli(capsys, "replicate", "remark45", "--n", n)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "at most 10000" in err
+    code, out, _ = run_cli(capsys, "flatten-head", "--input", BOX, "--n", n)
+    assert (code, out) == (2, "")
 
 
 def test_inline_json_list_is_parsed_not_read_as_a_path(capsys):

@@ -4,7 +4,9 @@ The replicate digests were recorded before the replicate handlers were
 folded into one registry, the prop-test digests before the
 rearrangement moved to int-pair arithmetic, and the norm, fundamental and
 probe digests before every step-function integral and measure moved onto
-the int-pair summation kernel; a refactor that changes any
+the int-pair summation kernel, and the hlp digests before the
+Hardy-Littlewood-Polya order moved from the level integrals onto the
+stars' running sums; a refactor that changes any
 byte of these outputs fails here, even when it changes them the same way
 on every run.
 """
@@ -112,6 +114,30 @@ def _space(kind: str, alpha: str) -> str:
 
 
 _KINDS = ("L1", "Linf", "L1plusLinf", "Marcinkiewicz", "MarcinkiewiczStar")
+
+
+def _step(alpha, breakpoints, values, tail):
+    return {"alpha": alpha, "breakpoints": breakpoints, "values": values, "tail": tail}
+
+
+#: hlp inputs, name -> (x, y) as _step arguments; the comments give the
+#: witnesses printed for x ≺ y and y ≺ x
+_HLP_PAIRS = {
+    # y ≺ x holds; x ≺ y fails at the node 1 on [0, inf)
+    "holds": (("inf", ["1", "3"], ["3", "1"], "0"), ("inf", ["2"], ["3/2"], "0")),
+    # x ≺ y holds; y ≺ x fails at the node 1/4 on [0, 1)
+    "node unit": (("1", ["1/4", "1/2"], ["2", "1"], "0"), ("1", ["1/3"], ["1"], "3")),
+    # signed values, both fail at nodes on [0, inf): 2 and 1
+    "node half": (("inf", ["1/2", "5/2"], ["-1", "2"], "0"), ("inf", ["1"], ["5/2"], "0")),
+    # y's larger tail: y ≺ x fails on the final branch, at root + 1 = 29
+    "final half": (("inf", ["1", "4"], ["5", "1"], "1/3"), ("inf", ["2"], ["3/2"], "1/2")),
+    # x ≺ y fails on the final branch at the first third, 2/3
+    "first third": (("1", [], [], "1"), ("1", ["1/2"], ["1"], "0")),
+    # y ≺ x fails on the final branch at the second third, 3/4
+    "second third": (("1", ["1/4"], ["2"], "1/4"), ("1", [], [], "1")),
+    # y ≺ x fails past both thirds, at (root + 1)/2 = 9/10
+    "past thirds": (("1", ["1/5"], ["4"], "0"), ("1", [], [], "1")),
+}
 _DECREASING = json.dumps({"alpha": "inf", "breakpoints": ["1/2", "3/2", "4"],
                           "values": ["3", "2", "1/3"], "tail": "0"})
 
@@ -129,6 +155,8 @@ COMMANDS = {
     "probe-lkm Marcinkiewicz": ["probe-lkm", "--input", _DECREASING,
                                 "--family", "lemma43_x",
                                 "--space", _space("Marcinkiewicz", "inf"), "--n", "1..8"],
+    **{f"hlp {name}": ["hlp", "--input", json.dumps({"x": _step(*x), "y": _step(*y)})]
+       for name, (x, y) in _HLP_PAIRS.items()},
 }
 
 # sha256 of stdout in json, table and csv, in that order
@@ -267,6 +295,41 @@ COMMAND_DIGESTS = {
         "7444bbe53a57bc12cedbddf522dcbf009e5fd3cf63d0de822ac604e721062901",
         "b045f406d093d9b06f1db81b17991fe9488854734916664e3601c9a7f6930e2f",
         "b8e85e7ebc87d9641c4516242ae4717bfd8a5ea72895def24d1d53008f4a7c20",
+    ),
+    "hlp holds": (
+        "31a495e649c93ce2bfa07a07e5ae660b14136f7b04032f8dd2660f8d7c3f26c9",
+        "24aba903eea5400a83c3f643c4746d63ae48662a39a6c53c9a9d14d8a3149234",
+        "6dccac9535907e07a90201792d7000479c275655a67b8cac40ab8e19c399f2cd",
+    ),
+    "hlp node unit": (
+        "c6545d4b8c3cba4eeb5744b5d6844fa88d6f93ce4fc4f9259faf089666bf250c",
+        "55ce3a66c48f3027192e417dc3032ec75e0959eb91b25cf058eb595f3e3324c0",
+        "18d6247d2360d5335484f0b34bff8655945d50dcee094c10e0ce5c69131a5f98",
+    ),
+    "hlp node half": (
+        "6ca1bb1887db51201c7297d67c8da9714f7c0e53b61e343e2d6d2356be73c78a",
+        "48dd91ff0fa8c53d4972d161055faac3836d54753fc933e687dc66ddae00351a",
+        "deda2ce2a93e92d21711a008496ffbaeaa38f254645504c7426dbc751046c286",
+    ),
+    "hlp final half": (
+        "796477bd29f96373371d1be6cd8b8a524921a8e070baaba69baa0429983f00fd",
+        "9fe56ae2d6f85dae9db7035232cf9d5040e5272f154e8d7cbbd0c0c71bad9e93",
+        "8e1791bc819c71d4f42b6eaee5c1aeb4a13d5c34071229fea78ab0a8e51784ad",
+    ),
+    "hlp first third": (
+        "b90ebcce862d62a961f9aa0d5a267f91a1ce7e4184e9a0b8582d4717839266f5",
+        "2cd0ef27a7667a74c961068694b47a4a2d79e739a8ff4cb02538ab2d4d329587",
+        "b819fdde85ac4c6115149e938b65a1fccdb3b2ef9e7f6fdde3d3d65efb8a32a8",
+    ),
+    "hlp second third": (
+        "82a53ad6dcee42623666797f14a5755e44fa070353b18a1a8279e6c52632ff05",
+        "563b11d8663a1871e3e73d044aab01fc1f527f7817ea67cc7cfdb20ea1ea342d",
+        "3c1d41b5aae1df22c17656d619b5391a9eed1b8c875b6c9fae03c38e407c78b8",
+    ),
+    "hlp past thirds": (
+        "39e7e5bc251242838070f11376360b0962a17207491a4b991a6709cc70331e43",
+        "fcc767f9631d5248414268a9c8270783cc52b71d05c585a1d35993b2c5c1424f",
+        "f77718e43beefa7fedcecb1dad32e14c7da615dfc9ec89828e0ec414f43f1a96",
     ),
 }
 

@@ -1,14 +1,16 @@
 """Differential tests of the linear walks against slow, independent evaluation.
 
 Every kernel that walks a common refinement (``+``, ``-``, ``*``,
-``window``, ``plc_dominated_by``, ``maximal_distance``) or sorts pieces
+``window``, ``plc_refine``, ``maximal_distance``) or sorts pieces
 (``rearrangement``) is compared with a reference written here from the
 definitions: step functions are evaluated by scanning their pieces, merged
 cuts come from ``sorted(set(...))``, concave functions are read through
 ``value_at``, and the rearrangement is a plain sort of the pieces.  The
 int-pair summation kernel (``integrate``, ``exceedance_measure``,
-``majorize._integral_product``, ``majorize._cumulative_dominated``, the L1
-and Linf norms) is compared with Fraction loops over the pieces.
+``majorize._integral_product``, the L1 and Linf norms) is compared with
+Fraction loops over the pieces.  The domination kernel
+``majorize.plc_dominated_by`` is compared with such a loop, and, on the
+stars of a pair, with their level integrals read through ``value_at``.
 """
 
 from fractions import Fraction as F
@@ -19,15 +21,15 @@ from hypothesis import given, settings, strategies as st
 from rearrcalc import (
     INF,
     InfiniteIntegralError,
-    PiecewiseLinearConcave,
     StepFunction,
+    box,
     canonicalize,
     constant,
     level_integral,
     maximal_distance,
     rearrangement,
 )
-from rearrcalc.majorize import _cumulative_dominated, _integral_product, plc_dominated_by
+from rearrcalc.majorize import HlpVerdict, _integral_product, hlp_compare, plc_dominated_by
 from rearrcalc.spaces import SpaceSpec, norm
 from rearrcalc.stepfn import (
     exceedance_measure,
@@ -323,47 +325,62 @@ def test_segment_is_exact(phi):
             assert phi.value_at(hi) == a + b * hi
 
 
+@st.composite
+def hlp_pairs(draw):
+    """(y, x) on one domain: free pairs, and y a scaled copy of x, which
+    holds, just fails, or fails only on the final branch."""
+    y, x = draw(step_pairs())
+    if draw(st.booleans()):
+        y = x.scale(draw(st.sampled_from([F(0), F(1, 2), F(15, 16), F(1), F(17, 16)])))
+    return y, x
+
+
+def slow_hlp(y: StepFunction, x: StepFunction):
+    """y ≺ x read off the level integrals through value_at: the first merged
+    node where Phi_y > Phi_x; else, on the final branch past the last node
+    lo, the first of lo + (1 - lo)/3, lo + 2(1 - lo)/3 and (root + 1)/2 that
+    violates on [0, 1), and root + 1 on [0, inf), root being the crossing."""
+    f, g = level_integral(y), level_integral(x)
+    if not violated_somewhere(f, g):
+        return True, None
+    node = first_node_violation(f, g)
+    if node is not None:
+        return False, node
+    lo = max(f.cuts + g.cuts, default=F(0))
+    d = lambda t: f.value_at(t) - g.value_at(t)
+    hi = lo + 1 if f.alpha == INF else F(1)
+    root = lo - d(lo) * (hi - lo) / (d(hi) - d(lo))
+    if f.alpha == INF:
+        return False, root + 1
+    for t in (lo + (1 - lo) / 3, lo + 2 * (1 - lo) / 3, (root + 1) / 2):
+        if d(t) > 0:
+            return False, t
+
+
 @SETTINGS
-@given(concave_pairs())
+@given(hlp_pairs())
 def test_plc_dominated_by_verdict_and_witness(pair):
-    for f, g in (pair, pair[::-1]):
-        holds, w = plc_dominated_by(f, g)
-        assert holds == (not violated_somewhere(f, g))
-        if holds:
-            assert w is None
-            continue
-        assert 0 < w and (f.alpha == INF or w < f.alpha)
-        assert f.value_at(w) > g.value_at(w)
-        node = first_node_violation(f, g)
-        if node is not None:
-            assert w == node
-        elif f.jump0 > g.jump0 and (f.cuts or g.cuts):
-            assert w < min(f.cuts + g.cuts)  # the violation right after 0
+    for y, x in (pair, pair[::-1]):
+        holds, w = plc_dominated_by(rearrangement(y).star, rearrangement(x).star)
+        assert (holds, w) == slow_hlp(y, x)
+        assert hlp_compare(y, x) == HlpVerdict(holds, w)
+        if not holds:
+            assert 0 < w and (y.alpha == INF or w < 1)
+            assert level_integral(y).value_at(w) > level_integral(x).value_at(w)
 
 
 def test_plc_dominated_by_named_witnesses():
-    # jump0 > 0 on the left: the witness sits before the first cut
-    f = PiecewiseLinearConcave(INF, (F(1),), (F(3),), F(0), jump0=F(2))
-    g = PiecewiseLinearConcave(INF, (F(2),), (F(6),), F(0))
-    holds, w = plc_dominated_by(f, g)
-    assert not holds and 0 < w < 1 and f.value_at(w) > g.value_at(w)
-    # the witness is the first third of (0, first merged cut) when that works
-    f = PiecewiseLinearConcave(INF, (), (), F(0), jump0=F(1))
-    g = PiecewiseLinearConcave(INF, (F(1, 4),), (F(2),), F(0))
-    assert plc_dominated_by(f, g) == (False, F(1, 12))
-    # final-branch witness on [0, inf): f overtakes g past every node
-    f = PiecewiseLinearConcave(INF, (), (), F(2))
-    g = PiecewiseLinearConcave(INF, (F(1),), (F(5),), F(1))
-    holds, w = plc_dominated_by(f, g)
-    assert not holds and w > 1 and f.value_at(w) > g.value_at(w)
-    # final-branch witness on [0, 1): only the left limit at 1 is larger
-    f = PiecewiseLinearConcave(1, (), (), F(1))
-    g = PiecewiseLinearConcave(1, (F(1, 2),), (F(1, 2),), F(0))
-    holds, w = plc_dominated_by(f, g)
-    assert not holds and F(1, 2) < w < 1 and f.value_at(w) > g.value_at(w)
+    # final branch on [0, inf): 2t overtakes 5 + (t - 1) at 4, witness 5
+    assert plc_dominated_by(constant(2, INF), canonicalize([1], [5], 1, INF)) == (False, F(5))
+    # final branch on [0, 1), t against min(t, 1/2): the first third works
+    assert plc_dominated_by(constant(1, 1), box(1, F(1, 2), 1)) == (False, F(2, 3))
+    # the crossing 7/12 lies past the first third: the second third
+    x = canonicalize([F(1, 4)], [2], F(1, 4), 1)
+    assert plc_dominated_by(constant(1, 1), x) == (False, F(3, 4))
+    # the crossing 4/5 lies past both thirds: halfway from it to 1
+    assert plc_dominated_by(constant(1, 1), box(4, F(1, 5), 1)) == (False, F(9, 10))
     # no cuts on either side
-    assert plc_dominated_by(PiecewiseLinearConcave(1, (), (), F(1)),
-                            PiecewiseLinearConcave(1, (), (), F(2))) == (True, None)
+    assert plc_dominated_by(constant(1, 1), constant(2, 1)) == (True, None)
 
 
 # -- maximal distance and rearrangement ----------------------------------------------
@@ -452,8 +469,9 @@ def slow_product_integral(f: StepFunction, g: StepFunction):
 
 
 def slow_cumulative(u: StepFunction, v: StepFunction):
-    """The first merged cut where int_0^t (u - v) > 0; else the crossing on
-    the final piece, halfway to 1 on [0, 1) and one past it on [0, inf)."""
+    """The first merged cut where int_0^t (u - v) > 0; else, past the last
+    cut, the first of its thirds towards 1 that violates, or halfway from
+    the crossing to 1, on [0, 1), and one past the crossing on [0, inf)."""
     cs = sorted({*u.cuts, *v.cuts})
     for c in cs:
         if slow_integral(u, 0, c) > slow_integral(v, 0, c):
@@ -462,6 +480,9 @@ def slow_cumulative(u: StepFunction, v: StepFunction):
     d, m = slow_integral(u, 0, last) - slow_integral(v, 0, last), u.tail - v.tail
     if u.alpha != INF:
         if slow_integral(u, 0, 1) > slow_integral(v, 0, 1):
+            for t in (last + (1 - last) / 3, last + 2 * (1 - last) / 3):
+                if slow_integral(u, 0, t) > slow_integral(v, 0, t):
+                    return False, t
             return False, (last - d / m + 1) / 2
     elif m > 0:
         return False, last - d / m + 1
@@ -521,11 +542,22 @@ def test_integral_product_matches_piece_loop(pair):
         assert _integral_product(f, g) == expected
 
 
+@st.composite
+def dominated_pairs(draw):
+    """Nonnegative (u, v): free pairs, and u = v/2 + q, whose running
+    integral often overtakes v's only on the final piece."""
+    u, v = draw(step_pairs(signed=False))
+    if draw(st.booleans()):
+        u = v.scale(F(1, 2)) + constant(draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2)])),
+                                         v.alpha)
+    return u, v
+
+
 @SETTINGS
-@given(step_pairs(signed=False))
+@given(dominated_pairs())
 def test_cumulative_dominated_verdict_and_witness(pair):
     u, v = pair
-    holds, witness = _cumulative_dominated(u, v)
+    holds, witness = plc_dominated_by(u, v)
     assert (holds, witness) == slow_cumulative(u, v)
     if not holds:
         assert slow_integral(u, 0, witness) > slow_integral(v, 0, witness)
