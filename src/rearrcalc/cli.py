@@ -5,7 +5,9 @@ identical arguments (and seed) produce byte-identical bytes on stdout, in
 ``json`` (default), ``table``, or ``csv`` form.  Exit status: 0 on success
 (including probes, whose verdict is part of the payload), 2 on parse errors,
 3 on precondition violations, 4 when a property suite finds a counterexample
-(the minimized counterexample is part of the JSON payload).
+(the minimized counterexample is part of the JSON payload) or when a
+construction fails its own invariant check (one line on stderr, nothing on
+stdout).
 """
 
 from __future__ import annotations
@@ -284,11 +286,8 @@ def _cmd_flatten_head(args) -> int:
     entries = []
     for n in _parse_n_list(args.n):
         y = flatten_head(x, n)
-        entries.append({
-            "n": n,
-            "y": y.to_json(),
-            "hlp_holds": hlp_compare(y, x).holds,
-        })
+        # flatten_head has verified y ≺ x, and raises otherwise
+        entries.append({"n": n, "y": y.to_json(), "hlp_holds": True})
     return _emit(args, {"x": x.to_json(), "flattened": entries})
 
 
@@ -543,6 +542,9 @@ def main(argv=None) -> int:
     except RearrCalcError as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_PRECONDITION
+    except AssertionError as e:  # a construction's own invariant check
+        print(f"error: invariant broken: {e}", file=sys.stderr)
+        return _EXIT_PROPERTY
 
 
 if __name__ == "__main__":

@@ -11,11 +11,11 @@ inconclusive) and never claim more than the finitely many indices tested.
 
 All distances are exact: for rearrangements the set {|x_n* - x*| > delta}
 is a finite union of intervals of a step function.  For maximal functions,
-one walk over the merged cuts of the two level integrals reads both exact
-affine segments on every refined piece, so there x_n** - x** = A/t + B
-with A and B the differences of intercepts and slopes; the hyperbola is
-monotone, and |A/t + B| > delta holds on at most two intervals whose ends
-are rational.
+``refine`` of the two stars gives the slope difference m on every merged
+piece [lo, hi), and the running sum D of m times length gives
+Phi_{x_n} - Phi_x at lo; there x_n** - x** = A/t + B with A = D(lo) - m*lo
+and B = m.  The hyperbola is monotone, and |A/t + B| > delta holds on at
+most two intervals whose ends are rational.
 """
 
 from __future__ import annotations
@@ -26,19 +26,22 @@ from typing import Callable, Optional, Sequence
 
 from .errors import PreconditionError
 from .majorize import _flatten, hlp_compare
-from .rearrange import level_integral, maximal_eval, rearrangement
+from .rearrange import maximal_eval, rearrangement
 from .spaces import SpaceSpec, norm
 from .stepfn import (
     INF,
     Ext,
     StepFunction,
+    _lengths,
+    _products,
+    _running_sums,
     box,
     constant,
     exceedance_measure,
     ext_str,
-    merge_cuts,
     rat,
     rat_str,
+    refine,
 )
 
 _ZERO = Fraction(0)
@@ -196,13 +199,12 @@ def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
         raise PreconditionError(f"need delta > 0, got {delta}")
     if x.alpha != y.alpha:
         raise PreconditionError("operands live on different domains")
-    fx, fy = level_integral(x), level_integral(y)
-    cuts, xi, yi = merge_cuts(fx.cuts, fy.cuts)
+    cuts, xv, yv = refine(rearrangement(x).star, rearrangement(y).star)
+    slopes = [a - b for a, b in zip(xv, yv)]
+    at_lo = [_ZERO, *_running_sums(_products(slopes, _lengths(cuts, x.alpha)))]
     total: Ext = _ZERO
-    for lo, hi, i, j in zip((_ZERO, *cuts), (*cuts, fx.alpha), xi, yi):
-        _, _, ax, bx = fx.segment(i)
-        _, _, ay, by = fy.segment(j)
-        piece = _hyperbolic_exceedance(ax - ay, bx - by, delta, lo, hi)
+    for lo, hi, d, m in zip((_ZERO, *cuts), (*cuts, x.alpha), at_lo, slopes):
+        piece = _hyperbolic_exceedance(d - m * lo, m, delta, lo, hi)
         if piece == INF:
             return INF
         total += piece

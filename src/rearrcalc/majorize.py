@@ -32,6 +32,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import (
@@ -54,11 +55,11 @@ from .stepfn import (
     _lengths,
     _products,
     _require_same_domain,
+    _running_sums,
     _sums,
     block,
     canonicalize,
     integrate,
-    plc_refine,
     rat,
     rat_str,
     refine,
@@ -352,23 +353,18 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
     # Phi_v and Phi_x are 0 at 0, linear between merged cuts and flat past
     # the last one, so c*Phi_v <= Phi_x at every merged cut gives it
     # everywhere; the first and last merged cuts carry the head and
-    # total-mass ratios.
+    # total-mass ratios.  Both are running integrals over refine(x, v).
     k = rng.randint(1, 6)
     lengths = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
     drops = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
-    values = []
-    total_drop = sum(drops)
-    for d in drops:
-        values.append(total_drop)
-        total_drop -= d
-    cuts, acc = [], _ZERO
-    for l in lengths:
-        acc += l
-        cuts.append(acc)
-    v = canonicalize(cuts, values, 0, INF)
-    phi_v = level_integral(v)
-    _, at_x, at_v = plc_refine(phi, phi_v)
-    c = min(min(a / b for a, b in zip(at_x, at_v)), (phi_tau - eps) / phi_v.value_at(tau))
+    values = list(accumulate(reversed(drops)))[::-1]  # v drops by drops[i] at cut i
+    v = canonicalize(list(accumulate(lengths)), values, 0, INF)
+    cs, xv, vv = refine(x, v)
+    pieces = _lengths(cs, INF)
+    at_x = _running_sums(_products(xv, pieces))
+    at_v = _running_sums(_products(vv, pieces))
+    c = min(min(a / b for a, b in zip(at_x, at_v)),
+            (phi_tau - eps) / level_integral(v).value_at(tau))
     y = v.scale(c * Fraction(rng.randint(8, 16), 16))
     if not family_contains(y, x, tau, eps):
         raise AssertionError("fitted shape left M(x, tau, eps)")

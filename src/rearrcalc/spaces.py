@@ -38,13 +38,15 @@ from .stepfn import (
     StepFunction,
     _lengths,
     _products,
+    _running_sums,
     _total,
+    _trusted,
     alpha_str,
     parse_alpha,
     parse_rat,
-    plc_refine,
     rat,
     rat_str,
+    refine,
 )
 
 _ZERO = Fraction(0)
@@ -216,8 +218,16 @@ def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
     else:
         # piecewise-linear phi: on each refined segment the objective is
         # A/t + B + C*t with A, C >= 0: convex, so endpoints and limits suffice.
-        cs, at_big, at_phi = plc_refine(big, phi)
-        cands = [b * p / s for s, b, p in zip(cs, at_big, at_phi)]
+        # Phi_x and phi are running integrals of x* and of phi's slopes (a
+        # step function, canonical as the slopes strictly decrease), read at
+        # the merged cuts; phi starts from its jump at 0.
+        slopes = _trusted(StepFunction, alpha=phi.alpha, cuts=phi.cuts,
+                          values=phi.segment_slopes, tail=phi.final_slope)
+        cs, xv, pv = refine(rr.star, slopes)
+        lengths = _lengths(cs, x.alpha)
+        at_big = _running_sums(_products(xv, lengths))
+        at_phi = _running_sums(_products(pv, lengths))
+        cands = [b * (phi.jump0 + p) / s for s, b, p in zip(cs, at_big, at_phi)]
     at_zero, at_inf = _limits(phi, rr)
     cands.append(at_zero)
     if x.alpha != INF:

@@ -15,20 +15,21 @@ concave envelopes that arise as running integrals of decreasing step
 functions, with the same canonical-representative discipline (strictly
 decreasing segment slopes, explicit final slope, explicit right-limit at 0).
 
-Binary kernels walk the common refinement once: :func:`merge_cuts` merges
-two cut lists in one pass and tells which operand piece each merged piece
-lies in; :func:`refine` reads step values off it, and :func:`plc_refine`
-reads concave functions at the merged cuts, taking node values as stored
-and evaluating other points on their exact affine segment
-(:meth:`PiecewiseLinearConcave.segment`).
+Binary kernels walk the common refinement once: :func:`refine` merges
+two cut lists in one pass and reads both operands' values on each merged
+piece.  It is the only walk over two cut lists.
 
 Every integral and measure of a step function is one int-pair sum:
 lengths are gcd-reduced (numerator, denominator) pairs, value times length
 is a pair of int products, and pairs are added with one ``math.gcd`` per
-step into running sums (the rearrangement), a total (:func:`integrate`,
+step into running sums, a total (:func:`integrate`,
 :func:`exceedance_measure`, the L1 norm, ``majorize``'s integrals), one
-Fraction per result, or signs (``majorize.plc_dominated_by``).  Pairs beat
-one common denominator, which grows to thousands of bits on coprime
+Fraction per result, or signs (``majorize.plc_dominated_by``).  Running
+integrals of concave functions are read the same way over ``refine``'s
+pieces: the level integral of the rearrangement, both operands of the
+Marcinkiewicz norm (phi through its slopes as a step function), the shape
+fit of ``majorize`` and the maximal distances of ``experiments``.  Pairs
+beat one common denominator, which grows to thousands of bits on coprime
 denominators.
 
 Validated at the boundary, trusted inside.  The public constructors
@@ -339,42 +340,38 @@ class StepFunction:
             raise ParseError(f"invalid step function: {e}") from None
 
 
-def merge_cuts(fc, gc) -> tuple[list[Fraction], list[int], list[int]]:
-    """Merge two strictly increasing cut sequences in one linear walk.
+def refine(f: StepFunction, g: StepFunction):
+    """Common refinement of two step functions: ``(cuts, fv, gv)``, where
+    fv[k], gv[k] are f and g on merged piece k (the last one ends at alpha).
 
-    Returns ``(cuts, fi, gi)``: the merged cuts and, for each of the
-    ``len(cuts) + 1`` merged pieces, the index of the f and g piece holding
-    it.  Merged cut k is f's cut ``fi[k]`` exactly when ``fi[k + 1] != fi[k]``.
-    Cuts compare as cross-multiplied ints: exact, and cheaper than Fraction.
+    One linear walk; cuts compare as cross-multiplied ints, exact and
+    cheaper than Fraction, and equal cuts advance both sides.
     """
+    _require_same_domain(f, g)
+    fc, gc = f.cuts, g.cuts
+    fvals, gvals = (*f.values, f.tail), (*g.values, g.tail)
     n, m = len(fc), len(gc)
     cuts: list[Fraction] = []
-    fi, gi = [0], [0]
+    fv: list[Fraction] = []
+    gv: list[Fraction] = []
     i = j = 0
     while i < n and j < m:
         a, b = fc[i], gc[j]
         d = a.numerator * b.denominator - b.numerator * a.denominator
         cuts.append(a if d <= 0 else b)
-        i += d <= 0  # equal cuts advance both sides
+        fv.append(fvals[i])
+        gv.append(gvals[j])
+        i += d <= 0
         j += d >= 0
-        fi.append(i)
-        gi.append(j)
+    # one side is on its last piece (the tail): the other side's remaining
+    # cuts and values follow, each paired with that last value
     cuts += fc[i:]
-    fi += range(i + 1, n + 1)
-    gi += [m] * (n - i)
+    fv += fvals[i:]
+    gv += [gvals[j]] * (n - i)
     cuts += gc[j:]
-    fi += [n] * (m - j)
-    gi += range(j + 1, m + 1)
-    return cuts, fi, gi
-
-
-def refine(f: StepFunction, g: StepFunction):
-    """Common refinement of two step functions: ``(cuts, fv, gv)``, where
-    fv[k], gv[k] are f and g on merged piece k (the last one ends at alpha)."""
-    _require_same_domain(f, g)
-    cuts, fi, gi = merge_cuts(f.cuts, g.cuts)
-    fvals, gvals = (*f.values, f.tail), (*g.values, g.tail)
-    return cuts, [fvals[i] for i in fi], [gvals[j] for j in gi]
+    gv += gvals[j:]
+    fv += [fvals[n]] * (m - j)
+    return cuts, fv, gv
 
 
 def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
@@ -575,19 +572,12 @@ class PiecewiseLinearConcave:
         slope = self.segment_slopes[i] if i < len(self.cuts) else self.final_slope
         return bv + slope * (t - bs)
 
-    def segment(self, j: int) -> tuple[Fraction, Ext, Fraction, Fraction]:
-        """Exact ``(lo, hi, intercept, slope)`` of affine piece j, 0 <= j <=
-        len(cuts): phi(t) = intercept + slope*t on [lo, hi] (phi(0) = 0 aside)."""
-        lo, base = (self.cuts[j - 1], self.node_values[j - 1]) if j else (_ZERO, self.jump0)
-        if j < len(self.cuts):
-            hi, m = self.cuts[j], self.segment_slopes[j]
-        else:
-            hi, m = self.alpha, self.final_slope
-        return lo, hi, base - m * lo, m
-
     def final_branch(self) -> tuple[Fraction, Fraction]:
         """(intercept, slope) of the affine branch valid from the last cut on."""
-        return self.segment(len(self.cuts))[2:]
+        m = self.final_slope
+        if not self.cuts:
+            return self.jump0, m
+        return self.node_values[-1] - m * self.cuts[-1], m
 
     def limit_value(self) -> Ext:
         """Value as t -> alpha-; INF when the final slope is positive on [0,inf)."""
@@ -622,25 +612,6 @@ class PiecewiseLinearConcave:
             raise ParseError(f"piecewise-linear JSON missing key {e.args[0]!r}") from None
         except PreconditionError as e:
             raise ParseError(f"invalid piecewise-linear function: {e}") from None
-
-
-def plc_refine(f: PiecewiseLinearConcave, g: PiecewiseLinearConcave):
-    """Two concave functions read at their merged cuts: ``(cuts, fv, gv)``."""
-    cuts, fi, gi = merge_cuts(f.cuts, g.cuts)
-
-    def at(h: PiecewiseLinearConcave, idx: list[int]) -> list[Fraction]:
-        # a cut of h is a node, read as stored; others lie on segment idx[k]
-        out = []
-        for k, t in enumerate(cuts):
-            j = idx[k]
-            if idx[k + 1] != j:
-                out.append(h.node_values[j])
-            else:
-                _, _, c, m = h.segment(j)
-                out.append(c + m * t)
-        return out
-
-    return cuts, at(f, fi), at(g, gi)
 
 
 def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> PiecewiseLinearConcave:

@@ -242,6 +242,25 @@ def test_prop32_reports_broken_construction_invariants(capsys, monkeypatch):
         assert failure["problems"] == [f"construction invariant broken: {message}"]
         StepFunction.from_json(failure["x"])  # the shrunk input, as JSON
 
+
+@pytest.mark.parametrize("command, name", [
+    ("majorant-pair", "majorant_pair"),
+    ("sample-member", "sample_family_member"),
+    ("flatten-head", "flatten_head"),
+])
+def test_broken_invariants_report_one_line_and_exit_4(capsys, monkeypatch, command, name):
+    def broken(*args):
+        raise AssertionError("synthetic invariant")
+
+    monkeypatch.setattr(cli, name, broken)
+    if command == "flatten-head":
+        argv = ["--input", BOX, "--n", "1..3"]
+    else:
+        argv = ["--input", json.dumps({"x": json.loads(BOX), "tau": "1/2", "eps": "1/4"})]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out, err) == (4, "", "error: invariant broken: synthetic invariant\n")
+
+
 def test_parse_and_precondition_exit_codes(capsys):
     code, _, err = run_cli(capsys, "rearrange", "--input", "{bad")
     assert code == 2 and err

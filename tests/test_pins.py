@@ -4,9 +4,12 @@ The replicate digests were recorded before the replicate handlers were
 folded into one registry, the prop-test digests before the
 rearrangement moved to int-pair arithmetic, and the norm, fundamental and
 probe digests before every step-function integral and measure moved onto
-the int-pair summation kernel, and the hlp digests before the
+the int-pair summation kernel, the hlp digests before the
 Hardy-Littlewood-Polya order moved from the level integrals onto the
-stars' running sums; a refactor that changes any
+stars' running sums, and the Marcinkiewicz-with-jump, sample-member and
+flatten-head digests before the Marcinkiewicz norm, the shape fit and the
+maximal distances moved from concave-function segments onto ``refine``'s
+running sums; a refactor that changes any
 byte of these outputs fails here, even when it changes them the same way
 on every run.
 """
@@ -102,6 +105,14 @@ _PHI = {
             "breakpoints": ["1/2", "2"], "node_values": ["1", "2"], "final_slope": "1/4"},
 }
 _HYPERBOLIC = {"kind": "rational_hyperbolic", "c": "3/2"}
+#: fundamental functions with a jump at 0, one per domain
+_PHI_JUMP = {
+    "1": {"kind": "piecewise_linear_concave", "alpha": "1", "breakpoints": ["1/2"],
+          "node_values": ["3/2"], "final_slope": "1/2", "jump0": "1"},
+    "inf": {"kind": "piecewise_linear_concave", "alpha": "inf",
+            "breakpoints": ["1/2", "2"], "node_values": ["3/2", "5/2"],
+            "final_slope": "1/4", "jump0": "1"},
+}
 
 
 def _space(kind: str, alpha: str) -> str:
@@ -140,6 +151,9 @@ _HLP_PAIRS = {
 }
 _DECREASING = json.dumps({"alpha": "inf", "breakpoints": ["1/2", "3/2", "4"],
                           "values": ["3", "2", "1/3"], "tail": "0"})
+#: the prop32-case2 input: x = 2 on [0, 1), 1 on [1, 4), tau = 2, eps = 1/5
+_PROP32_CASE2 = json.dumps({"x": _step("inf", ["1", "4"], ["2", "1"], "0"),
+                            "tau": "2/1", "eps": "1/5"})
 
 #: command name -> argv without --format
 COMMANDS = {
@@ -157,6 +171,16 @@ COMMANDS = {
                                 "--space", _space("Marcinkiewicz", "inf"), "--n", "1..8"],
     **{f"hlp {name}": ["hlp", "--input", json.dumps({"x": _step(*x), "y": _step(*y)})]
        for name, (x, y) in _HLP_PAIRS.items()},
+    **{f"norm Marcinkiewicz jump0 {x}": [
+        "norm", "--input", json.dumps(_X[x]),
+        "--space", json.dumps({"kind": "Marcinkiewicz", "alpha": _X[x]["alpha"],
+                               "phi": _PHI_JUMP[_X[x]["alpha"]]})]
+       for x in _X},
+    # seed 0 scales x; seeds 5, 6 and 10 fit a drawn shape under x
+    **{f"sample-member seed {seed}": ["sample-member", "--input", _PROP32_CASE2,
+                                      "--seed", str(seed)]
+       for seed in (0, 5, 6, 10)},
+    "flatten-head": ["flatten-head", "--input", _DECREASING, "--n", "1..4"],
 }
 
 # sha256 of stdout in json, table and csv, in that order
@@ -330,6 +354,46 @@ COMMAND_DIGESTS = {
         "39e7e5bc251242838070f11376360b0962a17207491a4b991a6709cc70331e43",
         "fcc767f9631d5248414268a9c8270783cc52b71d05c585a1d35993b2c5c1424f",
         "f77718e43beefa7fedcecb1dad32e14c7da615dfc9ec89828e0ec414f43f1a96",
+    ),
+    "norm Marcinkiewicz jump0 unit": (
+        "604e1144234d89d579d8393198b1d7d1edb1822edf4747f97de9753caae2267e",
+        "03ee93afd83168a9b3fbed8380d9b68c73aff111882978e288052e6c584428a1",
+        "6e1f5cd1f71a3c84e286384bf9db080e690f0d51606b44b2dd93d637bee9ec63",
+    ),
+    "norm Marcinkiewicz jump0 half": (
+        "e85fca181856e430916f628a30fb8f4749fea74e127f0907a80046b53ede137e",
+        "32705dcb88facbd0a17b70a5bc99bd44b2e7d684e05fd967fc12dbc888051681",
+        "4267f979081fb8925359ad3a44ee90a5f066c468f792c6ff2402ee7aef926998",
+    ),
+    "norm Marcinkiewicz jump0 half_tail": (
+        "32a8cc2edd198466f122dd2433d54a54ff6f8502c00bad2b78f042b2c6f1bb38",
+        "1b10dec9fd5c7a74e339023097503683ce787a217a535c1aae508a64dcd88c9e",
+        "95bf20cc414b482ec62adf4847ab091b23d2db0e329ace6f8a93c244cec3f616",
+    ),
+    "sample-member seed 0": (
+        "470798a032cfa2f48d0c71b5281f48250fb20bfb5abba04a7dea2baad561b725",
+        "af07cb6ca805c7e56d2b09a80be8c9bfd850bbd7f8a1423b0f74aab399e0b9d4",
+        "01c72975d2d53009b0c5fc06f17d0edca49508480ddb31c082e1cde1d64ba4f2",
+    ),
+    "sample-member seed 5": (
+        "4487e4deac95d3cc6ebd382f11d7a2005f9da077bd757c023c6b354a982afc39",
+        "24a037672c47309a661ffa94e50032b78ba5fea862ed2763f1ba18c0f7099bca",
+        "5acf09835f683833c6c035ba8f926203671054dda84b680aa60f5d4648a13516",
+    ),
+    "sample-member seed 6": (
+        "97f426c802722a99ac352b9c28da4fedc95b7c4a505655830adf5b6fcd9e8d7c",
+        "2bf7e4f627eebb9a8ceea588bc21296cf0920ef6ec83f0e1e44363bf17ca191a",
+        "9feb440ebd7cb7420830baf082333fec6f9691f645d1c02380e34b7c9da335b9",
+    ),
+    "sample-member seed 10": (
+        "c28a0e4e0782484d269e0fde60c48f4c39c5f1cbbbf80bcc3ffd7935e1921e01",
+        "299b99a05ad7257c602da045b63296152bb4280b609895fe49c72c3f7f826ae3",
+        "84c3444b772e095a3206f238d0a39b11007243a21ec8367a9495666ebc8f3d3d",
+    ),
+    "flatten-head": (
+        "fb10aefb50457cf9cf1ea33f86808379a0b9a8012d55e64aa17859dc193af4df",
+        "6db712a08cca33c972cec9f4ee3451dd2ef4240823d9647f69c189e146b3bf8d",
+        "4a1cb191d90d383605450047832641fb32ed58e841b811400bd1b0387e3523d0",
     ),
 }
 

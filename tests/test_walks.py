@@ -1,12 +1,13 @@
 """Differential tests of the linear walks against slow, independent evaluation.
 
-Every kernel that walks a common refinement (``+``, ``-``, ``*``,
-``window``, ``plc_refine``, ``maximal_distance``) or sorts pieces
-(``rearrangement``) is compared with a reference written here from the
-definitions: step functions are evaluated by scanning their pieces, merged
-cuts come from ``sorted(set(...))``, concave functions are read through
-``value_at``, and the rearrangement is a plain sort of the pieces.  The
-int-pair summation kernel (``integrate``, ``exceedance_measure``,
+Every kernel that walks a common refinement (``refine`` itself, ``+``,
+``-``, ``*``, ``window``, the Marcinkiewicz norm with a piecewise-linear
+phi, ``maximal_distance``) or sorts pieces (``rearrangement``) is compared
+with a reference written here from the definitions: step functions are
+evaluated by scanning their pieces, merged cuts come from
+``sorted(set(...))``, concave functions are read through ``value_at``, and
+the rearrangement is a plain sort of the pieces.  The int-pair summation
+kernel (``integrate``, ``exceedance_measure``,
 ``majorize._integral_product``, the L1 and Linf norms) is compared with
 Fraction loops over the pieces.  The domination kernel
 ``majorize.plc_dominated_by`` is compared with such a loop, and, on the
@@ -31,14 +32,7 @@ from rearrcalc import (
 )
 from rearrcalc.majorize import HlpVerdict, _integral_product, hlp_compare, plc_dominated_by
 from rearrcalc.spaces import SpaceSpec, norm
-from rearrcalc.stepfn import (
-    exceedance_measure,
-    integrate,
-    merge_cuts,
-    plc_from_nodes,
-    plc_refine,
-    refine,
-)
+from rearrcalc.stepfn import exceedance_measure, integrate, plc_from_nodes, refine
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -219,12 +213,14 @@ def slow_maximal_distance(x, y, delta):
 @given(step_pairs())
 def test_merge_cuts_matches_sorted_union(pair):
     f, g = pair
-    cuts, fi, gi = merge_cuts(f.cuts, g.cuts)
+    cuts, fv, gv = refine(f, g)
     assert cuts == sorted({*f.cuts, *g.cuts})
-    assert len(fi) == len(gi) == len(cuts) + 1
+    assert len(fv) == len(gv) == len(cuts) + 1
+    # merged piece k lies in the f (g) piece indexed by the cuts <= its start
+    fvals, gvals = (*f.values, f.tail), (*g.values, g.tail)
     for k, t in enumerate([F(0), *cuts]):
-        assert fi[k] == sum(1 for c in f.cuts if c <= t)
-        assert gi[k] == sum(1 for c in g.cuts if c <= t)
+        assert fv[k] == fvals[sum(1 for c in f.cuts if c <= t)]
+        assert gv[k] == gvals[sum(1 for c in g.cuts if c <= t)]
 
 
 @SETTINGS
@@ -301,28 +297,53 @@ def test_window_named_edge_cases():
 # -- concave functions ------------------------------------------------------------
 
 
+def past_last_cut(phi):
+    """Two points past phi's last cut, inside the domain."""
+    last = phi.cuts[-1] if phi.cuts else F(0)
+    if phi.alpha == INF:
+        return last + 1, last + F(5, 2)
+    return (2 * last + 1) / 3, (last + 2) / 3
+
+
+def slow_marcinkiewicz(phi, x):
+    """sup_t Phi_x(t)*phi(t)/t from value_at at the merged cuts, where the
+    objective A/t + B + C*t (A, C >= 0) of every piece between them peaks,
+    and from its limits at 0+ and at the right end."""
+    big = level_integral(x)
+    objective = lambda t: big.value_at(t) * phi.value_at(t) / t
+    cands = [objective(t) for t in sorted({*big.cuts, *phi.cuts})]
+    # at 0+: jump0 times x*(0+), the slope of Phi_x before its first cut
+    t0 = min(big.cuts, default=F(1))
+    cands.append(phi.jump0 * big.value_at(t0) / t0)
+    if x.alpha != INF:
+        cands.append(big.value_at(F(1)) * phi.value_at(F(1)))
+        return max(cands)
+    # at infinity both are affine, a + b*t, past their last cuts
+    (a1, b1), (a2, b2) = [
+        (h.value_at(s) - s * (h.value_at(t) - h.value_at(s)) / (t - s),
+         (h.value_at(t) - h.value_at(s)) / (t - s))
+        for h in (big, phi) for s, t in [past_last_cut(h)]
+    ]
+    if b1 > 0 and b2 > 0:
+        return INF
+    return max(*cands, a1 * b2 + b1 * a2)
+
+
 @SETTINGS
-@given(concave_pairs())
-def test_plc_refine_reads_value_at(pair):
-    f, g = pair
-    cuts, fv, gv = plc_refine(f, g)
-    assert cuts == sorted({*f.cuts, *g.cuts})
-    assert fv == [f.value_at(t) for t in cuts]
-    assert gv == [g.value_at(t) for t in cuts]
+@given(data=st.data(), alpha=st.sampled_from([INF, F(1)]))
+def test_marcinkiewicz_norm_matches_value_at(data, alpha):
+    phi = data.draw(concave_functions(alpha))
+    x = data.draw(step_functions(alpha=alpha))
+    assert norm(SpaceSpec("Marcinkiewicz", phi, alpha), x) == slow_marcinkiewicz(phi, x)
 
 
 @SETTINGS
 @given(concave_pairs().map(lambda p: p[0]))
-def test_segment_is_exact(phi):
-    segs = [phi.segment(j) for j in range(len(phi.cuts) + 1)]
-    assert segs[0][0] == 0 and segs[-1][1] == phi.alpha
-    assert all(s[1] == t[0] for s, t in zip(segs, segs[1:]))
-    assert phi.final_branch() == segs[-1][2:]
-    for lo, hi, a, b in segs:
-        probe = lo + 1 if hi == INF else (lo + hi) / 2
-        assert phi.value_at(probe) == a + b * probe
-        if hi != INF:
-            assert phi.value_at(hi) == a + b * hi
+def test_final_branch_matches_value_at(phi):
+    a, b = phi.final_branch()
+    assert b == phi.final_slope
+    for t in past_last_cut(phi):
+        assert phi.value_at(t) == a + b * t
 
 
 @st.composite
