@@ -65,12 +65,14 @@ def _load_json(source: str):
     else:
         try:
             text = Path(source).read_text()
-        except OSError as e:
+        except (OSError, ValueError) as e:  # ValueError: a NUL in the path, or not UTF-8
             raise ParseError(f"cannot read input {source!r}: {e}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"input is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("input is not valid JSON: nested too deeply") from None
 
 
 def _load_step(source: str) -> StepFunction:

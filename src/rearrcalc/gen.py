@@ -128,39 +128,36 @@ def prop32_instance(rng: random.Random, plateau: bool):
     aims at the affine-gap case by putting the plateau first (the running
     integral is then strictly concave past it) or using a generic star.
     """
-    if plateau:
-        head = [_frac(rng, 12, 4) + 1 for _ in range(rng.randint(1, 3))]
-        head.sort(reverse=True)
-        v = _frac(rng, 6, 4)
-        head = [h + v for h in head]
-        a, acc = [], _ZERO
-        for _ in head:
-            acc += _frac(rng, 4, 4)
-            a.append(acc)
-        start = acc
-        length = _frac(rng, 12, 2) + 4
-        b = start + length
-        x = canonicalize(a + [b], head + [v], 0, INF)
-        tau = start + length * Fraction(rng.randint(1, 3), 4)
-        phi = rearrange.level_integral(x)
-        phi_tau = phi.value_at(tau)
-        # keep the lowered level inside the plateau's affine stretch
-        gap_cap = min(phi_tau - phi.value_at(start), v * (b - start) / 4)
-        eps = gap_cap * Fraction(rng.randint(1, 7), 8)
-        if eps <= 0 or eps >= phi_tau:
-            return prop32_instance(rng, plateau)
-        return x, tau, eps
-    x = rand_star(rng, INF, max_pieces=6)
-    phi = rearrange.level_integral(x)
-    support = x.support_bound
-    tau = support * Fraction(rng.randint(1, 7), 8)
-    if tau <= 0:
-        return prop32_instance(rng, plateau)
-    phi_tau = phi.value_at(tau)
-    eps = phi_tau * Fraction(rng.randint(1, 7), 16)
-    if eps <= 0 or eps >= phi_tau:
-        return prop32_instance(rng, plateau)
-    return x, tau, eps
+    while True:
+        if plateau:
+            head = [_frac(rng, 12, 4) + 1 for _ in range(rng.randint(1, 3))]
+            head.sort(reverse=True)
+            v = _frac(rng, 6, 4)
+            head = [h + v for h in head]
+            a, acc = [], _ZERO
+            for _ in head:
+                acc += _frac(rng, 4, 4)
+                a.append(acc)
+            start = acc
+            length = _frac(rng, 12, 2) + 4
+            b = start + length
+            x = canonicalize(a + [b], head + [v], 0, INF)
+            tau = start + length * Fraction(rng.randint(1, 3), 4)
+            phi = rearrange.level_integral(x)
+            phi_tau = phi.value_at(tau)
+            # keep the lowered level inside the plateau's affine stretch
+            gap_cap = min(phi_tau - phi.value_at(start), v * (b - start) / 4)
+            eps = gap_cap * Fraction(rng.randint(1, 7), 8)
+        else:
+            x = rand_star(rng, INF, max_pieces=6)
+            phi = rearrange.level_integral(x)
+            tau = x.support_bound * Fraction(rng.randint(1, 7), 8)
+            if tau <= 0:
+                continue
+            phi_tau = phi.value_at(tau)
+            eps = phi_tau * Fraction(rng.randint(1, 7), 16)
+        if 0 < eps < phi_tau:
+            return x, tau, eps
 
 
 def majorized_pair(rng: random.Random, alpha: Ext = INF):

@@ -14,9 +14,11 @@ The arithmetic is on int pairs, not Fractions, through the summation
 kernel of ``stepfn``: each piece's length is a gcd-reduced pair
 (numerator, denominator), and the star's cuts and the level integral's
 nodes are running sums of pairs, one Fraction per output entry.  Here, the
-sort key of |value| p/q is a slotted key comparing p1*q2 < p2*q1 in plain
-ints, and pieces of equal |value| are merged by adding their length
-pairs.
+sort key of |value| p/q is the plain int (|p| << k) // q = floor(|p/q| 2^k),
+with k = 2 * D.bit_length() for D the largest denominator of x: distinct
+values differ by at least 1/D^2 > 2^-k, so the keys order them exactly and
+tie only on equal values.  Pieces of equal key are merged by adding their
+length pairs.
 
 A star passes through: when x is already x* (values strictly decreasing
 down to a tail >= 0, checked with int compares), the rearrangement returns
@@ -65,18 +67,6 @@ class RearrangementResult:
     star_at_infinity: Fraction
 
 
-class _Key:
-    """|q| = n/d as a sort key, compared exactly in ints: n1*d2 < n2*d1."""
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, q: Fraction):
-        self.n, self.d = abs(q.numerator), q.denominator
-
-    def __lt__(self, other: "_Key") -> bool:
-        return self.n * other.d < other.n * self.d
-
-
 def _is_star(x: StepFunction) -> bool:
     """x = x*: values strictly decreasing down to a tail >= 0 (int compares)."""
     n, d = x.tail.numerator, x.tail.denominator
@@ -92,16 +82,20 @@ def _is_star(x: StepFunction) -> bool:
 
 def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
     """x* by sorting the pieces of |x|, with the length pairs of its pieces."""
+    values = (*x.values, x.tail)
+    ratios = [v.as_integer_ratio() for v in values]
+    # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
+    k = 2 * max([q for _, q in ratios]).bit_length()
+    keys = [(abs(p) << k) // q for p, q in ratios]
     # [key of |value|, value, length numerator, length denominator]
-    pieces = [[_Key(v), v, n, d] for v, (n, d) in zip((*x.values, x.tail), lengths)]
+    pieces = [[key, v, n, d] for key, v, (n, d) in zip(keys, values, lengths)]
     if x.alpha == INF:
-        plateau = _Key(x.tail)
-        pieces = [p for p in pieces if plateau < p[0]]
+        pieces = [p for p in pieces if p[0] > keys[-1]]  # keys[-1]: |tail|
     # sort by |value|, descending, merging equal values
     pieces.sort(key=itemgetter(0), reverse=True)
     merged: list[list] = []
     for p in pieces:
-        if merged and not p[0] < merged[-1][0]:  # sorted: not smaller means equal
+        if merged and p[0] == merged[-1][0]:
             m = merged[-1]
             n, d = m[2] * p[3] + p[2] * m[3], m[3] * p[3]
             g = gcd(n, d)

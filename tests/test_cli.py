@@ -1,10 +1,14 @@
 """CLI behavior: payloads, exit codes, determinism, round trips."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rearrcalc import StepFunction, cli
 from rearrcalc.gen import SuiteResult
@@ -352,7 +356,6 @@ def test_input_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     code, out1, _ = run_cli(capsys, "rearrange", "--input", str(path))
     assert code == 0
 
-    import io
     monkeypatch.setattr(sys, "stdin", io.StringIO(BOX))
     code, out2, _ = run_cli(capsys, "rearrange", "--input", "-")
     assert code == 0
@@ -381,3 +384,129 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["star"]["values"] == ["1/1"]
+
+
+# -- malformed input fuzz -----------------------------------------------------
+
+_LITERALS = ("1/2", "3", "-2/3", "0", "5/4", "-1")
+#: stands for a list nested deeper than the interpreter's recursion limit
+_DEEP = "<deep>"
+#: what lands where a rational string or a list belongs
+_MALFORMED = st.one_of(
+    st.sampled_from(["1/0", "-3/0", "0/0", "1.5", "", "x", "1/-2", "inf", "1e3", "½"]),
+    st.just(_DEEP), st.integers(-2, 2), st.floats(), st.none(), st.booleans(),
+    st.lists(st.sampled_from(_LITERALS), max_size=2), st.just({"n": "1"}),
+)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj).replace(json.dumps(_DEEP), "[" * 5000 + "]" * 5000)
+
+
+@st.composite
+def _corrupted(draw, obj: dict, slots: tuple, list_keys: tuple = ()) -> dict:
+    """obj with at most one defect: a key missing or extra, a malformed value
+    in a rational slot or list entry, or a zero denominator."""
+    mode = draw(st.sampled_from(["none", "missing", "extra", "slot", "entry", "zero"]))
+    lists = [k for k in list_keys if obj.get(k)]
+    if mode == "missing":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif mode == "extra":
+        obj[draw(st.sampled_from(["extra", "Alpha", "x", "phi", "kind"]))] = draw(_MALFORMED)
+    elif mode == "slot":
+        obj[draw(st.sampled_from(slots))] = draw(_MALFORMED)
+    elif mode in ("entry", "zero") and lists:
+        items = obj[draw(st.sampled_from(lists))]
+        bad = draw(_MALFORMED) if mode == "entry" else draw(st.sampled_from(["1/0", "-7/0"]))
+        items[draw(st.integers(0, len(items) - 1))] = bad
+    return obj
+
+
+@st.composite
+def _step_json(draw, star: bool = False) -> dict:
+    """A step function's JSON whose cuts may be unsorted, repeated or outside
+    [0, alpha), with at most one further defect; ``star`` draws x = x* on
+    [0, inf) before the defects."""
+    alpha = "inf" if star else draw(st.sampled_from(["1", "inf"]))
+    inside = ["1/4", "1/2", "3/4"] if alpha == "1" else ["1/2", "1", "3", "7/2"]
+    outside = ["0", "-1/3", "1", "3/2"] if alpha == "1" else ["0", "-2"]
+    cuts = sorted(set(draw(st.lists(st.sampled_from(inside), max_size=3))), key=Fraction)
+    fault = draw(st.sampled_from(["none", "unsorted", "duplicate", "outside"]))
+    if fault == "unsorted" and len(cuts) > 1:
+        cuts.reverse()
+    elif fault == "duplicate" and cuts:
+        cuts.insert(0, cuts[0])
+    elif fault == "outside":
+        cuts.insert(draw(st.integers(0, len(cuts))), draw(st.sampled_from(outside)))
+    literal = st.sampled_from(_LITERALS)
+    if star:
+        values = ["7", "3", "5/4", "1/2", "1/3"][:len(cuts)]
+        obj = {"alpha": alpha, "breakpoints": cuts, "values": values, "tail": "0"}
+    else:
+        obj = {"alpha": alpha, "breakpoints": cuts,
+               "values": draw(st.lists(literal, min_size=len(cuts), max_size=len(cuts))),
+               "tail": draw(literal)}
+    return draw(_corrupted(obj, ("alpha", "breakpoints", "values", "tail"),
+                           ("breakpoints", "values")))
+
+
+@st.composite
+def _space_json(draw) -> dict:
+    alpha = draw(st.sampled_from(["1", "inf"]))
+    kind = draw(st.sampled_from(["L1", "Linf", "L1plusLinf", "Marcinkiewicz",
+                                 "MarcinkiewiczStar", "Lorentz"]))
+    obj = {"kind": kind, "alpha": alpha}
+    if kind == "Marcinkiewicz":
+        cuts = ["1/2"] if alpha == "1" else ["1/2", "2"]
+        phi = {"kind": "piecewise_linear_concave", "alpha": alpha, "breakpoints": cuts,
+               "node_values": ["1", "2"][:len(cuts)], "final_slope": "1/4"}
+        obj["phi"] = draw(_corrupted(phi, ("kind", "alpha", "breakpoints", "node_values",
+                                           "final_slope", "jump0"),
+                                     ("breakpoints", "node_values")))
+    elif kind == "MarcinkiewiczStar":
+        obj["phi"] = draw(_corrupted({"kind": "rational_hyperbolic", "c": "3/2"}, ("kind", "c")))
+    return draw(_corrupted(obj, ("kind", "alpha", "phi")))
+
+
+@st.composite
+def _fuzz_argv(draw) -> list:
+    command = draw(st.sampled_from(["rearrange", "hlp", "norm", "majorant-pair"]))
+    if command == "rearrange":
+        return [command, "--input", _dumps(draw(_step_json()))]
+    if command == "norm":
+        return [command, "--input", _dumps(draw(_step_json())),
+                "--space", _dumps(draw(_space_json()))]
+    if command == "hlp":
+        obj = {"x": draw(_step_json()), "y": draw(_step_json())}
+        slots = ("x", "y")
+    else:
+        scalar = st.sampled_from(["1/2", "2", "1/5", "0", "-1", "9"])
+        x = draw(st.one_of(_step_json(), _step_json(star=True)))
+        obj = {"x": x, "tau": draw(scalar), "eps": draw(scalar)}
+        slots = ("x", "tau", "eps")
+    return [command, "--input", _dumps(draw(_corrupted(obj, slots)))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_fuzz_argv())
+def test_malformed_input_ends_in_a_documented_exit_status(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
+def test_unreadable_or_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
+    # each of these once escaped as a traceback with exit status 1
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for source in (str(not_utf8), "x\x00.json", str(deep), "[" * 100_000):
+        code, out, err = run_cli(capsys, "rearrange", "--input", source)
+        assert (code, out) == (2, "") and err.count("\n") == 1, source[:20]
+    code, _, err = run_cli(capsys, "norm", "--input", BOX, "--space", str(deep))
+    assert code == 2 and err == "error: input is not valid JSON: nested too deeply\n"

@@ -9,9 +9,10 @@ Hardy-Littlewood-Polya order moved from the level integrals onto the
 stars' running sums, and the Marcinkiewicz-with-jump, sample-member and
 flatten-head digests before the Marcinkiewicz norm, the shape fit and the
 maximal distances moved from concave-function segments onto ``refine``'s
-running sums; a refactor that changes any
-byte of these outputs fails here, even when it changes them the same way
-on every run.
+running sums, and the rearrange digests before the rearrangement's sort
+moved from cross-multiplied fraction compares onto int keys; a refactor
+that changes any byte of these outputs fails here, even when it changes
+them the same way on every run.
 """
 
 import ast
@@ -19,6 +20,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -402,6 +404,80 @@ COMMAND_DIGESTS = {
 def test_command_stdout_digests(capsys, name):
     for fmt, digest in zip(("json", "table", "csv"), COMMAND_DIGESTS[name]):
         code = cli.main([*COMMANDS[name], "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, fmt)
+
+
+def _primes_above(n: int, count: int) -> list[int]:
+    small = [p for p in range(2, 1200) if all(p % q for q in range(2, p))]
+    out = []
+    while len(out) < count:
+        n += 1
+        if all(n % p for p in small if p * p <= n):
+            out.append(n)
+    return out
+
+
+def _coprime_unit_input() -> dict:
+    """199 cuts k/200 on [0, 1); each value has its own prime denominator
+    above 10^6, signs alternate, and every 17th value repeats its neighbour's
+    magnitude so equal values merge."""
+    values = []
+    for i, p in enumerate(_primes_above(10**6, 200)):
+        v = Fraction((i * 7919) % 10**6 + 1, p)
+        if i % 17 == 16:
+            v = abs(values[-1])
+        values.append(-v if i % 2 else v)
+    return _step("1", [f"{k}/200" for k in range(1, 200)],
+                 [str(v) for v in values[:-1]], str(values[-1]))
+
+
+def _rearrange_inputs() -> dict:
+    m, m2 = 2**71 + 3, 3**45  # gaps of 1/m and 1/m2 are below 2^-70
+    third, sevenths = Fraction(1, 3), Fraction(5, 7)
+    near_tie = [third, -(third + Fraction(1, m)), third - Fraction(1, m), -third,
+                sevenths + Fraction(1, m2), sevenths, -(sevenths - Fraction(1, m2)),
+                third + Fraction(1, m)]
+    return {
+        "near ties": _step("1", [f"{k}/8" for k in range(1, 8)],
+                           [str(v) for v in near_tie[:-1]], str(near_tie[-1])),
+        "coprime unit": _coprime_unit_input(),
+        # |tail| = 3/2: pieces at +-3/2 and below are absorbed, 3/2 + 2^-80 stays
+        "plateau half": _step("inf", ["1/2", "1", "2", "5/2", "4", "9/2", "6", "13/2"],
+                              ["3/2", "-3/2", "-7/4", "2", "-1/2",
+                               str(Fraction(3, 2) + Fraction(1, 2**80)), "-5/2", "0"],
+                              "-3/2"),
+    }
+
+
+# sha256 of stdout of `rearrcalc rearrange --input <file>` in json, table
+# and csv, in that order
+REARRANGE_DIGESTS = {
+    "coprime unit": (
+        "68151289df5f2323cf21bad57be8c8fbb869f1467be65230d8128494ee33364a",
+        "233b41894bc5701e0e37c18597fe71ebf890aa2b65ea072a29947d43ba76575a",
+        "d036b68e4e5a4268a07f08514886308bd1ec9003be268da72839c366164f9bd9",
+    ),
+    "near ties": (
+        "0df1aca2e6bd4c4ada2959f2e5d42f3cc0df4c4882a9b179ffecd2c12ab742e8",
+        "08eed434484734f279994e81d1e0cfc2fe936fd08ff1d885bda145c57054bcbd",
+        "47a96082bf5d80d6916475e0a5eb4931189ec66f49089c02023ceee1187511d0",
+    ),
+    "plateau half": (
+        "bd0156a02f8ba6efcf438105e3b7a7afd5950190800e6deadaeeddc6deb4dd32",
+        "ea321540d056372126bca70f785fdb34ffb49d423c2540ab7a25866241b12695",
+        "38887773aec55a240a7127c300a4611ee0fd3e41a36e77b59919e267faa7c28c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REARRANGE_DIGESTS))
+def test_rearrange_stdout_digests(tmp_path, capsys, name):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(_rearrange_inputs()[name]))
+    for fmt, digest in zip(("json", "table", "csv"), REARRANGE_DIGESTS[name]):
+        code = cli.main(["rearrange", "--input", str(path), "--format", fmt])
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, fmt)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rearrcalc import (
     INF,
@@ -117,3 +118,68 @@ def test_distribution_matches_star_at_all_levels():
             for level in (lam, lam + F(1, 7)):
                 assert exceedance_measure(x, level) == exceedance_measure(star, level)
                 assert exceedance_measure(x, level) == _distribution_oracle(star, level)
+
+
+def _neighbour(v: F, den: int) -> F:
+    """The fraction with denominator ``den`` nearest to v."""
+    return F(round(v * den), den)
+
+
+@st.composite
+def _value_pools(draw):
+    """Magnitudes that tie or nearly tie, in one of four denominator regimes."""
+    regime = draw(st.sampled_from(["small", "near tie", "coprime 1e6", "1e40"]))
+    if regime == "small":
+        return draw(st.lists(st.builds(F, st.integers(0, 12), st.integers(1, 6)),
+                             min_size=1, max_size=4))
+    if regime == "near tie":  # p/q and p/q +- 1/M with M > 2^64
+        base = draw(st.builds(F, st.integers(1, 12), st.integers(1, 6)))
+        gap = F(1, draw(st.integers(2**64 + 1, 2**80)))
+        return [base, base + gap, base - gap]
+    scale = 10**6 if regime == "coprime 1e6" else 10**40
+    dens = draw(st.lists(st.integers(scale - 1000, scale + 1000), min_size=2, max_size=4))
+    base = F(draw(st.integers(1, 2 * scale)), dens[0])
+    # the nearest fractions to base with the other denominators
+    return [base, *(_neighbour(base, d) for d in dens[1:])]
+
+
+@st.composite
+def _tied_steps(draw):
+    """Step functions whose |values| repeat with mixed signs, nearly tie, and,
+    on [0, inf), sit at |tail| (absorbed) or just above it (kept)."""
+    alpha = draw(st.sampled_from([INF, F(1)]))
+    pool = draw(_value_pools())
+    signed = st.builds(lambda v, s: v * s, st.sampled_from(pool), st.sampled_from([1, -1]))
+    tail = draw(signed)
+    values = draw(st.lists(signed, max_size=10))
+    if alpha == INF and tail:
+        above = abs(tail) + F(1, draw(st.integers(2, 2**80)))
+        at_tail = st.sampled_from([tail, -tail, above, -above])
+        values += draw(st.lists(at_tail, max_size=4))
+        values = draw(st.permutations(values))
+        cuts, acc = [], F(0)
+        for _ in values:
+            acc += draw(st.builds(F, st.integers(1, 12), st.integers(1, 4)))
+            cuts.append(acc)
+    else:
+        values = values[:9]
+        cuts = [F(k, 24) for k in sorted(draw(st.sets(st.integers(1, 23), min_size=len(values),
+                                                       max_size=len(values))))]
+    return canonicalize(cuts, values, tail, alpha)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tied_steps())
+def test_rearrangement_against_fraction_sort_oracle(x):
+    rr = rearrangement(x)
+    star = _sorted_oracle_star(x)
+    assert rr.star == star
+    assert rr.star_at_infinity == star.tail
+    # the level integral's nodes: Fraction running sums of value * length
+    nodes, acc, prev = [], F(0), F(0)
+    for cut, v in zip(star.cuts, star.values):
+        acc += v * (cut - prev)
+        nodes.append(acc)
+        prev = cut
+    assert rr.level_integral.cuts == star.cuts
+    assert list(rr.level_integral.node_values) == nodes
