@@ -57,7 +57,7 @@ from .stepfn import (
     _require_same_domain,
     _running_sums,
     _sums,
-    block,
+    _trusted,
     canonicalize,
     integrate,
     rat,
@@ -206,19 +206,36 @@ def _crossing(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
     d is linear between phi's nodes, so the crossing is interpolated on the
     first node interval where d reaches 0; without an end, the search goes on
     along the final branch (the line must cross it).
+
+    d is concave, so {d >= 0} is an interval and the first such node is
+    found by bisection.  Falling (d(start) > 0), d <= 0 holds from the
+    crossing on.  Rising (d(start) < 0), d increases at every node before
+    the first with d >= 0 and decreases at every later node with d < 0, so
+    "d >= 0, or phi's next slope is <= b" holds from that node on.  A node
+    found by the second clause alone means d falls before it reaches 0, and
+    then the final slope is <= b as well.
     """
-    t_prev, d_prev = start, phi.value_at(start) - (a + b * start)
-    rising = d_prev < 0
-    k = bisect_right(phi.cuts, start)
-    stop = len(phi.cuts) if end is None else bisect_left(phi.cuts, end, k)
-    nodes = list(zip(phi.cuts[k:stop], phi.node_values[k:stop]))
-    if end is not None:
-        nodes.append((end, phi.value_at(end)))
-    for s, v in nodes:
-        d = v - (a + b * s)
-        if (d >= 0) if rising else (d <= 0):
-            return t_prev + d_prev * (s - t_prev) / (d_prev - d)
-        t_prev, d_prev = s, d
+    cuts, nodes, slopes = phi.cuts, phi.node_values, phi.segment_slopes
+    n = len(cuts)
+    d_start = phi.value_at(start) - (a + b * start)
+    rising = d_start < 0
+
+    def d(i: int) -> Fraction:
+        return nodes[i] - (a + b * cuts[i])
+
+    def met(i: int) -> bool:
+        if not rising:
+            return d(i) <= 0
+        return d(i) >= 0 or (slopes[i + 1] if i + 1 < n else phi.final_slope) <= b
+
+    k = bisect_right(cuts, start)
+    stop = n if end is None else bisect_left(cuts, end, k)
+    j = k + bisect_left(range(k, stop), True, key=met)
+    if j < stop or end is not None:
+        s, d_s = (cuts[j], d(j)) if j < stop else (end, phi.value_at(end) - (a + b * end))
+        if (d_s >= 0) if rising else (d_s <= 0):
+            t_prev, d_prev = (cuts[j - 1], d(j - 1)) if j > k else (start, d_start)
+            return t_prev + d_prev * (s - t_prev) / (d_prev - d_s)
     af, bf = phi.final_branch()
     if end is not None or not (bf > b if rising else bf < b):
         raise PreconditionError("line never meets the function again")
@@ -232,21 +249,35 @@ def _coincidence_left_end(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
     phi is concave and agrees with the line on an interval of positive
     length, so phi <= line everywhere and the coincidence set is a closed
     interval whose left endpoint is a node of phi, or 0.  The smallest
-    coinciding candidate is therefore the endpoint itself.
+    coinciding candidate is therefore the endpoint itself; among the nodes
+    below gamma the coinciding ones come last, so bisection finds it.
     """
     if a == 0:  # the line passes through the origin, where phi(0) = 0
         return _ZERO
-    for s, v in zip(phi.cuts, phi.node_values):
-        if s < gamma and v == a + b * s:
-            return s
-    return gamma
+    cuts, nodes = phi.cuts, phi.node_values
+    m = bisect_left(cuts, gamma)
+    j = bisect_left(range(m), True, key=lambda i: nodes[i] == a + b * cuts[i])
+    return cuts[j] if j < m else gamma
 
 
-def _flatten(x: StepFunction, phi: PiecewiseLinearConcave, a: Fraction,
-             b: Fraction) -> StepFunction:
-    """Replace x on [a, b) by its average there; phi is x's level integral."""
+def _flatten(x: StepFunction, phi: PiecewiseLinearConcave, a, b) -> StepFunction:
+    """Replace x on [a, b) by its average there, for 0 <= a < b < alpha; phi
+    is x's level integral.
+
+    The result is a splice of x's cut list: x's cuts below a, then a (when
+    a > 0) and b, then x's cuts above b, with the average on [a, b).  x is
+    canonical, so only the two pieces of x that meet a and b can equal the
+    average; there a or b is dropped, and the splice is canonical."""
+    a, b = rat(a), rat(b)
     avg = (phi.value_at(b) - phi.value_at(a)) / (b - a)
-    return x.window(0, a) + block(avg, a, b, x.alpha) + x.window(b, None)
+    cuts, values = x.cuts, (*x.values, x.tail)
+    i, j = bisect_left(cuts, a), bisect_right(cuts, b)
+    ka = int(a > 0 and values[i] != avg)  # 1: x's piece up to a stays
+    kb = int(values[j] != avg)  # 1: x's piece from b stays
+    spliced = [*values[:i + ka], avg, *values[j + 1 - kb:]]
+    return _trusted(StepFunction, alpha=x.alpha,
+                    cuts=(*cuts[:i], *[a][:ka], *[b][:kb], *cuts[j:]),
+                    values=tuple(spliced[:-1]), tail=spliced[-1])
 
 
 def _section(x: StepFunction, tau, eps, role: str):
@@ -288,11 +319,10 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
     xi = (phi.value_at(beta) - p) / (beta - gamma)
     # does the chord over [gamma, beta] dip strictly below phi inside?
     chord_a = p - xi * gamma
-    inside = slice(bisect_right(phi.cuts, gamma), bisect_left(phi.cuts, beta))
-    affine = all(
-        v == chord_a + xi * s
-        for s, v in zip(phi.cuts[inside], phi.node_values[inside])
-    )
+    # phi lies above the chord on [gamma, beta] and below phi's tangent
+    # from gamma, so it is affine there exactly when that slope is xi
+    i = bisect_right(phi.cuts, gamma)
+    affine = (phi.segment_slopes[i] if i < len(phi.cuts) else phi.final_slope) == xi
     if not affine:
         z = _flatten(x, phi, gamma, beta)
         w = z

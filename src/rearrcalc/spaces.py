@@ -248,10 +248,11 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
     if space.kind == "L1":
         if x.alpha == INF and x.tail != 0:
             return INF
-        return _total(_products((abs(v) for v in (*x.values, x.tail)),
-                                _lengths(x.cuts, x.alpha)))
+        return _total((abs(v.numerator) * n, v.denominator * d)
+                      for v, (n, d) in zip((*x.values, x.tail), _lengths(x.cuts, x.alpha)))
     if space.kind == "Linf":
-        return max(abs(v) for v in (*x.values, x.tail))
+        values = (*x.values, x.tail)
+        return max(max(values), -min(values))
     if space.kind == "L1plusLinf":
         # int_0^1 x*; value_at(1) is the left limit when alpha = 1
         return rearrangement(x).level_integral.value_at(_ONE)
@@ -263,7 +264,7 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
 def fundamental_eval(space: SpaceSpec, t) -> Fraction:
     """phi_E(t) = ||indicator of [0,t)|| for 0 < t < alpha."""
     t = rat(t)
-    if not 0 < t < space.alpha:
+    if t.numerator <= 0 or (space.alpha != INF and t >= space.alpha):
         raise PreconditionError(f"need 0 < t < {alpha_str(space.alpha)}, got {t}")
     return space.fundamental_function().value_at(t)
 

@@ -24,7 +24,12 @@ lengths are gcd-reduced (numerator, denominator) pairs, value times length
 is a pair of int products, and pairs are added with one ``math.gcd`` per
 step into running sums, a total (:func:`integrate`,
 :func:`exceedance_measure`, the L1 norm, ``majorize``'s integrals), one
-Fraction per result, or signs (``majorize.plc_dominated_by``).  Running
+Fraction per result, or signs (``majorize.plc_dominated_by``).  ``+`` and
+``-`` add the operands' values on each piece of ``refine`` the same way, as
+reduced pairs, and merge equal neighbours by comparing pairs.  A pair that
+is already reduced becomes a Fraction through :func:`_frac`, which skips
+the second gcd of ``Fraction.__new__``; it is the only code that sets
+Fraction's internal slots, and the result is a plain Fraction.  Running
 integrals of concave functions are read the same way over ``refine``'s
 pieces: the level integral of the rearrangement, both operands of the
 Marcinkiewicz norm (phi through its slopes as a step function), the shape
@@ -38,9 +43,10 @@ Validated at the boundary, trusted inside.  The public constructors
 ``from_json``) coerce every scalar and check every canonical-form condition.
 Objects that are canonical by construction skip that second pass: the
 output of ``canonicalize``'s merge, the results of ``+ - *``, ``abs``, ``-``,
-``scale``, ``positive_part`` and ``window`` on canonical operands, and the
-rearrangement's star and level integral (``rearrange``) are built by
-:func:`_trusted`, which sets the fields without running ``__post_init__``.
+``scale``, ``positive_part`` and ``window`` on canonical operands, the
+flattenings of ``majorize`` and the rearrangement's star and level integral
+(``rearrange``) are built by :func:`_trusted`, which sets the fields without
+running ``__post_init__``.
 A StepFunction's hash is computed once, from the numerators and
 denominators of its cuts, values and tail, and kept on the instance.
 """
@@ -263,12 +269,12 @@ class StepFunction:
     def __add__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return self._zip_with(other, lambda a, b: a + b)
+        return _pair_sum(self, other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
-        return self._zip_with(other, lambda a, b: a - b)
+        return _pair_sum(self, other, -1)
 
     def __neg__(self):
         return self._map(lambda v: -v)
@@ -372,6 +378,29 @@ def refine(f: StepFunction, g: StepFunction):
     gv += gvals[j:]
     fv += [fvals[n]] * (m - j)
     return cuts, fv, gv
+
+
+def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
+    """f + sign * g (sign = 1 or -1), trusted.  On each piece of refine(f, g)
+    the value is the gcd-reduced int pair (an*bd + sign*bn*ad, ad*bd); equal
+    neighbours merge by comparing pairs, and only the output pieces get a
+    Fraction."""
+    cs, fv, gv = refine(f, g)
+    cuts: list[Fraction] = []
+    values: list[Fraction] = []
+    cur = None
+    for k, (a, b) in enumerate(zip(fv, gv)):
+        ad, bd = a.denominator, b.denominator
+        n, d = a.numerator * bd + sign * b.numerator * ad, ad * bd
+        c = gcd(n, d)
+        pair = (n // c, d // c)
+        if pair != cur:
+            if cur is not None:
+                cuts.append(cs[k - 1])
+                values.append(_frac(*cur))
+            cur = pair
+    return _trusted(StepFunction, alpha=f.alpha, cuts=tuple(cuts),
+                    values=tuple(values), tail=_frac(*cur))
 
 
 def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
@@ -495,15 +524,24 @@ def _sums(pairs) -> Iterator[tuple[int, int]]:
         yield sn, sd
 
 
+def _frac(n: int, d: int, _new=object.__new__) -> Fraction:
+    """The Fraction n/d of a pair already in lowest terms with d > 0, built
+    without ``Fraction.__new__``, whose gcd would reduce it a second time.
+    The only code that sets Fraction's internal slots."""
+    q = _new(Fraction)
+    q._numerator, q._denominator = n, d
+    return q
+
+
 def _running_sums(pairs) -> list[Fraction]:
-    return [Fraction(n, d) for n, d in _sums(pairs)]
+    return [_frac(n, d) for n, d in _sums(pairs)]
 
 
 def _total(pairs) -> Fraction:
     n, d = 0, 1
     for n, d in _sums(pairs):  # keeps the last running sum
         pass
-    return Fraction(n, d)
+    return _frac(n, d)
 
 
 # -- increasing concave piecewise-linear functions --------------------------
@@ -561,16 +599,16 @@ class PiecewiseLinearConcave:
     def value_at(self, t) -> Fraction:
         """Exact value at t; t=alpha allowed for alpha=1 (the left limit)."""
         t = rat(t)
-        if t < 0 or (self.alpha != INF and t > self.alpha):
+        if t.numerator < 0 or (self.alpha != INF and t > self.alpha):
             raise PreconditionError(f"t={t} outside [0,{alpha_str(self.alpha)}]")
-        if t == 0:
+        if not t:
             return _ZERO
         i = bisect_right(self.cuts, t)
         if i > 0 and self.cuts[i - 1] == t:
             return self.node_values[i - 1]
         bs, bv = (_ZERO, self.jump0) if i == 0 else (self.cuts[i - 1], self.node_values[i - 1])
         slope = self.segment_slopes[i] if i < len(self.cuts) else self.final_slope
-        return bv + slope * (t - bs)
+        return bv + slope * (t - bs) if slope else bv
 
     def final_branch(self) -> tuple[Fraction, Fraction]:
         """(intercept, slope) of the affine branch valid from the last cut on."""

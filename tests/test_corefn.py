@@ -1,9 +1,12 @@
 """Core step-function layer: canonical form, algebra, integration, JSON."""
 
+import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rearrcalc import (
     INF,
@@ -22,7 +25,7 @@ from rearrcalc import (
     rat,
     rat_str,
 )
-from rearrcalc.stepfn import plc_from_nodes
+from rearrcalc.stepfn import _frac, plc_from_nodes
 
 
 def test_rat_parsing_and_formatting():
@@ -236,3 +239,16 @@ def test_alpha_one_domain():
     assert integrate(f, 0, 1) == 1
     g = StepFunction.from_json(f.to_json())
     assert g == f and g.alpha == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-10**45, 10**45), st.integers(1, 10**45))
+def test_frac_is_the_fraction_of_a_reduced_pair(n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    q, ref = _frac(n, d), F(n, d)
+    assert type(q) is F
+    assert q == ref and hash(q) == hash(ref) and str(q) == str(ref)
+    assert (q.numerator, q.denominator) == (n, d)
+    back = pickle.loads(pickle.dumps(q))
+    assert type(back) is F and back == ref and str(back) == str(ref)

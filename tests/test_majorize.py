@@ -1,9 +1,13 @@
-"""Majorization order, the two-majorant construction, family sampling, Hardy."""
+"""Majorization order, the two-majorant construction and its crossings, family
+sampling, Hardy."""
 
+import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rearrcalc import (
     INF,
@@ -25,6 +29,9 @@ from rearrcalc import (
     sample_family_member,
 )
 from rearrcalc.gen import majorized_pair, rand_step, run_hlp_suite
+from rearrcalc.majorize import _coincidence_left_end, _crossing
+from rearrcalc.stepfn import PiecewiseLinearConcave, plc_from_nodes
+from test_walks import rationals
 
 
 def test_hlp_compare_examples():
@@ -263,3 +270,189 @@ def test_maximal_subadditivity_spot():
         y = rand_step(rng, INF, max_pieces=5)
         for k in (F(1, 3), 1, F(7, 2)):
             assert maximal_eval(x + y, k) <= maximal_eval(x, k) + maximal_eval(y, k)
+
+
+# -- the crossings of a line with a level integral -------------------------------
+#
+# The references read phi only through value_at: d = phi - line is evaluated
+# at every node past the start, in order, and the first sign change is
+# interpolated; past the last node d is linear, with the slope read off two
+# values.
+
+
+class NeverMeets(Exception):
+    pass
+
+
+def scan_crossing(phi, a, b, start, end=None):
+    d = lambda t: phi.value_at(t) - (a + b * t)
+    points = [s for s in phi.cuts if s > start and (end is None or s < end)]
+    if end is not None:
+        points.append(end)
+    t_prev, d_prev = start, d(start)
+    rising = d_prev < 0
+    for s in points:
+        d_s = d(s)
+        if (d_s >= 0) if rising else (d_s <= 0):
+            return t_prev + d_prev * (s - t_prev) / (d_prev - d_s)
+        t_prev, d_prev = s, d_s
+    m = d(t_prev + 1) - d_prev
+    if end is not None or not (m > 0 if rising else m < 0):
+        raise NeverMeets
+    return t_prev - d_prev / m
+
+
+def scan_coincidence(phi, a, b, gamma):
+    return next((s for s in [F(0), *phi.cuts]
+                 if s < gamma and phi.value_at(s) == a + b * s), gamma)
+
+
+@st.composite
+def level_integrals(draw, max_nodes=12):
+    """A canonical increasing concave PLC with phi(0+) = 0, as a level integral is."""
+    slopes = sorted(set(draw(st.lists(rationals(30, 6, signed=False), min_size=1,
+                                      max_size=max_nodes + 1))), reverse=True)
+    if slopes[0] == 0:
+        slopes.insert(0, F(1))
+    cuts, acc = [], F(0)
+    for step in draw(st.lists(rationals(12, 4, signed=False).filter(bool),
+                              min_size=len(slopes) - 1, max_size=len(slopes) - 1)):
+        acc += step
+        cuts.append(acc)
+    nodes, v, prev = [], F(0), F(0)
+    for c, m in zip(cuts, slopes):
+        v += m * (c - prev)
+        nodes.append(v)
+        prev = c
+    return plc_from_nodes(cuts, nodes, slopes[-1], 0, INF)
+
+
+@st.composite
+def crossing_cases(draw):
+    """(phi, a, b, start, end) in the shapes majorant_pair calls _crossing with:
+    b = 0 rising from 0, falling from a start, rising up to an end, and
+    rising from a start with no end; the line may pass through a node."""
+    phi = draw(level_integrals())
+    shape = draw(st.sampled_from(["level", "falling", "to_end", "rising"]))
+    nodes = [F(0), *phi.cuts]
+    last = nodes[-1]
+    point = st.one_of(st.sampled_from(nodes),
+                      rationals(4 * int(last + 2), 8, signed=False))
+    delta = rationals(8, 8, signed=False).filter(bool)
+    if shape == "level":
+        t = draw(point)
+        return phi, phi.value_at(t) + draw(st.sampled_from([F(0), F(0), F(1, 3), F(2)])), \
+            F(0), F(0), None
+    if shape == "to_end":
+        start = draw(st.sampled_from([F(0), draw(point)]))
+        end = start + draw(delta)
+        chord = (phi.value_at(end) - phi.value_at(start)) / (end - start)
+        if chord == 0:
+            end = start  # no line crosses from below: rejected below
+        else:
+            b = chord * draw(st.builds(F, st.integers(0, 15), st.just(16)))
+            lo, hi = phi.value_at(start) - b * start, phi.value_at(end) - b * end
+            a = lo + (hi - lo) * draw(st.builds(F, st.integers(1, 15), st.just(16)))
+            return phi, a, b, start, end
+    start = draw(point)
+    falling = shape == "falling"
+    at_start = phi.value_at(start) + (-1 if falling else 1) * draw(delta)
+    later = [s for s in phi.cuts if s > start]
+    if later and draw(st.booleans()):  # through a node past the start
+        s = draw(st.sampled_from(later))
+        b = (phi.value_at(s) - at_start) / (s - start)
+    else:
+        b = draw(rationals(40, 8, signed=False))
+    return phi, at_start - b * start, b, start, None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(crossing_cases())
+def test_crossing_matches_a_scan_of_value_at(case):
+    phi, a, b, start, end = case
+    assume(end is None or end > start)
+    assume(phi.value_at(start) != a + b * start)
+    try:
+        expected = scan_crossing(phi, a, b, start, end)
+    except NeverMeets:
+        with pytest.raises(PreconditionError, match="never meets"):
+            _crossing(phi, a, b, start, end)
+        return
+    t = _crossing(phi, a, b, start, end)
+    assert t == expected and type(t) is F
+    assert t > start and phi.value_at(t) == a + b * t
+    if end is not None:
+        assert t < end
+
+
+def test_crossing_never_meets():
+    phi = plc_from_nodes([1, 2], [2, 3], 0)  # slopes 2, 1, then flat at 3
+    cases = [((F(4), F(0), F(0)), None),        # rising to above the final value
+             ((F(1), F(3), F(0)), None),        # rising, but d falls from the start
+             ((F(1), F(3), F(0), F(2)), None),  # the same, up to an end
+             ((F(0), F(0), F(3)), None),        # falling from 3 along a flat phi
+             ((F(-1), F(1), F(3)), F(4))]       # falling onto the final branch
+    for args, want in cases:
+        if want is None:
+            with pytest.raises(NeverMeets):
+                scan_crossing(phi, *args)
+            with pytest.raises(PreconditionError, match="never meets"):
+                _crossing(phi, *args)
+        else:
+            assert _crossing(phi, *args) == scan_crossing(phi, *args) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(level_integrals(), st.data())
+def test_coincidence_left_end_matches_a_scan(phi, data):
+    # the line through one segment of phi; gamma a point on that segment
+    j = data.draw(st.integers(0, len(phi.cuts)))
+    lo = F(0) if j == 0 else phi.cuts[j - 1]
+    hi = phi.cuts[j] if j < len(phi.cuts) else lo + 1
+    b = phi.segment_slopes[j] if j < len(phi.cuts) else phi.final_slope
+    a = phi.value_at(lo) - b * lo
+    gamma = lo + (hi - lo) * data.draw(st.builds(F, st.integers(1, 16), st.just(16)))
+    assert _coincidence_left_end(phi, a, b, gamma) == scan_coincidence(phi, a, b, gamma) == lo
+
+
+class CountingNodes(Sequence):
+    """A node-value sequence that counts the entries read."""
+
+    def __init__(self, items):
+        self.items, self.reads = tuple(items), 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        out = self.items[i]
+        self.reads += len(out) if isinstance(i, slice) else 1
+        return out
+
+
+def test_crossing_reads_logarithmically_many_nodes():
+    n = 10**4
+    slopes = [F(n - j, 7) for j in range(n)]
+    cuts = [F(j + 1, 3) for j in range(n)]
+    nodes, v = [], F(0)
+    for m in slopes:
+        v += m / 3
+        nodes.append(v)
+    phi = PiecewiseLinearConcave(INF, cuts, nodes, 0)
+    phi.segment_slopes  # cached before the nodes are counted
+    mid = cuts[n // 3]
+    p = phi.value_at(mid) - F(1, 5)
+    tau = cuts[n // 2] + F(1, 7)
+    chord = (phi.value_at(cuts[-2]) - phi.value_at(F(1, 9))) / (cuts[-2] - F(1, 9))
+    calls = [(p, F(0), F(0), None),                     # gamma: b = 0 rising from 0
+             (F(0), p / tau, tau, None),                # beta: falling from tau
+             (F(1), chord, F(0), cuts[-2]),             # gamma1: rising up to an end
+             (phi.value_at(mid) - chord * mid + 1, chord, mid, None)]  # rising from mid
+    expected = [scan_crossing(phi, *args) for args in calls]
+    counted = CountingNodes(phi.node_values)
+    object.__setattr__(phi, "node_values", counted)
+    bound = 4 * math.log2(n) + 8
+    for args, want in zip(calls, expected):
+        counted.reads = 0
+        assert _crossing(phi, *args) == want
+        assert counted.reads <= bound, (args, counted.reads)

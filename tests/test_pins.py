@@ -9,8 +9,10 @@ Hardy-Littlewood-Polya order moved from the level integrals onto the
 stars' running sums, and the Marcinkiewicz-with-jump, sample-member and
 flatten-head digests before the Marcinkiewicz norm, the shape fit and the
 maximal distances moved from concave-function segments onto ``refine``'s
-running sums, and the rearrange digests before the rearrangement's sort
-moved from cross-multiplied fraction compares onto int keys; a refactor
+running sums, the rearrange digests before the rearrangement's sort
+moved from cross-multiplied fraction compares onto int keys, and the
+majorant-pair digests before the majorant crossings were bisected and the
+flattening became a splice of cut lists; a refactor
 that changes any byte of these outputs fails here, even when it changes
 them the same way on every run.
 """
@@ -183,6 +185,11 @@ COMMANDS = {
                                       "--seed", str(seed)]
        for seed in (0, 5, 6, 10)},
     "flatten-head": ["flatten-head", "--input", _DECREASING, "--n", "1..4"],
+    # the same x in both construction cases
+    **{f"majorant-pair {case}": [
+        "majorant-pair", "--input",
+        json.dumps({"x": json.loads(_DECREASING), "tau": tau, "eps": eps})]
+       for case, tau, eps in (("affine_gap", "2", "1/3"), ("affine_chord", "3", "1/4"))},
 }
 
 # sha256 of stdout in json, table and csv, in that order
@@ -396,6 +403,16 @@ COMMAND_DIGESTS = {
         "fb10aefb50457cf9cf1ea33f86808379a0b9a8012d55e64aa17859dc193af4df",
         "6db712a08cca33c972cec9f4ee3451dd2ef4240823d9647f69c189e146b3bf8d",
         "4a1cb191d90d383605450047832641fb32ed58e841b811400bd1b0387e3523d0",
+    ),
+    "majorant-pair affine_gap": (
+        "0f936fd1d58e50d852043abd5243f4d4c2b337145b4015ca744ab3b31d66d7e2",
+        "9c4f9772e896379777c87589c6a14cf0ca8cdaf3e0955160c694055c65053055",
+        "00e2631fc182e3e54a6eaebb236c065e728edb081511b25adddf4388b62fd8ea",
+    ),
+    "majorant-pair affine_chord": (
+        "2cdb78b17d8fce7c37fd3c5724517f8e48c35c70f99f18f4e784fe9278c4b665",
+        "2d10e6d46eee0ca0a8e89aa5979b068a53fc461945e4a8a8042b7e07f05b457c",
+        "bd736edd5d4cdb808c08e74f96eec9fbb296eb6ee6439436703ea2a752fc7569",
     ),
 }
 

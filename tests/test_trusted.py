@@ -2,9 +2,11 @@
 
 Canonical-by-construction objects (``canonicalize``'s merge, the algebra on
 canonical operands, ``window``, the rearrangement's star and level integral)
-skip ``__post_init__``.  Each one is rebuilt here through the public
-constructor, which coerces and validates everything, and must come back
-equal, with the same exact types.  The stored segment slopes of a level
+skip ``__post_init__``, and so does the flattening that splices a cut
+list.  Each one is rebuilt here through the public constructor, which
+coerces and validates everything, and must come back equal, with the same
+exact types.  The Fractions the int-pair sums build from reduced pairs
+must equal, and hash like, Fractions built the usual way.  The stored segment slopes of a level
 integral are checked against the quotients of its nodes.
 """
 
@@ -17,11 +19,14 @@ from rearrcalc import (
     INF,
     PiecewiseLinearConcave,
     StepFunction,
+    block,
     canonicalize,
     constant,
     rearrangement,
 )
+from rearrcalc.majorize import _flatten
 from rearrcalc.rearrange import _rearrange
+from rearrcalc.stepfn import _running_sums, _total
 from test_walks import rationals, sorted_star, step_functions, window_ends
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
@@ -167,3 +172,32 @@ def test_an_equal_distinct_function_hits_the_cache(x):
     after = _rearrange.cache_info()
     assert after.hits == before.hits + 1 and after.misses == before.misses
     assert rr.star == sorted_star(x)
+
+
+@SETTINGS
+@given(stars(), st.data())
+def test_flatten_output_is_canonical(x, data):
+    # 0 <= a < b < alpha, with a and b on x's cuts as often as between them
+    end = x.alpha if x.alpha != INF else x.support_bound + 2
+    points = st.one_of(st.sampled_from([F(0), *x.cuts]),
+                       st.builds(lambda k: end * F(k, 64), st.integers(0, 63)))
+    a, b = sorted(data.draw(st.sets(points, min_size=2, max_size=2)))
+    phi = rearrangement(x).level_integral
+    y = revalidated(_flatten(x, phi, a, b))
+    avg = (phi.value_at(b) - phi.value_at(a)) / (b - a)
+    assert y == x.window(0, a) + block(avg, a, b, x.alpha) + x.window(b, None)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(-10**20, 10**20), st.integers(1, 10**12)),
+                max_size=12))
+def test_int_pair_sums_are_exact_fractions(pairs):
+    running = _running_sums(pairs)
+    expected, acc = [], F(0)
+    for n, d in pairs:
+        acc += F(n, d)
+        expected.append(acc)
+    assert running == expected
+    assert all(type(q) is F and hash(q) == hash(e) for q, e in zip(running, expected))
+    total = _total(pairs)
+    assert type(total) is F and total == acc and hash(total) == hash(acc)

@@ -590,3 +590,47 @@ def test_l1_and_linf_norms_match_piece_loop(x):
     l1 = slow_integral(abs(x), 0, x.alpha)
     assert norm(SpaceSpec("L1", alpha=x.alpha), x) == (INF if l1 is None else l1)
     assert norm(SpaceSpec("Linf", alpha=x.alpha), x) == max(abs(v) for _, _, v in pieces(x))
+
+
+# -- + and - on int pairs ---------------------------------------------------------
+
+
+@st.composite
+def sum_pairs(draw):
+    """Operands of + and -: free pairs, pairs that cancel to 0 on some or all
+    pieces, pairs whose sum's last value equals its tail, and pairs with
+    denominators near 10**40."""
+    f, g = draw(step_pairs())
+    shape = draw(st.sampled_from(["free", "cancel", "tail", "huge"]))
+    vals = (*f.values, f.tail)
+    if shape == "cancel":  # g = -f on the pieces drawn, so f + g is 0 there
+        keep = draw(st.lists(st.booleans(), min_size=len(vals), max_size=len(vals)))
+        other = [-v if k else v + 1 for v, k in zip(vals, keep)]
+        g = canonicalize(f.cuts, other[:-1], other[-1], f.alpha)
+    elif shape == "tail" and f.cuts:  # f + g ends on f's last value
+        other = [F(0)] * len(f.cuts) + [f.values[-1] - f.tail]
+        g = canonicalize(f.cuts, other[:-1], other[-1], f.alpha)
+    elif shape == "huge":
+        dens = st.integers(10**40, 10**40 + 10**6)
+        bump = lambda v: v + F(draw(st.integers(-10**6, 10**6)), draw(dens))
+        f = canonicalize(f.cuts, [bump(v) for v in f.values], bump(f.tail), f.alpha)
+        g = canonicalize(g.cuts, [bump(v) for v in g.values], bump(g.tail), g.alpha)
+    return f, g
+
+
+def piecewise_sum(f, g, sign):
+    """f + sign*g by Fraction arithmetic on every piece of the sorted union of cuts."""
+    cuts = sorted({*f.cuts, *g.cuts})
+    values = [at(f, t) + sign * at(g, t) for t in [F(0), *cuts]]
+    return canonicalize(cuts, values[:-1], values[-1], f.alpha)
+
+
+@SETTINGS
+@given(sum_pairs())
+def test_sum_and_difference_match_a_fraction_loop(pair):
+    f, g = pair
+    for h, sign in ((f + g, 1), (f - g, -1)):
+        ref = piecewise_sum(f, g, sign)
+        assert h == ref and hash(h) == hash(ref)
+        assert all(type(q) is F for q in (*h.values, h.tail))
+    assert f - f == constant(0, f.alpha) == f + -f
