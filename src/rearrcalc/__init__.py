@@ -35,7 +35,6 @@ from .majorize import (
     family_contains,
     hardy_check,
     hlp_compare,
-    is_decreasing_rearrangement,
     majorant_pair,
     sample_family_member,
 )
@@ -64,6 +63,7 @@ from .stepfn import (
     constant,
     exceedance_measure,
     integrate,
+    is_decreasing_rearrangement,
     parse_rat,
     rat,
     rat_str,

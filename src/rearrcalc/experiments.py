@@ -162,23 +162,16 @@ def _hyperbolic_exceedance(A: Fraction, B: Fraction, delta: Fraction,
         if abs(B) > delta:
             return INF if hi == INF else hi - lo
         return _ZERO
-    # h(t) = A/t + B is strictly monotone on (0, inf): decreasing to B for
-    # A > 0 (from +inf), increasing to B for A < 0 (from -inf).
+    if A < 0:  # |A/t + B| = |(-A)/t + (-B)|
+        A, B = -A, -B
+    # h(t) = A/t + B decreases strictly from +inf to B on (0, inf)
     intervals: list[tuple[Fraction, Ext]] = []
-    if A > 0:
-        if B >= delta:
-            intervals.append((_ZERO, INF))  # h > B >= delta everywhere
-        else:
-            intervals.append((_ZERO, A / (delta - B)))  # h > delta before the crossing
-        if B < -delta:
-            intervals.append((A / (-delta - B), INF))  # h < -delta past the crossing
+    if B >= delta:
+        intervals.append((_ZERO, INF))  # h > B >= delta everywhere
     else:
-        if B <= -delta:
-            intervals.append((_ZERO, INF))
-        else:
-            intervals.append((_ZERO, A / (-delta - B)))
-        if B > delta:
-            intervals.append((A / (delta - B), INF))
+        intervals.append((_ZERO, A / (delta - B)))  # h > delta before the crossing
+    if B < -delta:
+        intervals.append((A / (-delta - B), INF))  # h < -delta past the crossing
     total: Fraction = _ZERO
     for a, b in intervals:
         a2 = max(a, lo)

@@ -60,6 +60,7 @@ from .stepfn import (
     _trusted,
     canonicalize,
     integrate,
+    is_decreasing_rearrangement,
     rat,
     rat_str,
     refine,
@@ -126,20 +127,14 @@ def hlp_compare(y: StepFunction, x: StepFunction) -> HlpVerdict:
     return HlpVerdict(*plc_dominated_by(rearrangement(y).star, rearrangement(x).star))
 
 
-def is_decreasing_rearrangement(f: StepFunction) -> bool:
-    """True when f is its own decreasing rearrangement (f = f* a.e.)."""
-    return rearrangement(f).star == f
-
-
 def _require_star(x: StepFunction, role: str) -> RearrangementResult:
     """rearrangement(x), once x is checked to be its own rearrangement."""
-    rr = rearrangement(x)
-    if rr.star != x:
+    if not is_decreasing_rearrangement(x):
         raise PreconditionError(
             f"{role} must be nonnegative and nonincreasing (equal to its "
             "own decreasing rearrangement)"
         )
-    return rr
+    return rearrangement(x)
 
 
 def family_contains(y: StepFunction, x: StepFunction, tau, eps) -> bool:
@@ -149,10 +144,9 @@ def family_contains(y: StepFunction, x: StepFunction, tau, eps) -> bool:
     if tau <= 0 or eps <= 0:
         raise PreconditionError(f"need tau > 0 and eps > 0, got tau={tau}, eps={eps}")
     phi_x = _require_star(x, "x").level_integral
-    ry = rearrangement(y)
-    if ry.star != y or not plc_dominated_by(y, x)[0]:
+    if not is_decreasing_rearrangement(y) or not plc_dominated_by(y, x)[0]:
         return False
-    return _phi_saturated(ry.level_integral, tau) + eps <= _phi_saturated(phi_x, tau)
+    return _phi_saturated(level_integral(y), tau) + eps <= _phi_saturated(phi_x, tau)
 
 
 # -- the construction --------------------------------------------------------
@@ -280,6 +274,14 @@ def _flatten(x: StepFunction, phi: PiecewiseLinearConcave, a, b) -> StepFunction
                     values=tuple(spliced[:-1]), tail=spliced[-1])
 
 
+def _flatten_gap(phi: PiecewiseLinearConcave, a, b, t) -> Fraction:
+    """Phi_x(t) - Phi_y(t) for y = _flatten(x, phi, a, b), x = x* and t in
+    [a, b]: y is nonincreasing and equals x off [a, b), so Phi_y is the chord
+    of Phi_x over [a, b] there (and 0 at t = a or b)."""
+    pa, pb = phi.value_at(a), phi.value_at(b)
+    return phi.value_at(t) - pa - (pb - pa) * (t - a) / (b - a)
+
+
 def _section(x: StepFunction, tau, eps, role: str):
     """(tau, eps, Phi_x, Phi_x(tau)) once the preconditions shared by the
     construction and the sampler hold (see majorant_pair)."""
@@ -311,6 +313,11 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
     exactly the half-line case with vanishing rearrangement at infinity;
     alpha = 1 inputs are rejected: on [0, 1) the ray of slope
     (Phi_x(tau) - eps)/tau need not meet Phi_x again.
+
+    eps1 is read off Phi_x: z and w are x averaged over an interval, so
+    Phi_z and Phi_w are Phi_x's chords over those intervals, and eps1 is the
+    smaller of Phi_x minus the chord at tau - tau1 (for z) and at tau + tau1
+    (for w); z and w are never rearranged.
     """
     tau, eps, phi, phi_tau = _section(x, tau, eps, "construction")
     p = phi_tau - eps
@@ -321,11 +328,8 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
     chord_a = p - xi * gamma
     # phi lies above the chord on [gamma, beta] and below phi's tangent
     # from gamma, so it is affine there exactly when that slope is xi
-    i = bisect_right(phi.cuts, gamma)
-    affine = (phi.segment_slopes[i] if i < len(phi.cuts) else phi.final_slope) == xi
-    if not affine:
-        z = _flatten(x, phi, gamma, beta)
-        w = z
+    if phi.slope(gamma) != xi:
+        z_ends = w_ends = (gamma, beta)
         tau1 = min(tau - gamma, beta - tau) / 2
         gamma0 = gamma1 = beta1 = None
         case_tag = "affine_gap"
@@ -336,18 +340,17 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
         eps_prime = min(eps, chord_a / 2)
         gamma1 = _crossing(phi, chord_a - eps_prime, xi, _ZERO, gamma0)
         beta1 = _crossing(phi, chord_a - eps_prime, xi, beta)
-        z = _flatten(x, phi, gamma1, tau)
-        w = _flatten(x, phi, gamma, beta1)
+        z_ends, w_ends = (gamma1, tau), (gamma, beta1)
         tau1 = min(tau - gamma1, beta1 - tau) / 2
         case_tag = "affine_chord"
         if not (0 < gamma1 < gamma0 <= gamma < beta < beta1):
             raise AssertionError("construction ordering violated")
     if not (0 < gamma < tau < beta):
         raise AssertionError("gamma < tau < beta violated")
-    eps1 = min(
-        phi.value_at(tau - tau1) - level_integral(z).value_at(tau - tau1),
-        phi.value_at(tau + tau1) - level_integral(w).value_at(tau + tau1),
-    )
+    z = _flatten(x, phi, *z_ends)
+    w = z if w_ends == z_ends else _flatten(x, phi, *w_ends)
+    # tau - tau1 lies in z's flattened interval and tau + tau1 in w's
+    eps1 = min(_flatten_gap(phi, *z_ends, tau - tau1), _flatten_gap(phi, *w_ends, tau + tau1))
     if not (0 < tau1 < tau and eps1 > 0):
         raise AssertionError("tau1/eps1 positivity violated")
     return ConstructionTrace(
@@ -375,8 +378,8 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
         bound = max(x.support_bound, tau, 1)
         r = Fraction(rng.randint(1, 4 * bound.numerator * bound.denominator),
                      2 * bound.denominator ** 2)
-        y0 = _flatten(x, phi, _ZERO, r) if r > 0 else x
-        m = level_integral(y0).value_at(tau)
+        y0 = _flatten(x, phi, _ZERO, r)
+        m = phi_tau - (_flatten_gap(phi, _ZERO, r, tau) if tau < r else 0)
         c = min(_ONE, (phi_tau - eps) / m) * Fraction(rng.randint(8, 16), 16)
         return y0.scale(c)
     # independently drawn nonincreasing shape v, scaled to fit under Phi_x.

@@ -20,13 +20,12 @@ values differ by at least 1/D^2 > 2^-k, so the keys order them exactly and
 tie only on equal values.  Pieces of equal key are merged by adding their
 length pairs.
 
-A star passes through: when x is already x* (values strictly decreasing
-down to a tail >= 0, checked with int compares), the rearrangement returns
-x itself as ``star``, without sorting or merging, so ``rearrangement(x).star
-== x`` costs an identity compare of x's fields.  The star and its level
-integral are built by the trusted constructor (see ``stepfn``): they are
-canonical by construction, and the level integral's segment slopes are the
-star's values, with no division.
+A star passes through: when x is already x* (``stepfn``'s
+``is_decreasing_rearrangement``), the rearrangement returns x itself as
+``star``, without sorting or merging.  The star and its level integral are
+built by the trusted constructor (see ``stepfn``): they are canonical by
+construction, the level integral's segment slopes are the star's values,
+with no division, and its slope function is the star object itself.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .stepfn import (
     _require_same_domain,
     _running_sums,
     _trusted,
+    is_decreasing_rearrangement,
     rat,
 )
 
@@ -65,19 +65,6 @@ class RearrangementResult:
     star: StepFunction
     level_integral: PiecewiseLinearConcave
     star_at_infinity: Fraction
-
-
-def _is_star(x: StepFunction) -> bool:
-    """x = x*: values strictly decreasing down to a tail >= 0 (int compares)."""
-    n, d = x.tail.numerator, x.tail.denominator
-    if n < 0:
-        return False
-    for v in reversed(x.values):
-        vn, vd = v.numerator, v.denominator
-        if vn * d <= n * vd:
-            return False
-        n, d = vn, vd
-    return True
 
 
 def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
@@ -118,7 +105,7 @@ def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
 @lru_cache(maxsize=8192)
 def _rearrange(x: StepFunction) -> RearrangementResult:
     lengths = _lengths(x.cuts, x.alpha)
-    if _is_star(x):
+    if is_decreasing_rearrangement(x):
         star = x
     else:
         star, lengths = _sorted_star(x, lengths)
@@ -132,6 +119,7 @@ def _rearrange(x: StepFunction) -> RearrangementResult:
         final_slope=star.tail,
         jump0=_ZERO,
         segment_slopes=star.values,
+        slope=star,
     )
     return RearrangementResult(star, phi, star.tail)
 

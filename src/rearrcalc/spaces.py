@@ -40,7 +40,6 @@ from .stepfn import (
     _products,
     _running_sums,
     _total,
-    _trusted,
     alpha_str,
     parse_alpha,
     parse_rat,
@@ -94,8 +93,7 @@ def _validate_fundamental(phi: FundamentalFunction, alpha: Ext) -> None:
             f"fundamental function lives on [0,{alpha_str(phi.alpha)}), "
             f"space on [0,{alpha_str(alpha)})"
         )
-    first_slope = phi.segment_slopes[0] if phi.cuts else phi.final_slope
-    if phi.jump0 == 0 and first_slope <= 0:
+    if phi.jump0 == 0 and phi.slope(0) <= 0:
         raise PreconditionError("fundamental function must be positive for t > 0")
 
 
@@ -218,12 +216,9 @@ def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
     else:
         # piecewise-linear phi: on each refined segment the objective is
         # A/t + B + C*t with A, C >= 0: convex, so endpoints and limits suffice.
-        # Phi_x and phi are running integrals of x* and of phi's slopes (a
-        # step function, canonical as the slopes strictly decrease), read at
-        # the merged cuts; phi starts from its jump at 0.
-        slopes = _trusted(StepFunction, alpha=phi.alpha, cuts=phi.cuts,
-                          values=phi.segment_slopes, tail=phi.final_slope)
-        cs, xv, pv = refine(rr.star, slopes)
+        # Phi_x and phi are running integrals of x* and of phi's slope
+        # function, read at the merged cuts; phi starts from its jump at 0.
+        cs, xv, pv = refine(rr.star, phi.slope)
         lengths = _lengths(cs, x.alpha)
         at_big = _running_sums(_products(xv, lengths))
         at_phi = _running_sums(_products(pv, lengths))

@@ -12,8 +12,13 @@ integrals that diverge.  Floats are rejected everywhere else on purpose; feed
 
 The module also provides :class:`PiecewiseLinearConcave` for the increasing
 concave envelopes that arise as running integrals of decreasing step
-functions, with the same canonical-representative discipline (strictly
-decreasing segment slopes, explicit final slope, explicit right-limit at 0).
+functions, with the same canonical-representative discipline.  Its slopes
+are one step function, ``slope``: the segment slopes between the cuts, then
+the final slope.  The function is canonical exactly when its slope function
+is a star (nonnegative, strictly decreasing), and
+:func:`is_decreasing_rearrangement` is the one test for x = x*: the PLC
+constructor, the rearrangement's pass-through and the preconditions of
+``majorize`` all call it, and none of them rearranges to find out.
 
 Binary kernels walk the common refinement once: :func:`refine` merges
 two cut lists in one pass and reads both operands' values on each merged
@@ -32,7 +37,7 @@ the second gcd of ``Fraction.__new__``; it is the only code that sets
 Fraction's internal slots, and the result is a plain Fraction.  Running
 integrals of concave functions are read the same way over ``refine``'s
 pieces: the level integral of the rearrangement, both operands of the
-Marcinkiewicz norm (phi through its slopes as a step function), the shape
+Marcinkiewicz norm (phi through its slope function), the shape
 fit of ``majorize`` and the maximal distances of ``experiments``.  Pairs
 beat one common denominator, which grows to thousands of bits on coprime
 denominators.
@@ -380,6 +385,20 @@ def refine(f: StepFunction, g: StepFunction):
     return cuts, fv, gv
 
 
+def is_decreasing_rearrangement(f: StepFunction) -> bool:
+    """f = f*: values strictly decreasing down to a tail >= 0, checked with
+    int compares and without rearranging f."""
+    n, d = f.tail.numerator, f.tail.denominator
+    if n < 0:
+        return False
+    for v in reversed(f.values):
+        vn, vd = v.numerator, v.denominator
+        if vn * d <= n * vd:
+            return False
+        n, d = vn, vd
+    return True
+
+
 def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
     """f + sign * g (sign = 1 or -1), trusted.  On each piece of refine(f, g)
     the value is the gcd-reduced int pair (an*bd + sign*bn*ad, ad*bd); equal
@@ -553,9 +572,9 @@ class PiecewiseLinearConcave:
 
     Value 0 at t=0 with right-limit ``jump0`` >= 0, interior nodes at
     ``cuts`` with values ``node_values``, and slope ``final_slope`` from the
-    last node on.  Canonical form: segment slopes strictly decreasing left to
-    right (ending with final_slope), all nonnegative.  Merge raw node data
-    with :func:`plc_from_nodes`.
+    last node on.  Canonical form: the slope function is a star, that is the
+    segment slopes decrease strictly left to right (ending with final_slope)
+    and are all nonnegative.  Merge raw node data with :func:`plc_from_nodes`.
     """
 
     alpha: Ext
@@ -575,16 +594,11 @@ class PiecewiseLinearConcave:
         if self.jump0 < 0:
             raise PreconditionError(f"jump at 0 must be nonnegative, got {self.jump0}")
         _check_cuts(self.cuts, self.alpha)
-        slopes = list(self.segment_slopes) + [self.final_slope]
-        for m in slopes:
-            if m < 0:
-                raise PreconditionError(f"negative slope {m}: not nondecreasing")
-        for a, b in zip(slopes, slopes[1:]):
-            if a <= b:
-                raise PreconditionError(
-                    f"slopes not strictly decreasing ({a} then {b}): "
-                    "not concave-canonical (use plc_from_nodes)"
-                )
+        if not is_decreasing_rearrangement(self.slope):
+            raise PreconditionError(
+                "slopes not nonnegative and strictly decreasing: not a "
+                "nondecreasing concave function in canonical form"
+            )
 
     @cached_property
     def segment_slopes(self) -> tuple[Fraction, ...]:
@@ -595,6 +609,13 @@ class PiecewiseLinearConcave:
             out.append((v - pv) / (s - ps))
             ps, pv = s, v
         return tuple(out)
+
+    @cached_property
+    def slope(self) -> StepFunction:
+        """The slope function: segment_slopes on the pieces between cuts, then
+        final_slope.  Canonical form holds exactly when it is a star."""
+        return _trusted(StepFunction, alpha=self.alpha, cuts=self.cuts,
+                        values=self.segment_slopes, tail=self.final_slope)
 
     def value_at(self, t) -> Fraction:
         """Exact value at t; t=alpha allowed for alpha=1 (the left limit)."""
@@ -661,23 +682,10 @@ def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> Piecew
     if len(cuts) != len(node_values):
         raise PreconditionError("cuts and node_values must have equal length")
     _check_cuts(cuts, INF)  # before any slope divides by a cut difference
-    pts = list(zip(cuts, node_values))
-    kept: list[tuple[Fraction, Fraction]] = []
-    ps, pv = _ZERO, jump0
-    for j, (s, v) in enumerate(pts):
-        slope_in = (v - pv) / (s - ps)
-        if j + 1 < len(pts):
-            ns, nv = pts[j + 1]
-            slope_out = (nv - v) / (ns - s)
-        else:
-            slope_out = final_slope
-        if slope_in != slope_out:
-            kept.append((s, v))
-        ps, pv = s, v
-    return PiecewiseLinearConcave(
-        alpha,
-        tuple(s for s, _ in kept),
-        tuple(v for _, v in kept),
-        final_slope,
-        jump0,
-    )
+    # a collinear node is a cut between equal neighbouring slopes
+    slopes = [(v - pv) / (s - ps)
+              for s, v, ps, pv in zip(cuts, node_values, [_ZERO, *cuts], [jump0, *node_values])]
+    kept = _merged(INF, cuts, [*slopes, final_slope]).cuts
+    value_of = dict(zip(cuts, node_values))
+    return PiecewiseLinearConcave(alpha, kept, tuple(map(value_of.get, kept)),
+                                  final_slope, jump0)

@@ -265,6 +265,22 @@ def test_broken_invariants_report_one_line_and_exit_4(capsys, monkeypatch, comma
     assert (code, out, err) == (4, "", "error: invariant broken: synthetic invariant\n")
 
 
+_NOT_CONCAVE = ("error: invalid piecewise-linear function: slopes not "
+                "nonnegative and strictly decreasing: not a nondecreasing concave "
+                "function in canonical form\n")
+
+
+@pytest.mark.parametrize("nodes, final", [(["1", "3"], "0"),  # slopes 1 then 2
+                                          (["1", "2"], "-1")])  # a negative final slope
+def test_a_non_concave_phi_is_one_parse_error(capsys, nodes, final):
+    phi = {"kind": "piecewise_linear_concave", "alpha": "inf", "breakpoints": ["1", "2"],
+           "node_values": nodes, "final_slope": final}
+    space = json.dumps({"kind": "Marcinkiewicz", "alpha": "inf", "phi": phi})
+    for argv in (["norm", "--input", BOX, "--space", space],
+                 ["fundamental", "--space", space, "--t", "1"]):
+        assert run_cli(capsys, *argv) == (2, "", _NOT_CONCAVE)
+
+
 def test_parse_and_precondition_exit_codes(capsys):
     code, _, err = run_cli(capsys, "rearrange", "--input", "{bad")
     assert code == 2 and err
@@ -510,3 +526,106 @@ def test_unreadable_or_deeply_nested_input_is_a_parse_error(tmp_path, capsys):
         assert (code, out) == (2, "") and err.count("\n") == 1, source[:20]
     code, _, err = run_cli(capsys, "norm", "--input", BOX, "--space", str(deep))
     assert code == 2 and err == "error: input is not valid JSON: nested too deeply\n"
+
+
+# -- option and fundamental-function fuzz --------------------------------------
+
+#: (well-formed, malformed) values of each option
+_OPTION_VALUES = {
+    "--t": (["1/2", "1/3,2/3"], ["3/2", "0", "-1", "1", "1/0", "x", "", "1,,2", "1.5"]),
+    "--n": (["1", "1..3", "2,3"], ["0", "-1", "3..1", "1..", "..2", "x", "", "1..100000"]),
+    "--delta": (["1/2", "1,1/10"], ["0", "-1", "1/0", "x", ",", ""]),
+    "--tolerance": (["1/100", "1"], ["0", "-1/2", "1/0", "x", ""]),
+    "--t-x": (["1", "1/2"], ["0", "-1", "99", "x", "1/0"]),
+    "--seed": (["0", "7", "-3"], ["x", "1.5", "", "123456789012345678901234567890"]),
+    "--family": (["remark45", "example46_heads", "lemma43_y", "lemma43_x", "thm47_flatten"],
+                 ["nope"]),
+}
+_VALID_SPACES = [L1, json.dumps({"kind": "Marcinkiewicz", "alpha": "inf", "phi": {
+    "kind": "piecewise_linear_concave", "alpha": "inf", "breakpoints": ["1"],
+    "node_values": ["1"], "final_slope": "1/2"}})]
+
+_VALID_STEPS = {
+    "unit": json.dumps({"alpha": "1", "breakpoints": ["1/4", "1/2"],
+                        "values": ["-2", "3"], "tail": "1/2"}),
+    "star": json.dumps({"alpha": "inf", "breakpoints": ["1/2", "3"],
+                        "values": ["3", "1/2"], "tail": "0"}),
+}
+
+
+@st.composite
+def _bad_phi_space_json(draw) -> dict:
+    """A Marcinkiewicz-type space whose fundamental function is not one: not
+    concave, a negative jump at 0, the other domain, or a hyperbola with
+    c <= 0."""
+    alpha = draw(st.sampled_from(["1", "inf"]))
+    cuts = ["1/4", "1/2"] if alpha == "1" else ["1/2", "2"]
+    phi = {"kind": "piecewise_linear_concave", "alpha": alpha, "breakpoints": cuts,
+           "node_values": ["1", "2"], "final_slope": "1/4"}
+    fault = draw(st.sampled_from(["not_concave", "jump0", "alpha", "hyperbolic"]))
+    if fault == "not_concave":
+        phi["node_values"] = ["1", draw(st.sampled_from(["5", "1", "1/2"]))]
+    elif fault == "jump0":
+        phi["jump0"] = draw(st.sampled_from(["-1", "-1/3"]))
+    elif fault == "alpha":
+        phi["alpha"] = "inf" if alpha == "1" else "1"
+    else:
+        phi = {"kind": "rational_hyperbolic", "c": draw(st.sampled_from(["0", "-1/2", "0/5"]))}
+    kind = draw(st.sampled_from(["Marcinkiewicz", "MarcinkiewiczStar"]))
+    return {"kind": kind, "alpha": alpha, "phi": phi}
+
+
+@st.composite
+def _option_fuzz_argv(draw) -> list:
+    command = draw(st.sampled_from(["maximal", "fundamental", "sample-member",
+                                    "flatten-head", "probe-koc", "probe-lkm"]))
+
+    def option(name):
+        return [name, draw(st.sampled_from(_OPTION_VALUES[name][draw(st.booleans())]))]
+
+    def space():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(_VALID_SPACES))
+        return _dumps(draw(st.one_of(_space_json(), _bad_phi_space_json())))
+
+    if draw(st.booleans()):  # a well-formed x, so that the options are reached
+        step = draw(st.sampled_from([BOX, _VALID_STEPS["unit"], _VALID_STEPS["star"]]))
+    else:
+        step = _dumps(draw(st.one_of(_step_json(), _step_json(star=True))))
+    if command == "maximal":
+        return [command, "--input", step, *option("--t")]
+    if command == "fundamental":
+        return [command, "--space", space(), *option("--t")]
+    if command == "sample-member":
+        scalar = st.sampled_from(["1/2", "2", "1/5", "0", "-1", "9"])
+        obj = {"x": json.loads(_VALID_STEPS["star"]), "tau": draw(scalar),
+               "eps": draw(scalar)}
+        if draw(st.booleans()):
+            obj = draw(_corrupted({**obj, "x": draw(_step_json(star=True))},
+                                  ("x", "tau", "eps")))
+        return [command, "--input", _dumps(obj), *option("--seed")]
+    if command == "flatten-head":
+        return [command, "--input", step, *option("--n")]
+    argv = [command, "--input", step, "--space", space(), *option("--family"),
+            *option("--n")]
+    optional = ["--t-x", "--delta"] + (["--tolerance"] if command == "probe-koc" else [])
+    for name in optional:
+        if draw(st.booleans()):
+            argv += option(name)
+    if command == "probe-koc" and "--tolerance" not in argv:
+        argv += ["--tolerance", "1/100"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_option_fuzz_argv())
+def test_malformed_options_and_phi_end_in_a_documented_exit_status(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        # argparse prints its usage lines before its one error line
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert out.getvalue() == "" and len(errors) == 1, err.getvalue()

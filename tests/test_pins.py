@@ -12,7 +12,10 @@ maximal distances moved from concave-function segments onto ``refine``'s
 running sums, the rearrange digests before the rearrangement's sort
 moved from cross-multiplied fraction compares onto int keys, and the
 majorant-pair digests before the majorant crossings were bisected and the
-flattening became a splice of cut lists; a refactor
+flattening became a splice of cut lists, the collinear-phi norm and
+fundamental digests and the "head" sample-member digest before a concave
+function's slopes became one step function and the flattenings' level
+integrals were read off Phi_x's chords; a refactor
 that changes any byte of these outputs fails here, even when it changes
 them the same way on every run.
 """
@@ -109,6 +112,17 @@ _PHI = {
             "breakpoints": ["1/2", "2"], "node_values": ["1", "2"], "final_slope": "1/4"},
 }
 _HYPERBOLIC = {"kind": "rational_hyperbolic", "c": "3/2"}
+#: fundamental functions with a jump at 0 and collinear runs of nodes, one
+#: per domain: the nodes 1/4 and 3/4 (1/2 and 4 on [0, inf)) lie on the
+#: line through their neighbours and are merged away
+_PHI_COLLINEAR = {
+    "1": {"kind": "piecewise_linear_concave", "alpha": "1",
+          "breakpoints": ["1/4", "1/2", "3/4"], "node_values": ["5/4", "3/2", "13/8"],
+          "final_slope": "1/2", "jump0": "1"},
+    "inf": {"kind": "piecewise_linear_concave", "alpha": "inf",
+            "breakpoints": ["1/2", "1", "2", "4"], "node_values": ["3/2", "2", "5/2", "3"],
+            "final_slope": "1/4", "jump0": "1"},
+}
 #: fundamental functions with a jump at 0, one per domain
 _PHI_JUMP = {
     "1": {"kind": "piecewise_linear_concave", "alpha": "1", "breakpoints": ["1/2"],
@@ -180,10 +194,21 @@ COMMANDS = {
         "--space", json.dumps({"kind": "Marcinkiewicz", "alpha": _X[x]["alpha"],
                                "phi": _PHI_JUMP[_X[x]["alpha"]]})]
        for x in _X},
-    # seed 0 scales x; seeds 5, 6 and 10 fit a drawn shape under x
+    **{f"norm Marcinkiewicz collinear {x}": [
+        "norm", "--input", json.dumps(_X[x]),
+        "--space", json.dumps({"kind": "Marcinkiewicz", "alpha": _X[x]["alpha"],
+                               "phi": _PHI_COLLINEAR[_X[x]["alpha"]]})]
+       for x in _X},
+    **{f"fundamental Marcinkiewicz collinear {alpha}": [
+        "fundamental", "--space",
+        json.dumps({"kind": "Marcinkiewicz", "alpha": alpha, "phi": _PHI_COLLINEAR[alpha]}),
+        "--t", "1/3,1/2,3/4" if alpha == "1" else "1/3,1,5/2,7"]
+       for alpha in ("1", "inf")},
+    # seed 0 scales x; seeds 5, 6 and 10 fit a drawn shape under x; seed 7
+    # averages x over a head [0, r) and scales it
     **{f"sample-member seed {seed}": ["sample-member", "--input", _PROP32_CASE2,
                                       "--seed", str(seed)]
-       for seed in (0, 5, 6, 10)},
+       for seed in (0, 5, 6, 7, 10)},
     "flatten-head": ["flatten-head", "--input", _DECREASING, "--n", "1..4"],
     # the same x in both construction cases
     **{f"majorant-pair {case}": [
@@ -393,6 +418,36 @@ COMMAND_DIGESTS = {
         "97f426c802722a99ac352b9c28da4fedc95b7c4a505655830adf5b6fcd9e8d7c",
         "2bf7e4f627eebb9a8ceea588bc21296cf0920ef6ec83f0e1e44363bf17ca191a",
         "9feb440ebd7cb7420830baf082333fec6f9691f645d1c02380e34b7c9da335b9",
+    ),
+    "norm Marcinkiewicz collinear unit": (
+        "604e1144234d89d579d8393198b1d7d1edb1822edf4747f97de9753caae2267e",
+        "03ee93afd83168a9b3fbed8380d9b68c73aff111882978e288052e6c584428a1",
+        "6e1f5cd1f71a3c84e286384bf9db080e690f0d51606b44b2dd93d637bee9ec63",
+    ),
+    "norm Marcinkiewicz collinear half": (
+        "00ff8be5705d7b4f9691ccf77e02714fbc5d541fbd28d717807fe73e06242ff5",
+        "169d70f69f25ac40e9ada52a3406f793ef76f4c0601e60634cbf7a74ffd60c86",
+        "181112b2e61e1972759287f068bbb46b2bd0e250ce4e534500325d1348b9b6c3",
+    ),
+    "norm Marcinkiewicz collinear half_tail": (
+        "6300a07cddea729858a7054cf3c0bdf46bac1e259e28f5fc6ab1fb34b70ee4aa",
+        "c82e54ff91c9b67b9e85d399caf439444af74c1b825e9fd7d3dab77ac02ea187",
+        "467ea9e4c74ed15fd4a53e7543c61c7037c6e042eadc3760b2bd9fcb9e0964c3",
+    ),
+    "fundamental Marcinkiewicz collinear 1": (
+        "d050cde7ed509548aeee51e654905ad877f9f991d40e0789ce0e6137c8631485",
+        "6938d48945a026db591088fd7eda16def87124b98822ec9fc3da1942c57ddf19",
+        "193ea4128c245f2a6c4451ffd2fb1546aae0de5851c79d8e69de834e01746139",
+    ),
+    "fundamental Marcinkiewicz collinear inf": (
+        "c21c16770d5f4d31aed61a0c23bda02218771d512195ae76923de8f10e1f6b8d",
+        "e2bf06e5889de126ee0af7d26d9a37964c939c457be04950086812239e94e692",
+        "ad55575da3ac241ae64c27f4d6afbdb56e4541dfb6f7d2fb11e606674663e81c",
+    ),
+    "sample-member seed 7": (
+        "c30d461fcce5b1ceeb9c9fef823e025278c6d3e7a11fe14285fd575eb7ef046c",
+        "a87590729015244a3219c07bbae2e924429ab012bd945a9198fe8880117ce0c1",
+        "cc144e68757e62ed566e507a1d4ed523f866aab53242d1e18634e4f2b3034de4",
     ),
     "sample-member seed 10": (
         "c28a0e4e0782484d269e0fde60c48f4c39c5f1cbbbf80bcc3ffd7935e1921e01",
