@@ -11,14 +11,14 @@ maximal function is x**(t) = Phi_x(t)/t, with Phi_x frozen at its limit for
 t >= 1 when alpha = 1.
 
 The arithmetic is on int pairs, not Fractions, through the summation
-kernel of ``stepfn``: each piece's length is a gcd-reduced pair
-(numerator, denominator), and the star's cuts and the level integral's
-nodes are running sums of pairs, one Fraction per output entry.  Here, the
-sort key of |value| p/q is the plain int (|p| << k) // q = floor(|p/q| 2^k),
-with k = 2 * D.bit_length() for D the largest denominator of x: distinct
-values differ by at least 1/D^2 > 2^-k, so the keys order them exactly and
-tie only on equal values.  Pieces of equal key are merged by adding their
-length pairs.
+kernel of ``stepfn``.  Pieces are grouped by the ratio (|p|, q) of their
+value p/q, exact since a Fraction is in lowest terms; a group sums its
+length numerators per denominator, reduced by ``stepfn._pair_total``.
+Only the distinct values are sorted, by the int key (|p| << k) // q =
+floor(|p/q| 2^k), with k = 2 * D.bit_length() for D the largest
+denominator of x: distinct values differ by at least 1/D^2 > 2^-k, so the
+keys order them exactly.  The star's cuts and the level integral's nodes
+are running sums of pairs, one gcd and one Fraction per distinct value.
 
 A star passes through: when x is already x* (``stepfn``'s
 ``is_decreasing_rearrangement``), the rearrangement returns x itself as
@@ -30,18 +30,20 @@ with no division, and its slope function is the star object itself.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter
 
 from .errors import PreconditionError
 from .stepfn import (
     INF,
     PiecewiseLinearConcave,
     StepFunction,
+    _frac,
     _lengths,
+    _pair_total,
     _products,
     _require_same_domain,
     _running_sums,
@@ -67,48 +69,48 @@ class RearrangementResult:
     star_at_infinity: Fraction
 
 
-def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
-    """x* by sorting the pieces of |x|, with the length pairs of its pieces."""
-    values = (*x.values, x.tail)
-    ratios = [v.as_integer_ratio() for v in values]
-    # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
-    k = 2 * max([q for _, q in ratios]).bit_length()
-    keys = [(abs(p) << k) // q for p, q in ratios]
-    # [key of |value|, value, length numerator, length denominator]
-    pieces = [[key, v, n, d] for key, v, (n, d) in zip(keys, values, lengths)]
-    if x.alpha == INF:
-        pieces = [p for p in pieces if p[0] > keys[-1]]  # keys[-1]: |tail|
-    # sort by |value|, descending, merging equal values
-    pieces.sort(key=itemgetter(0), reverse=True)
-    merged: list[list] = []
-    for p in pieces:
-        if merged and p[0] == merged[-1][0]:
-            m = merged[-1]
-            n, d = m[2] * p[3] + p[2] * m[3], m[3] * p[3]
-            g = gcd(n, d)
-            m[2], m[3] = n // g, d // g
+def _sorted_star(x: StepFunction) -> tuple[StepFunction, list]:
+    """x* by grouping the pieces of |x| by value (lengths computed inline, as
+    ``stepfn._lengths`` does) and sorting the distinct values, with the
+    reduced length pairs of its pieces."""
+    # |value| as its reduced ratio (|p|, q) -> {length denominator: numerator sum}
+    groups = defaultdict(lambda: defaultdict(int))
+    pn, pd = 0, 1
+    ends = x.cuts if x.alpha == INF else (*x.cuts, 1)  # the tail's length on [0, 1)
+    for c, v in zip(ends, (*x.values, x.tail)):
+        cn, cd = c.as_integer_ratio()
+        if cd == pd:
+            n, d = cn - pn, cd
         else:
-            merged.append(p)
-    # on [0, 1) the last sorted piece is the tail of the rearrangement
-    tail = abs(merged.pop()[1] if x.alpha != INF else x.tail)
-    lengths = [(n, d) for _, _, n, d in merged]
-    star = _trusted(
-        StepFunction,
-        alpha=x.alpha,
-        cuts=tuple(_running_sums(lengths)),
-        values=tuple(v if v.numerator > 0 else -v for _, v, _, _ in merged),
-        tail=tail,
-    )
+            n, d = cn * pd - pn * cd, cd * pd
+            g = gcd(n, d)
+            n, d = n // g, d // g
+        p, q = v.as_integer_ratio()
+        groups[p if p >= 0 else -p, q][d] += n
+        pn, pd = cn, cd
+    # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
+    k = 2 * max([x.tail.denominator, *(q for _, q in groups)]).bit_length()
+    ratio_of = {(p << k) // q: (p, q) for p, q in groups}
+    keys = sorted(ratio_of, reverse=True)
+    if x.alpha == INF:
+        tail = abs(x.tail)
+        top = (tail.numerator << k) // tail.denominator
+        keys = [key for key in keys if key > top]  # |tail| absorbs the rest
+    else:  # the smallest value is the tail of the rearrangement
+        tail = _frac(*ratio_of[keys.pop()])
+    ratios = [ratio_of[key] for key in keys]
+    lengths = [_pair_total(groups[r]) for r in ratios]
+    star = _trusted(StepFunction, alpha=x.alpha, cuts=tuple(_running_sums(lengths)),
+                    values=tuple(_frac(p, q) for p, q in ratios), tail=tail)
     return star, lengths
 
 
 @lru_cache(maxsize=8192)
 def _rearrange(x: StepFunction) -> RearrangementResult:
-    lengths = _lengths(x.cuts, x.alpha)
     if is_decreasing_rearrangement(x):
-        star = x
+        star, lengths = x, _lengths(x.cuts, x.alpha)
     else:
-        star, lengths = _sorted_star(x, lengths)
+        star, lengths = _sorted_star(x)
     # running integral of the star: one node per cut, then slope = tail
     nodes = _running_sums(_products(star.values, lengths))
     phi = _trusted(

@@ -223,13 +223,15 @@ def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
         at_big = _running_sums(_products(xv, lengths))
         at_phi = _running_sums(_products(pv, lengths))
         cands = [b * (phi.jump0 + p) / s for s, b, p in zip(cs, at_big, at_phi)]
-    at_zero, at_inf = _limits(phi, rr)
-    cands.append(at_zero)
+    # the limit at 0+ (jump0 * x*(0+), or 0) is never larger: on the first
+    # merged piece the objective x*(0+) * phi(t) is nondecreasing, and with no
+    # merged cut the alpha = 1 or t -> inf candidate is at least as large
     if x.alpha != INF:
         cands.append(big.value_at(x.alpha) * phi.value_at(x.alpha))
-    elif at_inf == INF:
-        return INF
     else:
+        at_inf = _limits(phi, rr)[1]
+        if at_inf == INF:
+            return INF
         cands.append(at_inf)
     return max(cands)
 

@@ -24,13 +24,16 @@ Binary kernels walk the common refinement once: :func:`refine` merges
 two cut lists in one pass and reads both operands' values on each merged
 piece.  It is the only walk over two cut lists.
 
-Every integral and measure of a step function is one int-pair sum:
-lengths are gcd-reduced (numerator, denominator) pairs, value times length
-is a pair of int products, and pairs are added with one ``math.gcd`` per
-step into running sums, a total (:func:`integrate`,
-:func:`exceedance_measure`, the L1 norm, ``majorize``'s integrals), one
-Fraction per result, or signs (``majorize.plc_dominated_by``).  ``+`` and
-``-`` add the operands' values on each piece of ``refine`` the same way, as
+Every integral and measure of a step function is one int-pair sum.  A
+length is an int pair, reduced by gcd unless its cut shares the previous
+cut's denominator d, which gives (cn - pn, d) with no gcd.  Value times
+length is a pair of int products.  Running sums add pairs with one
+``math.gcd`` per step, into one Fraction per result or signs
+(``majorize.plc_dominated_by``).  A total (:func:`integrate`,
+:func:`exceedance_measure`, the L1 norm, ``majorize``'s integrals) adds
+numerators as ints per denominator, then the distinct denominators with
+one gcd each (:func:`_pair_total`), as the rearrangement's groups do.
+``+`` and ``-`` add the operands' values on each piece of ``refine`` as
 reduced pairs, and merge equal neighbours by comparing pairs.  A pair that
 is already reduced becomes a Fraction through :func:`_frac`, which skips
 the second gcd of ``Fraction.__new__``; it is the only code that sets
@@ -61,6 +64,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -271,6 +275,11 @@ class StepFunction:
     def _map(self, op) -> "StepFunction":
         return _merged(self.alpha, self.cuts, [op(v) for v in (*self.values, self.tail)])
 
+    def _map_injective(self, op) -> "StepFunction":
+        """_map for an injective op: neighbours stay distinct, nothing merges."""
+        return _trusted(StepFunction, alpha=self.alpha, cuts=self.cuts,
+                        values=tuple(map(op, self.values)), tail=op(self.tail))
+
     def __add__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
@@ -282,7 +291,7 @@ class StepFunction:
         return _pair_sum(self, other, -1)
 
     def __neg__(self):
-        return self._map(lambda v: -v)
+        return self._map_injective(lambda v: -v)
 
     def __abs__(self):
         return self._map(abs)
@@ -291,7 +300,8 @@ class StepFunction:
         if isinstance(other, StepFunction):
             return self._zip_with(other, lambda a, b: a * b)
         c = rat(other)
-        return self._map(lambda v: v * c)
+        # v * c is injective unless c = 0, where all pieces merge into one
+        return (self._map_injective if c else self._map)(lambda v: v * c)
 
     __rmul__ = __mul__
 
@@ -513,15 +523,19 @@ def exceedance_measure(f: StepFunction, lam) -> Ext:
 
 
 def _lengths(cuts, alpha) -> list[tuple[int, int]]:
-    """Reduced int pairs (n, d) of the finite piece lengths that ``cuts``
-    make in [0, alpha): one per cut, and 1 - cuts[-1] when alpha = 1."""
+    """Int pairs (n, d) of the finite piece lengths that ``cuts`` make in
+    [0, alpha): one per cut, and 1 - cuts[-1] when alpha = 1.  Reduced,
+    except (cn - pn, cd) for a cut over the previous cut's denominator."""
     out = []
     pn, pd = 0, 1
     for c in cuts:
-        cn, cd = c.numerator, c.denominator
-        n, d = cn * pd - pn * cd, cd * pd
-        g = gcd(n, d)
-        out.append((n // g, d // g))
+        cn, cd = c.as_integer_ratio()
+        if cd == pd:
+            out.append((cn - pn, cd))
+        else:
+            n, d = cn * pd - pn * cd, cd * pd
+            g = gcd(n, d)
+            out.append((n // g, d // g))
         pn, pd = cn, cd
     if alpha != INF:
         out.append((pd - pn, pd))  # 1 - pn/pd, reduced as pn/pd is
@@ -556,11 +570,23 @@ def _running_sums(pairs) -> list[Fraction]:
     return [_frac(n, d) for n, d in _sums(pairs)]
 
 
+def _pair_total(sums: dict[int, int]) -> tuple[int, int]:
+    """The reduced pair of the sum of n/d over the items (d, n) of sums; a gcd
+    at each step keeps it from growing without bound on coprime d."""
+    sn, sd = 0, 1
+    for d, n in sums.items():
+        n, d = sn * d + n * sd, sd * d
+        g = gcd(n, d)
+        sn, sd = n // g, d // g
+    return sn, sd
+
+
 def _total(pairs) -> Fraction:
-    n, d = 0, 1
-    for n, d in _sums(pairs):  # keeps the last running sum
-        pass
-    return _frac(n, d)
+    """The sum of int pairs (n, d), d > 0, added as ints per denominator."""
+    sums = defaultdict(int)
+    for n, d in pairs:
+        sums[d] += n
+    return _frac(*_pair_total(sums))
 
 
 # -- increasing concave piecewise-linear functions --------------------------

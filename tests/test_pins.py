@@ -15,7 +15,10 @@ majorant-pair digests before the majorant crossings were bisected and the
 flattening became a splice of cut lists, the collinear-phi norm and
 fundamental digests and the "head" sample-member digest before a concave
 function's slopes became one step function and the flattenings' level
-integrals were read off Phi_x's chords; a refactor
+integrals were read off Phi_x's chords, and the shared-denominator
+rearrange, L1 and Marcinkiewicz norm digests before the rearrangement
+grouped pieces by distinct value and summed their lengths per shared
+denominator; a refactor
 that changes any byte of these outputs fails here, even when it changes
 them the same way on every run.
 """
@@ -149,6 +152,21 @@ def _step(alpha, breakpoints, values, tail):
     return {"alpha": alpha, "breakpoints": breakpoints, "values": values, "tail": tail}
 
 
+def _shared(alpha: str, den: int, last: int, tail: str) -> dict:
+    """Cuts k/den for k < last, k a multiple of neither 4 nor den, all over
+    the one prime denominator den, so pieces have lengths 1/den to 3/den;
+    five magnitudes recur with both signs, so each |value| gathers pieces of
+    several lengths."""
+    cycle = ("3/4", "-1/2", "2", "-3/4", "1/2", "-2", "5/3", "-5/3", "3/4", "0", "-2")
+    cuts = [f"{k}/{den}" for k in range(1, last) if k % 4 and k % den]
+    return _step(alpha, cuts, [cycle[i % 11] for i in range(len(cuts))], tail)
+
+
+#: shared-denominator inputs; on [0, inf) the tail -1/2 absorbs the pieces
+#: at +-1/2 and 0
+_SHARED = {"unit": _shared("1", 23, 23, "-3/4"), "half": _shared("inf", 7, 41, "-1/2")}
+
+
 #: hlp inputs, name -> (x, y) as _step arguments; the comments give the
 #: witnesses printed for x ≺ y and y ≺ x
 _HLP_PAIRS = {
@@ -215,6 +233,9 @@ COMMANDS = {
         "majorant-pair", "--input",
         json.dumps({"x": json.loads(_DECREASING), "tau": tau, "eps": eps})]
        for case, tau, eps in (("affine_gap", "2", "1/3"), ("affine_chord", "3", "1/4"))},
+    **{f"norm {kind} shared {x}": ["norm", "--input", json.dumps(_SHARED[x]),
+                                   "--space", _space(kind, _SHARED[x]["alpha"])]
+       for kind in ("L1", "Marcinkiewicz") for x in _SHARED},
 }
 
 # sha256 of stdout in json, table and csv, in that order
@@ -469,6 +490,26 @@ COMMAND_DIGESTS = {
         "2d10e6d46eee0ca0a8e89aa5979b068a53fc461945e4a8a8042b7e07f05b457c",
         "bd736edd5d4cdb808c08e74f96eec9fbb296eb6ee6439436703ea2a752fc7569",
     ),
+    "norm L1 shared half": (
+        "fe984be56b2589a8ec933365c01702001bad5c94a04c327fa1340ac07d140e50",
+        "39d203c07eed423bc022a0f263a2da4bbd2ba45e7ffe9d525bf0cdea60008d06",
+        "58a945c5a70ef055f5c8951af23c9a59af1887d933ca23bb38b56c827cc5e3f7",
+    ),
+    "norm L1 shared unit": (
+        "7bbf26db74442b36fb9f4f8fb3f2491ab64a6eee07e5564d9d69536c70871b83",
+        "1079c79f1dc88b195738def6a4c38cf626be15010f056bb39c52ab15218619ff",
+        "4f324d17a7c28503c2027eb270c54b8893448e46686cf71e81128df800a4b234",
+    ),
+    "norm Marcinkiewicz shared half": (
+        "784bdcc70b3036bfceaad08ec02c202e1581a4b0f37764b5948084b624825c8e",
+        "aa2383b0c7b10981bec70815e392208bd6ed44a25105247d42026d6c3d93a641",
+        "5693862d2218293a48247b7408fff649ae20df964f82c9500383007501b7f193",
+    ),
+    "norm Marcinkiewicz shared unit": (
+        "f30ca8f3a8d0812de6751d8b7b33dd7aa1c0289ac6808d01aab476b85f79669e",
+        "84a2454b9406359392bfff4dad68a82656945ffe4a1013d31935bbae686f0701",
+        "e7d70cdc82204622868dd7317fa84f9204f686c354c185190bf23d0c0dcba80d",
+    ),
 }
 
 
@@ -520,6 +561,8 @@ def _rearrange_inputs() -> dict:
                               ["3/2", "-3/2", "-7/4", "2", "-1/2",
                                str(Fraction(3, 2) + Fraction(1, 2**80)), "-5/2", "0"],
                               "-3/2"),
+        "shared unit": _SHARED["unit"],
+        "shared half": _SHARED["half"],
     }
 
 
@@ -540,6 +583,16 @@ REARRANGE_DIGESTS = {
         "bd0156a02f8ba6efcf438105e3b7a7afd5950190800e6deadaeeddc6deb4dd32",
         "ea321540d056372126bca70f785fdb34ffb49d423c2540ab7a25866241b12695",
         "38887773aec55a240a7127c300a4611ee0fd3e41a36e77b59919e267faa7c28c",
+    ),
+    "shared unit": (
+        "5f48189b6c61c02b5adfa70c27e73d18b2b183461844c3d0f4bf9823ae5a954f",
+        "8998128ab8691a097ca488e6b32f8d245c03b476c6e95817654746d1c807027f",
+        "39ff627b550ace93e52b5c912706cd5019dd88c0a9888753b5ab6c0018e3a1cb",
+    ),
+    "shared half": (
+        "311e060adcec1f36b130cd51d1347aa92e56b930d9689694c5672a401848553c",
+        "07be5c26428a22b9e46e8b0e6ba06c1f70935a40e113fda01f8348f36a6fb7a4",
+        "b7fa517336955ac62c3a0d46e63de392bd2efbef2590ffb01529d0b6637ce583",
     ),
 }
 

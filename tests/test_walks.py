@@ -12,9 +12,15 @@ kernel (``integrate``, ``exceedance_measure``,
 Fraction loops over the pieces.  The domination kernel
 ``majorize.plc_dominated_by`` is compared with such a loop, and, on the
 stars of a pair, with their level integrals read through ``value_at``.
+Inputs with few |values| of both signs over shared, mixed and coprime
+denominators check the grouped rearrangement against
+``gen._sorted_oracle_star``, the per-denominator totals against Fraction
+loops, that every Fraction they return is in lowest terms (``_frac``
+trusts its pair), and ``-x``, ``scale`` and ``x * c`` against a loop.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +36,7 @@ from rearrcalc import (
     maximal_distance,
     rearrangement,
 )
+from rearrcalc.gen import _sorted_oracle_star
 from rearrcalc.majorize import HlpVerdict, _integral_product, hlp_compare, plc_dominated_by
 from rearrcalc.spaces import SpaceSpec, norm
 from rearrcalc.stepfn import exceedance_measure, integrate, plc_from_nodes, refine
@@ -634,3 +641,89 @@ def test_sum_and_difference_match_a_fraction_loop(pair):
         assert h == ref and hash(h) == hash(ref)
         assert all(type(q) is F for q in (*h.values, h.tail))
     assert f - f == constant(0, f.alpha) == f + -f
+
+
+# -- grouped rearrangement, bucketed totals, injective maps -----------------------
+
+
+@st.composite
+def grouped_step_functions(draw):
+    """Step functions whose few |values| recur, with both signs, on pieces of
+    many lengths: cuts over one shared denominator, over mixed denominators
+    up to 8, or over distinct primes above 10**6, on both domains.  On
+    [0, inf) the tail is often one of the magnitudes, absorbing the pieces
+    at and below it."""
+    alpha = draw(st.sampled_from([INF, F(1)]))
+    shape = draw(st.sampled_from(["shared", "mixed", "coprime"]))
+    if shape == "shared":  # k coprime to den: every cut keeps the denominator den
+        den = draw(st.sampled_from([7, 12, 30, 101]))
+        ks = st.integers(1, den - 1).filter(lambda k: gcd(k, den) == 1)
+        unit = st.builds(F, ks, st.just(den))
+    elif shape == "mixed":
+        unit = st.integers(2, 8).flatmap(lambda d: st.builds(F, st.integers(1, d - 1), st.just(d)))
+    else:
+        unit = st.sampled_from(BIG_PRIMES).flatmap(
+            lambda p: st.builds(F, st.integers(1, p - 1), st.just(p)))
+    points = draw(st.lists(unit, min_size=3, max_size=24))  # in (0, 1)
+    # cut i is i + points[i] on [0, inf): same denominators, increasing
+    cuts = [i + u for i, u in enumerate(points)] if alpha == INF else sorted(set(points))
+    mags = rationals(signed=False)
+    if shape == "coprime":
+        mags = st.builds(F, st.integers(0, 10**6), st.sampled_from(BIG_PRIMES))
+    pool = draw(st.lists(mags, min_size=1, max_size=4))
+    value = st.builds(lambda m, s: s * m, st.sampled_from(pool), st.sampled_from([1, -1]))
+    values = draw(st.lists(value, min_size=len(cuts), max_size=len(cuts)))
+    tail = draw(st.one_of(value, st.just(F(0))))
+    return canonicalize(cuts, values, tail, alpha)
+
+
+def reduced(q) -> bool:
+    return type(q) is F and q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+
+@SETTINGS
+@given(grouped_step_functions())
+def test_grouped_rearrangement_matches_oracle_and_is_reduced(x):
+    rr = rearrangement(x)
+    star, li = rr.star, rr.level_integral
+    assert star == _sorted_oracle_star(x)
+    assert rr.star_at_infinity == star.tail == li.final_slope
+    nodes, total, prev = [], F(0), F(0)
+    for c, v in zip(star.cuts, star.values):
+        total += v * (c - prev)
+        nodes.append(total)
+        prev = c
+    assert li.cuts == star.cuts and list(li.node_values) == nodes
+    assert all(map(reduced, (*star.cuts, *star.values, star.tail, *li.node_values)))
+
+
+@SETTINGS
+@given(f=grouped_step_functions(), data=st.data())
+def test_grouped_totals_match_fraction_loops(f, data):
+    a, b = kernel_points(f, data.draw)
+    expected = slow_integral(f, a, b)
+    if expected is not None:
+        got = integrate(f, a, b)
+        assert got == expected and reduced(got)
+    levels = sorted({abs(v) for v in (*f.values, f.tail)})
+    lam = data.draw(st.one_of(st.sampled_from(levels), rationals(signed=False)))
+    measure = exceedance_measure(f, lam)
+    assert measure == slow_exceedance(f, lam)
+    assert measure == INF or reduced(measure)
+    l1 = slow_integral(abs(f), 0, f.alpha)
+    got = norm(SpaceSpec("L1", alpha=f.alpha), f)
+    assert got == (INF if l1 is None else l1)
+    assert got == INF or reduced(got)
+
+
+@SETTINGS
+@given(f=grouped_step_functions(), c=st.one_of(st.just(F(0)), rationals()))
+def test_maps_match_a_fraction_loop(f, c):
+    def mapped(op):
+        return canonicalize(f.cuts, [op(v) for v in f.values], op(f.tail), f.alpha)
+
+    for got, op in ((-f, lambda v: -v), (f.scale(c), lambda v: v * c),
+                    (f * c, lambda v: v * c), (c * f, lambda v: v * c)):
+        assert got == mapped(op)
+        assert StepFunction(got.alpha, got.cuts, got.values, got.tail) == got  # canonical
+    assert f * 0 == constant(0, f.alpha)
