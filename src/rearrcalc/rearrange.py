@@ -34,7 +34,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import PreconditionError
 from .stepfn import (
@@ -69,25 +68,14 @@ class RearrangementResult:
     star_at_infinity: Fraction
 
 
-def _sorted_star(x: StepFunction) -> tuple[StepFunction, list]:
-    """x* by grouping the pieces of |x| by value (lengths computed inline, as
-    ``stepfn._lengths`` does) and sorting the distinct values, with the
-    reduced length pairs of its pieces."""
+def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
+    """x* by grouping the pieces of |x| by value and sorting the distinct
+    values, with the reduced length pairs of its pieces."""
     # |value| as its reduced ratio (|p|, q) -> {length denominator: numerator sum}
     groups = defaultdict(lambda: defaultdict(int))
-    pn, pd = 0, 1
-    ends = x.cuts if x.alpha == INF else (*x.cuts, 1)  # the tail's length on [0, 1)
-    for c, v in zip(ends, (*x.values, x.tail)):
-        cn, cd = c.as_integer_ratio()
-        if cd == pd:
-            n, d = cn - pn, cd
-        else:
-            n, d = cn * pd - pn * cd, cd * pd
-            g = gcd(n, d)
-            n, d = n // g, d // g
+    for (n, d), v in zip(lengths, (*x.values, x.tail)):  # the tail on [0, 1) only
         p, q = v.as_integer_ratio()
         groups[p if p >= 0 else -p, q][d] += n
-        pn, pd = cn, cd
     # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
     k = 2 * max([x.tail.denominator, *(q for _, q in groups)]).bit_length()
     ratio_of = {(p << k) // q: (p, q) for p, q in groups}
@@ -107,10 +95,11 @@ def _sorted_star(x: StepFunction) -> tuple[StepFunction, list]:
 
 @lru_cache(maxsize=8192)
 def _rearrange(x: StepFunction) -> RearrangementResult:
+    lengths = _lengths(x.cuts, x.alpha)
     if is_decreasing_rearrangement(x):
-        star, lengths = x, _lengths(x.cuts, x.alpha)
+        star = x
     else:
-        star, lengths = _sorted_star(x)
+        star, lengths = _sorted_star(x, lengths)
     # running integral of the star: one node per cut, then slope = tail
     nodes = _running_sums(_products(star.values, lengths))
     phi = _trusted(

@@ -571,13 +571,11 @@ def _running_sums(pairs) -> list[Fraction]:
 
 
 def _pair_total(sums: dict[int, int]) -> tuple[int, int]:
-    """The reduced pair of the sum of n/d over the items (d, n) of sums; a gcd
-    at each step keeps it from growing without bound on coprime d."""
+    """The reduced pair of the sum of n/d over the items (d, n) of sums, added
+    by ``_sums``: a gcd at each step keeps it from growing on coprime d."""
     sn, sd = 0, 1
-    for d, n in sums.items():
-        n, d = sn * d + n * sd, sd * d
-        g = gcd(n, d)
-        sn, sd = n // g, d // g
+    for sn, sd in _sums((n, d) for d, n in sums.items()):  # keeps the last sum
+        pass
     return sn, sd
 
 
