@@ -6,7 +6,9 @@ sentinel ``INF``.  Core objects are canonical ``StepFunction``s on [0, 1)
 or [0, inf) and the piecewise-linear concave level integrals derived from
 them; on top sit the Hardy-Littlewood-Polya order, Marcinkiewicz-type
 norms, a two-majorant construction with a full geometric trace, and probe
-drivers for order-continuity experiments.
+drivers for order-continuity experiments.  The names from ``experiments``
+(the probes, families, distances and ``flatten_head``) load on first use:
+importing the package does not import that module.
 """
 
 from .errors import (
@@ -17,17 +19,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     RearrCalcError,
-)
-from .experiments import (
-    ProbeRecord,
-    ProbeReport,
-    SequenceFamily,
-    builtin_family,
-    flatten_head,
-    maximal_distance,
-    measure_distance,
-    probe_koc,
-    probe_lkm,
 )
 from .majorize import (
     ConstructionTrace,
@@ -121,3 +112,17 @@ __all__ = [
     "sample_family_member",
     "__version__",
 ]
+
+_LAZY = {"ProbeRecord", "ProbeReport", "SequenceFamily", "builtin_family", "flatten_head",
+         "maximal_distance", "measure_distance", "probe_koc", "probe_lkm"}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import experiments
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

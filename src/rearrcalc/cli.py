@@ -7,7 +7,8 @@ identical arguments (and seed) produce byte-identical bytes on stdout, in
 3 on precondition violations, 4 when a property suite finds a counterexample
 (the minimized counterexample is part of the JSON payload) or when a
 construction fails its own invariant check (one line on stderr, nothing on
-stdout).
+stdout).  The handlers that use ``experiments`` or ``gen`` import it when
+they run, so that no other command pays for that import.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import gen
 from .errors import ParseError, RearrCalcError
-from .experiments import (
-    DEFAULT_DELTAS,
-    builtin_family,
-    flatten_head,
-    probe_koc,
-    probe_lkm,
-)
 from .majorize import (
     family_contains,
     hlp_compare,
@@ -52,6 +45,9 @@ _EXIT_OK = 0
 _EXIT_PARSE = 2
 _EXIT_PRECONDITION = 3
 _EXIT_PROPERTY = 4
+
+#: the names of ``gen.SUITES``, without importing ``gen`` to build the parser
+_SUITE_NAMES = ("rearrange", "hlp", "prop32", "spaces", "hardy")
 
 
 def _load_json(source: str):
@@ -284,39 +280,44 @@ def _cmd_sample_member(args) -> int:
 
 
 def _cmd_flatten_head(args) -> int:
+    from . import experiments
     x = _load_step(args.input)
     entries = []
     for n in _parse_n_list(args.n):
-        y = flatten_head(x, n)
+        y = experiments.flatten_head(x, n)
         # flatten_head has verified y ≺ x, and raises otherwise
         entries.append({"n": n, "y": y.to_json(), "hlp_holds": True})
     return _emit(args, {"x": x.to_json(), "flattened": entries})
 
 
 def _probe_common(args):
+    from . import experiments
     x = _load_step(args.input)
     space = _load_space(args.space)
     t_x = parse_rat(args.t_x) if args.t_x else None
-    family = builtin_family(args.family, x, t_x)
+    family = experiments.builtin_family(args.family, x, t_x)
     n_list = _parse_n_list(args.n)
-    deltas = _parse_deltas(args.delta) if args.delta else DEFAULT_DELTAS
+    deltas = _parse_deltas(args.delta) if args.delta else experiments.DEFAULT_DELTAS
     return x, family, space, n_list, deltas
 
 
 def _cmd_probe_koc(args) -> int:
+    from . import experiments
     x, family, space, n_list, deltas = _probe_common(args)
     tolerance = parse_rat(args.tolerance)
-    report = probe_koc(x, family, space, n_list, tolerance, deltas)
+    report = experiments.probe_koc(x, family, space, n_list, tolerance, deltas)
     return _emit(args, report.to_json(), report.to_table())
 
 
 def _cmd_probe_lkm(args) -> int:
+    from . import experiments
     x, family, space, n_list, deltas = _probe_common(args)
-    report = probe_lkm(x, family, space, n_list, deltas)
+    report = experiments.probe_lkm(x, family, space, n_list, deltas)
     return _emit(args, report.to_json(), report.to_table())
 
 
 def _cmd_prop_test(args) -> int:
+    from . import gen
     if args.cases < 1:
         raise ParseError(f"--cases must be a positive integer, got {args.cases}")
     seed = _resolve_seed(args)
@@ -348,16 +349,18 @@ def _yes(flag: bool) -> str:
 
 
 def _replicate_remark45(n_list):
-    report = probe_koc(box(1, 1), builtin_family("remark45"), SpaceSpec("L1", None, INF),
-                       n_list, tolerance=Fraction(1, 100))
+    from . import experiments
+    report = experiments.probe_koc(box(1, 1), experiments.builtin_family("remark45"),
+                                   SpaceSpec("L1", None, INF), n_list, tolerance=Fraction(1, 100))
     return report.to_json(), report.to_table()
 
 
 def _replicate_example46(n_list):
+    from . import experiments
     space = SpaceSpec("MarcinkiewiczStar", Hyperbolic(Fraction(1)), INF)
     x = constant(1, INF)
-    report = probe_koc(x, builtin_family("example46_heads"), space, n_list,
-                       tolerance=Fraction(1, 10))
+    report = experiments.probe_koc(x, experiments.builtin_family("example46_heads"), space,
+                                   n_list, tolerance=Fraction(1, 10))
     payload = report.to_json()
     payload["base_norm"] = ext_str(norm(space, x))
     return payload, f"base point norm = {payload['base_norm']}\n" + report.to_table()
@@ -373,9 +376,10 @@ _LEMMA43_SPACE = SpaceSpec(
 
 
 def _replicate_lemma43(n_list):
+    from . import experiments
     x, space, t_x = _LEMMA43_X, _LEMMA43_SPACE, Fraction(1)
-    fam_y = builtin_family("lemma43_y", x, t_x)
-    fam_x = builtin_family("lemma43_x", x)
+    fam_y = experiments.builtin_family("lemma43_y", x, t_x)
+    fam_x = experiments.builtin_family("lemma43_x", x)
     rows = []
     for n in n_list:
         y_n, x_n = fam_y(n), fam_x(n)
@@ -402,6 +406,7 @@ def _replicate_lemma43(n_list):
 
 
 def _replicate_thm47(n_list):
+    from . import experiments
     x, space = _LEMMA43_X, _LEMMA43_SPACE
     star = rearrangement(x).star
     rows = []
@@ -409,7 +414,7 @@ def _replicate_thm47(n_list):
         head = fundamental_eval(space, n) * maximal_eval(x, n)
         tail_norm = norm(space, star.window(n, None))
         bound = head + tail_norm
-        norm_y = norm(space, flatten_head(x, n))
+        norm_y = norm(space, experiments.flatten_head(x, n))
         rows.append({
             "n": n,
             "norm_y": ext_str(norm_y),
@@ -521,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_replicate)
 
     sp = sub.add_parser("prop-test", help="randomized property suites")
-    sp.add_argument("suite", choices=tuple(gen.SUITES))
+    sp.add_argument("suite", choices=_SUITE_NAMES)
     sp.add_argument("--cases", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--format", choices=("json", "table", "csv"), default="json")

@@ -20,7 +20,6 @@ most two intervals whose ends are rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -34,6 +33,7 @@ from .stepfn import (
     StepFunction,
     _lengths,
     _products,
+    _record,
     _running_sums,
     box,
     constant,
@@ -50,7 +50,7 @@ _ONE = Fraction(1)
 DEFAULT_DELTAS = (Fraction(1), Fraction(1, 2), Fraction(1, 10))
 
 
-@dataclass(frozen=True)
+@_record
 class SequenceFamily:
     """An indexed family n -> x_n with an optional base point it sits under."""
 
@@ -207,7 +207,7 @@ def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
 # -- probes -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class ProbeRecord:
     """Measurements at one index n."""
 
@@ -234,7 +234,7 @@ class ProbeRecord:
         return out
 
 
-@dataclass(frozen=True)
+@_record
 class ProbeReport:
     """Finite evidence from a probe run; serializes to JSON and a table."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -189,13 +188,10 @@ def majorized_pair(rng: random.Random, alpha: Ext = INF):
 # -- suites -------------------------------------------------------------------
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    cases: int
-    seed: int
-    failures: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    def __init__(self, suite: str, cases: int, seed: int):
+        self.suite, self.cases, self.seed = suite, cases, seed
+        self.failures, self.stats = [], {}
 
     @property
     def ok(self) -> bool:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
@@ -54,6 +53,7 @@ from .stepfn import (
     StepFunction,
     _lengths,
     _products,
+    _record,
     _require_same_domain,
     _running_sums,
     _sums,
@@ -70,7 +70,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@_record
 class HlpVerdict:
     """Outcome of an exact ≺ comparison.
 
@@ -152,7 +152,7 @@ def family_contains(y: StepFunction, x: StepFunction, tau, eps) -> bool:
 # -- the construction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class ConstructionTrace:
     """Exact geometry of the two-majorant construction.
 

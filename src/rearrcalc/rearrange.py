@@ -31,7 +31,6 @@ with no division, and its slope function is the star object itself.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,6 +43,7 @@ from .stepfn import (
     _lengths,
     _pair_total,
     _products,
+    _record,
     _require_same_domain,
     _running_sums,
     _trusted,
@@ -54,7 +54,7 @@ from .stepfn import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@_record
 class RearrangementResult:
     """The rearrangement star = x*, its running integral, and x*(inf).
 

@@ -25,7 +25,6 @@ the classical kinds), which ``fundamental_eval`` and ``embeds_in_l1`` read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -38,6 +37,7 @@ from .stepfn import (
     StepFunction,
     _lengths,
     _products,
+    _record,
     _running_sums,
     _total,
     alpha_str,
@@ -52,7 +52,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@_record
 class Hyperbolic:
     """The fundamental function phi(t) = t / (c + t) with rational c > 0."""
 
@@ -112,7 +112,7 @@ _CLASSICAL_PHI = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class SpaceSpec:
     """A named symmetric space on [0, alpha), with phi for the M-kinds."""
 

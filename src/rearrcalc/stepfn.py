@@ -54,9 +54,11 @@ output of ``canonicalize``'s merge, the results of ``+ - *``, ``abs``, ``-``,
 ``scale``, ``positive_part`` and ``window`` on canonical operands, the
 flattenings of ``majorize`` and the rearrangement's star and level integral
 (``rearrange``) are built by :func:`_trusted`, which sets the fields without
-running ``__post_init__``.
-A StepFunction's hash is computed once, from the numerators and
-denominators of its cuts, values and tail, and kept on the instance.
+running ``__post_init__``.  The value types are frozen records
+(:func:`_record`), built without importing ``dataclasses``, whose import
+alone took about 10 ms of each CLI command's start.  A StepFunction's
+hash is computed once, from the numerators and denominators of its cuts,
+values and tail, and kept on the instance.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import attrgetter
 from typing import Iterator, Union
 
 from .errors import (
@@ -179,11 +181,48 @@ def _rat_list(obj: dict, key: str) -> list[Fraction]:
 
 
 def _trusted(cls, **fields):
-    """An instance of a frozen dataclass from fields already canonical: no
-    coercion and no validation, so ``__post_init__`` does not run."""
+    """An instance of a :func:`_record` class from fields already canonical:
+    no coercion and no validation, so ``__post_init__`` does not run."""
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj
+
+
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record(cls):
+    """cls as ``dataclass(frozen=True)`` makes it: ``__init__`` over the
+    annotated fields (class attributes are defaults), then
+    ``self.__post_init__()`` if defined; ``==`` and hash on the field tuple
+    (unless cls defines ``__hash__``); ``Name(field=value, ...)`` repr; and
+    AttributeError on assignment.  Instances keep a ``__dict__``."""
+    names = tuple(cls.__annotations__)
+    body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n self.__post_init__()"
+    scope = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__defaults__ = tuple(vars(cls)[n] for n in names if n in vars(cls))
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda obj: (get(obj),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __repr__(self):
+        pairs = ", ".join(f"{n}={v!r}" for n, v in zip(names, fields(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    cls.__eq__, cls.__repr__ = __eq__, __repr__
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    if "__hash__" not in vars(cls):
+        cls.__hash__ = lambda self: hash(fields(self))
+    return cls
 
 
 def _require_same_domain(f, g) -> None:
@@ -194,7 +233,7 @@ def _require_same_domain(f, g) -> None:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class StepFunction:
     """Canonical finitely-piecewise-constant function on [0, alpha).
 
@@ -234,7 +273,7 @@ class StepFunction:
     @cached_property
     def _hash(self) -> int:
         # from (numerator, denominator) pairs: cheaper than hashing Fractions,
-        # and consistent with the dataclass __eq__ (equal fields, equal ints)
+        # and consistent with the record's __eq__ (equal fields, equal ints)
         pairs = map(Fraction.as_integer_ratio, (*self.cuts, *self.values, self.tail))
         return hash((self.alpha, *pairs))
 
@@ -590,7 +629,7 @@ def _total(pairs) -> Fraction:
 # -- increasing concave piecewise-linear functions --------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class PiecewiseLinearConcave:
     """Nondecreasing concave piecewise-linear function on [0, alpha).
 
