@@ -11,11 +11,16 @@ inconclusive) and never claim more than the finitely many indices tested.
 
 All distances are exact: for rearrangements the set {|x_n* - x*| > delta}
 is a finite union of intervals of a step function.  For maximal functions,
-``refine`` of the two stars gives the slope difference m on every merged
-piece [lo, hi), and the running sum D of m times length gives
-Phi_{x_n} - Phi_x at lo; there x_n** - x** = A/t + B with A = D(lo) - m*lo
-and B = m.  The hyperbola is monotone, and |A/t + B| > delta holds on at
-most two intervals whose ends are rational.
+``refine`` of the two stars gives the slope m of G = Phi_{x_n} - Phi_x on
+every merged piece, where G is affine, and running int-pair sums of m times
+length give G at the cuts.  As x_n** - x** = G(t)/t, the set
+{|x_n** - x**| > delta} is the disjoint union of {G - delta t > 0} and
+{-G - delta t > 0}.  On a piece each is decided by the signs of its affine
+function at the piece's two ends, int cross-products of G, the end and
+delta: both >= 0 and not both 0 counts the whole piece, both <= 0 none of
+it, and only a sign change places a root.  On [0, 1) the end 1 closes the
+last piece; on [0, inf) the last piece is a ray, infinite when its slope
+m -+ delta is positive, or zero with a positive value at the last cut.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from .stepfn import (
     Ext,
     StepFunction,
     _lengths,
-    _products,
     _record,
-    _running_sums,
+    _sums,
+    _total,
     box,
     constant,
     exceedance_measure,
@@ -155,36 +160,6 @@ def measure_distance(f: StepFunction, g: StepFunction, delta) -> Ext:
     return exceedance_measure(f - g, delta)
 
 
-def _hyperbolic_exceedance(A: Fraction, B: Fraction, delta: Fraction,
-                           lo: Fraction, hi: Ext) -> Ext:
-    """mu{ t in (lo, hi) : |A/t + B| > delta } for 0 <= lo < hi <= inf."""
-    if A == 0:
-        if abs(B) > delta:
-            return INF if hi == INF else hi - lo
-        return _ZERO
-    if A < 0:  # |A/t + B| = |(-A)/t + (-B)|
-        A, B = -A, -B
-    # h(t) = A/t + B decreases strictly from +inf to B on (0, inf)
-    intervals: list[tuple[Fraction, Ext]] = []
-    if B >= delta:
-        intervals.append((_ZERO, INF))  # h > B >= delta everywhere
-    else:
-        intervals.append((_ZERO, A / (delta - B)))  # h > delta before the crossing
-    if B < -delta:
-        intervals.append((A / (-delta - B), INF))  # h < -delta past the crossing
-    total: Fraction = _ZERO
-    for a, b in intervals:
-        a2 = max(a, lo)
-        b2 = b if hi == INF else (min(b, hi) if b != INF else hi)
-        if b2 == INF:
-            if a2 != INF:
-                return INF
-            continue
-        if b2 > a2:
-            total += b2 - a2
-    return total
-
-
 def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
     """mu{ t in (0, alpha) : |x**(t) - y**(t)| > delta }, exactly."""
     delta = rat(delta)
@@ -193,15 +168,37 @@ def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
     if x.alpha != y.alpha:
         raise PreconditionError("operands live on different domains")
     cuts, xv, yv = refine(rearrangement(x).star, rearrangement(y).star)
-    slopes = [a - b for a, b in zip(xv, yv)]
-    at_lo = [_ZERO, *_running_sums(_products(slopes, _lengths(cuts, x.alpha)))]
-    total: Ext = _ZERO
-    for lo, hi, d, m in zip((_ZERO, *cuts), (*cuts, x.alpha), at_lo, slopes):
-        piece = _hyperbolic_exceedance(d - m * lo, m, delta, lo, hi)
-        if piece == INF:
-            return INF
-        total += piece
-    return total
+    lengths = _lengths(cuts, x.alpha)
+    slopes = [(a.numerator * b.denominator - b.numerator * a.denominator,
+               a.denominator * b.denominator) for a, b in zip(xv, yv)]
+    at_ends = _sums((mn * n, md * d) for (mn, md), (n, d) in zip(slopes, lengths))
+    ends = [c.as_integer_ratio() for c in cuts]
+    if x.alpha != INF:
+        ends.append((1, 1))  # G(1) is the last sum: lengths end with 1 - cuts[-1]
+    en, ed = delta.as_integer_ratio()
+    # (G - delta t) D and (-G - delta t) D at t = 0, then at each end, D > 0
+    plus = minus = 0
+    D = 1
+    pieces = []  # int pairs of the lengths of the exceedance set
+    for (n, d), (cn, cd), (gn, gd) in zip(lengths, ends, at_ends):
+        g, e, D_hi = gn * ed * cd, en * cn * gd, gd * ed * cd
+        plus_hi, minus_hi = g - e, -g - e
+        for lo, hi in ((plus, plus_hi), (minus, minus_hi)):
+            if lo >= 0 and hi >= 0:
+                if lo or hi:
+                    pieces.append((n, d))
+            elif lo > 0 or hi > 0:  # one root: (n/d) h(pos end) / (h(pos) - h(neg))
+                u, w = lo * D_hi, hi * D
+                pieces.append((n * u, d * (u - w)) if lo > 0 else (n * w, d * (w - u)))
+        plus, minus, D = plus_hi, minus_hi, D_hi
+    if x.alpha == INF:  # the ray from the last cut, slope m -+ delta
+        mn, md = slopes[-1]
+        for h, sn in ((plus, mn * ed - en * md), (minus, -mn * ed - en * md)):
+            if sn > 0 or (sn == 0 and h > 0):
+                return INF
+            if h > 0:  # root at h / (D |slope|) past the last cut
+                pieces.append((h * md * ed, -sn * D))
+    return _total(pieces)
 
 
 # -- probes -------------------------------------------------------------------

@@ -13,7 +13,8 @@ t >= 1 when alpha = 1.
 The arithmetic is on int pairs, not Fractions, through the summation
 kernel of ``stepfn``.  Pieces are grouped by the ratio (|p|, q) of their
 value p/q, exact since a Fraction is in lowest terms; a group sums its
-length numerators per denominator, reduced by ``stepfn._pair_total``.
+length numerators per denominator, then adds those sums with one gcd per
+denominator, as ``stepfn._pair_total`` does for a total.
 Only the distinct values are sorted, by the int key (|p| << k) // q =
 floor(|p/q| 2^k), with k = 2 * D.bit_length() for D the largest
 denominator of x: distinct values differ by at least 1/D^2 > 2^-k, so the
@@ -33,6 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import PreconditionError
 from .stepfn import (
@@ -41,7 +43,6 @@ from .stepfn import (
     StepFunction,
     _frac,
     _lengths,
-    _pair_total,
     _products,
     _record,
     _require_same_domain,
@@ -71,14 +72,22 @@ class RearrangementResult:
 def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
     """x* by grouping the pieces of |x| by value and sorting the distinct
     values, with the reduced length pairs of its pieces."""
-    # |value| as its reduced ratio (|p|, q) -> {length denominator: numerator sum}
-    groups = defaultdict(lambda: defaultdict(int))
+    # numerator sums per (|value| as its reduced ratio (|p|, q), length
+    # denominator), then added per (|p|, q) with one gcd per denominator
+    sums = defaultdict(int)
     for (n, d), v in zip(lengths, (*x.values, x.tail)):  # the tail on [0, 1) only
         p, q = v.as_integer_ratio()
-        groups[p if p >= 0 else -p, q][d] += n
+        sums[p if p >= 0 else -p, q, d] += n
+    totals = {}
+    for (p, q, d), n in sums.items():
+        total = totals.get((p, q))
+        if total is not None:
+            n, d = total[0] * d + n * total[1], total[1] * d
+        g = gcd(n, d)
+        totals[p, q] = (n // g, d // g)
     # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
-    k = 2 * max([x.tail.denominator, *(q for _, q in groups)]).bit_length()
-    ratio_of = {(p << k) // q: (p, q) for p, q in groups}
+    k = 2 * max([x.tail.denominator, *(q for _, q in totals)]).bit_length()
+    ratio_of = {(p << k) // q: (p, q) for p, q in totals}
     keys = sorted(ratio_of, reverse=True)
     if x.alpha == INF:
         tail = abs(x.tail)
@@ -87,7 +96,7 @@ def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
     else:  # the smallest value is the tail of the rearrangement
         tail = _frac(*ratio_of[keys.pop()])
     ratios = [ratio_of[key] for key in keys]
-    lengths = [_pair_total(groups[r]) for r in ratios]
+    lengths = [totals[r] for r in ratios]
     star = _trusted(StepFunction, alpha=x.alpha, cuts=tuple(_running_sums(lengths)),
                     values=tuple(_frac(p, q) for p, q in ratios), tail=tail)
     return star, lengths

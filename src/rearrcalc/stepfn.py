@@ -57,8 +57,9 @@ flattenings of ``majorize`` and the rearrangement's star and level integral
 running ``__post_init__``.  The value types are frozen records
 (:func:`_record`), built without importing ``dataclasses``, whose import
 alone took about 10 ms of each CLI command's start.  A StepFunction's
-hash is computed once, from the numerators and denominators of its cuts,
-values and tail, and kept on the instance.
+hash is computed once and kept on the instance, from the numerators and
+denominators of its tail and of at most 16 evenly spaced cuts and values
+(every one below 16 cuts), and so is its x = x* test.
 """
 
 from __future__ import annotations
@@ -272,13 +273,32 @@ class StepFunction:
 
     @cached_property
     def _hash(self) -> int:
-        # from (numerator, denominator) pairs: cheaper than hashing Fractions,
-        # and consistent with the record's __eq__ (equal fields, equal ints)
-        pairs = map(Fraction.as_integer_ratio, (*self.cuts, *self.values, self.tail))
-        return hash((self.alpha, *pairs))
+        # From (numerator, denominator) pairs, cheaper than hashing Fractions,
+        # of every s-th cut and value: all of them below 16 cuts, at most 16
+        # of each above.  It is a function of the fields, so equal functions
+        # (equal fields, the record's __eq__) hash equal.  Functions that
+        # differ only off the sample collide, which costs the cache one
+        # field-tuple compare, never a wrong result.
+        cuts, values = self.cuts, self.values
+        s = len(cuts) // 16 + 1
+        pairs = map(Fraction.as_integer_ratio, (*cuts[::s], *values[::s], self.tail))
+        return hash((self.alpha, len(cuts), *pairs))
 
     def __hash__(self) -> int:
         return self._hash
+
+    @cached_property
+    def _is_star(self) -> bool:
+        """See :func:`is_decreasing_rearrangement`."""
+        n, d = self.tail.numerator, self.tail.denominator
+        if n < 0:
+            return False
+        for v in reversed(self.values):
+            vn, vd = v.numerator, v.denominator
+            if vn * d <= n * vd:
+                return False
+            n, d = vn, vd
+        return True
 
     # -- basic queries ----------------------------------------------------
 
@@ -436,16 +456,8 @@ def refine(f: StepFunction, g: StepFunction):
 
 def is_decreasing_rearrangement(f: StepFunction) -> bool:
     """f = f*: values strictly decreasing down to a tail >= 0, checked with
-    int compares and without rearranging f."""
-    n, d = f.tail.numerator, f.tail.denominator
-    if n < 0:
-        return False
-    for v in reversed(f.values):
-        vn, vd = v.numerator, v.denominator
-        if vn * d <= n * vd:
-            return False
-        n, d = vn, vd
-    return True
+    int compares and without rearranging f, once per instance."""
+    return f._is_star
 
 
 def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:

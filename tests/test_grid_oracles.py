@@ -13,7 +13,9 @@ from plain Fraction sums written here, so no code of ``rearrange``,
   measure.  The count for x** - y** is done in integers: on a segment,
   |Phi_x - Phi_y|(t) = |a + b*t| and t_j = j*h, so the test
   |a + b*j*h| > delta*j*h becomes |A + B*j| > C*j after clearing
-  denominators.
+  denominators.  The named cases of ``test_walks`` are counted too; where
+  the distance is infinite, every grid point on the ray past the last cut
+  must exceed delta.
 * Marcinkiewicz norms: a grid value never exceeds the exact supremum.  When
   every cut of x and of phi is a grid point, x*(inf) = 0 on [0, inf) and the
   grid reaches t = 1 on [0, 1), the supremum of phi * x** sits at a grid
@@ -25,6 +27,7 @@ from plain Fraction sums written here, so no code of ``rearrange``,
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rearrcalc import (
@@ -39,7 +42,7 @@ from rearrcalc import (
 )
 from rearrcalc.gen import _sorted_oracle_star
 from rearrcalc.stepfn import plc_from_nodes
-from test_walks import at, rationals, step_functions
+from test_walks import MAXIMAL_CASES, at, rationals, step_functions
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 DELTAS = st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(5, 2)])
@@ -80,13 +83,13 @@ def segments(cuts, horizon):
 
 
 @st.composite
-def zero_at_infinity_pairs(draw):
+def zero_at_infinity_pairs(draw, big_dens=False):
     """(x, y, delta): signed step functions on one domain, x*(inf) = y*(inf) = 0
     on [0, inf).  Often y is x* with pieces lowered by delta or 2*delta, so
     that x* - y* = +-delta on a piece, where the exceedance set of
     x** - y** changes shape."""
     alpha = draw(st.sampled_from([INF, F(1)]))
-    kw = dict(alpha=alpha, max_pieces=6)
+    kw = dict(alpha=alpha, max_pieces=5 if big_dens else 6, big_dens=big_dens)
     x, y = draw(step_functions(**kw)), draw(step_functions(**kw))
     if alpha == INF:
         x, y = (canonicalize(f.cuts, f.values, 0, INF) for f in (x, y))
@@ -110,23 +113,60 @@ def horizon_and_step(x, y, delta, nodes_x, nodes_y):
     return F(math.ceil(max(last, gap / delta)) + 1), F(1, 32)
 
 
-@SETTINGS
-@given(zero_at_infinity_pairs())
-def test_maximal_distance_against_an_integer_grid_count(case):
-    x, y, delta = case
+def grid_counts(x, y, delta, horizon, h):
+    """[(lo, hi, the number of grid points t_j in (lo, hi] with
+    |x**(t_j) - y**(t_j)| > delta, the number of grid points there)] over the
+    pieces between the joint nodes below the horizon, counted in integers."""
     (nx, sx), (ny, sy) = phi_nodes(x), phi_nodes(y)
-    horizon, h = horizon_and_step(x, y, delta, nx, ny)
-    pieces = segments([c for c, _ in nx + ny], horizon)
-    count = 0
-    for lo, hi in pieces:
+    out = []
+    for lo, hi in segments([c for c, _ in nx + ny], horizon):
         (ax, bx), (ay, by) = phi_branch(nx, sx, hi), phi_branch(ny, sy, hi)
         A, B, C = ax - ay, (bx - by) * h, delta * h
         d = math.lcm(A.denominator, B.denominator, C.denominator)
         A, B, C = int(A * d), int(B * d), int(C * d)
-        count += sum(abs(A + B * j) > C * j for j in range(int(lo / h) + 1, int(hi / h) + 1))
+        js = range(int(lo / h) + 1, int(hi / h) + 1)
+        out.append((lo, hi, sum(abs(A + B * j) > C * j for j in js), len(js)))
+    return out
+
+
+def assert_grid_agrees(x, y, delta, horizon, h):
+    counts = grid_counts(x, y, delta, horizon, h)
+    count = sum(c for _, _, c, _ in counts)
     exact = maximal_distance(x, y, delta)
     assert exact != INF
-    assert abs(count * h - exact) <= h * (2 * len(pieces) + 2), (count * h, exact)
+    assert abs(count * h - exact) <= h * (2 * len(counts) + 2), (count * h, exact)
+
+
+@SETTINGS
+@given(zero_at_infinity_pairs())
+def test_maximal_distance_against_an_integer_grid_count(case):
+    x, y, delta = case
+    (nx, _), (ny, _) = phi_nodes(x), phi_nodes(y)
+    assert_grid_agrees(x, y, delta, *horizon_and_step(x, y, delta, nx, ny))
+
+
+@SETTINGS
+@given(zero_at_infinity_pairs(big_dens=True))
+def test_maximal_distance_grid_count_with_coprime_large_denominators(case):
+    x, y, delta = case
+    (nx, _), (ny, _) = phi_nodes(x), phi_nodes(y)
+    assert_grid_agrees(x, y, delta, *horizon_and_step(x, y, delta, nx, ny))
+
+
+@pytest.mark.parametrize("name", MAXIMAL_CASES)
+def test_maximal_distance_named_cases_against_a_grid_count(name):
+    x, y, delta, _ = MAXIMAL_CASES[name]
+    if x.alpha != INF:
+        assert_grid_agrees(x, y, delta, F(1), F(1, 512))
+        return
+    last = max(x.support_bound, y.support_bound)
+    exact = maximal_distance(x, y, delta)
+    if exact != INF:  # the set ends before last + exact
+        assert_grid_agrees(x, y, delta, last + exact + 1, F(1, 32))
+        return
+    # every grid point on the ray past the last cut exceeds delta
+    lo, hi, count, points = grid_counts(x, y, delta, last + 64, F(1, 32))[-1]
+    assert (lo, hi) == (last, last + 64) and count == points
 
 
 @SETTINGS

@@ -7,7 +7,10 @@ list.  Each one is rebuilt here through the public constructor, which
 coerces and validates everything, and must come back equal, with the same
 exact types.  The Fractions the int-pair sums build from reduced pairs
 must equal, and hash like, Fractions built the usual way.  The stored segment slopes of a level
-integral are checked against the quotients of its nodes.
+integral are checked against the quotients of its nodes.  A StepFunction's
+hash reads every field below 16 cuts and a strided sample above; functions
+that differ only off the sample collide and still get their own
+rearrangements.  The x = x* test runs once per instance.
 """
 
 import json
@@ -22,9 +25,11 @@ from rearrcalc import (
     block,
     canonicalize,
     constant,
+    is_decreasing_rearrangement,
     rearrangement,
 )
-from rearrcalc.majorize import _flatten
+from rearrcalc.gen import _sorted_oracle_star
+from rearrcalc.majorize import _flatten, _require_star
 from rearrcalc.rearrange import _rearrange
 from rearrcalc.stepfn import _running_sums, _total
 from test_walks import rationals, sorted_star, step_functions, window_ends
@@ -201,3 +206,71 @@ def test_int_pair_sums_are_exact_fractions(pairs):
     assert all(type(q) is F and hash(q) == hash(e) for q, e in zip(running, expected))
     total = _total(pairs)
     assert type(total) is F and total == acc and hash(total) == hash(acc)
+
+
+# -- the sampled hash and the memoized star test ------------------------------
+
+
+def long_function(n=2000, alpha=INF, cuts_at=None, values_at=None):
+    """n pieces with values 1, 2, 3, 1, 2, 3, ... over the cuts k/(n + 1),
+    k = 1..n, scaled by n + 1 on [0, inf); ``cuts_at`` and ``values_at``
+    map an index to a replacement."""
+    scale = n + 1 if alpha == INF else 1
+    cuts = [F(k, n + 1) * scale for k in range(1, n + 1)]
+    values = [F(k % 3 + 1) for k in range(n)]
+    for i, c in (cuts_at or {}).items():
+        cuts[i] = c
+    for i, v in (values_at or {}).items():
+        values[i] = v
+    return canonicalize(cuts, values, 0, alpha)
+
+
+def test_functions_equal_on_the_hash_sample_get_their_own_rearrangements():
+    x = long_function()
+    stride = len(x.cuts) // 16 + 1
+    assert stride > 1
+    # index 1 is off the sample (0, stride, 2*stride, ...)
+    others = [long_function(values_at={1: F(7)}),
+              long_function(cuts_at={1: F(3, 2)}),
+              long_function(cuts_at={1: F(3, 2)}, values_at={1: F(7)})]
+    for y in others:
+        assert len(y.cuts) == len(x.cuts)
+        assert hash(y) == hash(x) and y != x
+        _rearrange.cache_clear()
+        stars = [rearrangement(x).star, rearrangement(y).star]
+        assert _rearrange.cache_info().misses == 2
+        assert stars == [_sorted_oracle_star(x), _sorted_oracle_star(y)]
+        assert stars[0] != stars[1]
+    # equal functions built two ways hash equal at this size too
+    same = long_function() + constant(0, INF)
+    assert same is not x and same == x and hash(same) == hash(x)
+
+
+def test_short_functions_hash_every_field():
+    for n in (1, 8, 15):
+        for alpha in (INF, F(1)):
+            x = long_function(n, alpha)
+            assert len(x.cuts) == n
+            step = x.cuts[0] / 2  # a cut moved by this stays inside its neighbours
+            for i in range(n):
+                moved = long_function(n, alpha, cuts_at={i: x.cuts[i] - step})
+                other = long_function(n, alpha, values_at={i: F(9)})
+                assert hash(moved) != hash(x) and hash(other) != hash(x)
+            assert hash(canonicalize(x.cuts, x.values, 5, alpha)) != hash(x)
+
+
+def test_star_test_runs_once_per_instance(monkeypatch):
+    memo = vars(StepFunction)["_is_star"]
+    calls = []
+    run = memo.func
+    monkeypatch.setattr(memo, "func", lambda f: calls.append(f) or run(f))
+    x = canonicalize([1, 2, 3], [5, 4, 2], 1, INF)
+    _rearrange.cache_clear()
+    assert _require_star(x, "x").star is x  # the star test, then the cache miss
+    assert calls == [x]
+    assert is_decreasing_rearrangement(x) and calls == [x]
+    y = long_function(40)  # not a star: the miss tests it, then sorts
+    assert rearrangement(y).star == _sorted_oracle_star(y)
+    assert not is_decreasing_rearrangement(y)
+    assert calls == [x, y]
+

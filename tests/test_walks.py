@@ -421,6 +421,76 @@ def test_maximal_distance_matches_linear_split(pair, delta):
     assert maximal_distance(x, y, delta) == slow_maximal_distance(x, y, delta)
 
 
+# (x, y, delta, mu{|x** - y**| > delta}): each a path of the sign rule at
+# the ends of the merged pieces, with G = Phi_x - Phi_y
+MAXIMAL_CASES = {
+    # G - t is 0 exactly at the cut 2: positive before it, negative after
+    "zero_at_a_cut": (canonicalize([1, 2], [3, 1], 0, INF), box(1, 3), F(1), F(2)),
+    # [0, 1): G - t is 0 on all of [0, 1/2], then negative
+    "zero_on_a_whole_piece": (box(2, F(1, 2), 1), box(1, F(1, 2), 1), F(1), F(0)),
+    # [0, 1): G - 3t/2 falls through 0 at 2/3, inside the last piece [1/2, 1)
+    "root_in_the_last_piece": (box(2, F(1, 2), 1), constant(0, 1), F(3, 2), F(2, 3)),
+    # [0, 1): on [1/4, 1), -G - t/8 falls through 0 at 2/3 and G - t/8 rises
+    # through 0 at 6/7; G(1) = 1/4, while G(1/4) = -1/2 would miss the rise
+    "two_roots_in_the_last_piece": (constant(1, 1), box(3, F(1, 4), 1), F(1, 8), F(17, 21)),
+    # [0, inf): G - t/3 = 3/2 - t/3 on the ray past 1/2 falls through 0 at 9/2
+    "root_on_the_ray": (box(3, F(1, 2)), constant(0), F(1, 3), F(9, 2)),
+    # [0, inf): x* - y* = 1 = delta on the ray past the cut 2, with G(2) = 2
+    "tail_slope_delta_zero_value": (canonicalize([F(1, 2), 2], [4, 2], 1, INF),
+                                    box(2, F(3, 2)), F(1), F(1)),
+    "tail_slope_minus_delta_zero_value": (box(2, F(3, 2)),
+                                          canonicalize([F(1, 2), 2], [4, 2], 1, INF),
+                                          F(1), F(1)),
+    # the same ray with G(2) = 11/5 > 2: G - t = 1/5 on all of it
+    "tail_slope_delta_positive_value": (canonicalize([F(1, 2), 2], [4, 2], 1, INF),
+                                        box(2, F(7, 5)), F(1), INF),
+    "tail_slope_minus_delta_positive_value": (box(2, F(7, 5)),
+                                              canonicalize([F(1, 2), 2], [4, 2], 1, INF),
+                                              F(1), INF),
+}
+
+
+@pytest.mark.parametrize("name", MAXIMAL_CASES)
+def test_maximal_distance_named_cases(name):
+    x, y, delta, expected = MAXIMAL_CASES[name]
+    assert maximal_distance(x, y, delta) == expected
+    assert slow_maximal_distance(x, y, delta) == expected
+
+
+@st.composite
+def shifted_pairs(draw, big_dens=False):
+    """(x, y, delta) with y* - x* a multiple of delta on each piece of x*, the
+    tails too on [0, inf): G -+ delta t is then often 0 at a cut, and on the
+    ray its slope is often 0."""
+    x = draw(step_functions(max_pieces=6, big_dens=big_dens))
+    delta = draw(st.sampled_from([F(1, 2), F(1), F(1, 999983)] if big_dens else
+                                 [F(1, 3), F(1, 2), F(1), F(2)]))
+    star = sorted_star(x)
+    ks = st.sampled_from([-2, -1, 0, 1, 2])
+    values = [v + k * delta for v, k in zip(star.values, draw(st.lists(
+        ks, min_size=len(star.values), max_size=len(star.values))))]
+    tail = star.tail + draw(ks) * delta
+    y = canonicalize(star.cuts, values, tail, x.alpha)
+    return (x, y, delta) if draw(st.booleans()) else (y, x, delta)
+
+
+@SETTINGS
+@given(shifted_pairs())
+def test_maximal_distance_on_shifted_stars(case):
+    x, y, delta = case
+    assert maximal_distance(x, y, delta) == slow_maximal_distance(x, y, delta)
+
+
+@SETTINGS
+@given(case=shifted_pairs(big_dens=True), pair=step_pairs(big_dens=True, max_pieces=5),
+       delta=st.sampled_from([F(1, 2), F(1, 999979)]))
+def test_maximal_distance_with_coprime_large_denominators(case, pair, delta):
+    x, y, d = case
+    assert maximal_distance(x, y, d) == slow_maximal_distance(x, y, d)
+    x, y = pair
+    assert maximal_distance(x, y, delta) == slow_maximal_distance(x, y, delta)
+
+
 @SETTINGS
 @given(step_functions(max_pieces=12))
 def test_rearrangement_matches_sort(x):
