@@ -83,7 +83,7 @@ def flatten_head(x: StepFunction, n: int) -> StepFunction:
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"head length must be an integer >= 1, got {n!r}")
     rr = rearrangement(x)
-    y = _flatten(rr.star, rr.level_integral, _ZERO, n)
+    y = _flatten(rr.star, _ZERO, n, rr.level_integral.value_at(n) / n)
     verdict = hlp_compare(y, x)
     if not verdict.holds:
         raise AssertionError(

@@ -181,7 +181,8 @@ def majorized_pair(rng: random.Random, alpha: Ext = INF):
         r = star.support_bound * Fraction(rng.randint(1, 16), 8)
         if alpha != INF and r >= 1:
             r = (star.support_bound + 1) / 2
-        return majorize._flatten(star, rearrange.level_integral(star), _ZERO, r), x
+        avg = rearrange.level_integral(star).value_at(r) / r
+        return majorize._flatten(star, _ZERO, r, avg), x
     return star, x
 
 

@@ -209,7 +209,7 @@ def _crossing(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
     found by the second clause alone means d falls before it reaches 0, and
     then the final slope is <= b as well.
     """
-    cuts, nodes, slopes = phi.cuts, phi.node_values, phi.segment_slopes
+    cuts, nodes, slopes = phi.cuts, phi.node_values, phi.slope.values
     n = len(cuts)
     d_start = phi.value_at(start) - (a + b * start)
     rising = d_start < 0
@@ -254,16 +254,14 @@ def _coincidence_left_end(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
     return cuts[j] if j < m else gamma
 
 
-def _flatten(x: StepFunction, phi: PiecewiseLinearConcave, a, b) -> StepFunction:
-    """Replace x on [a, b) by its average there, for 0 <= a < b < alpha; phi
-    is x's level integral.
-
-    The result is a splice of x's cut list: x's cuts below a, then a (when
-    a > 0) and b, then x's cuts above b, with the average on [a, b).  x is
-    canonical, so only the two pieces of x that meet a and b can equal the
-    average; there a or b is dropped, and the splice is canonical."""
+def _flatten(x: StepFunction, a, b, avg) -> StepFunction:
+    """Replace x = x* on [a, b) by avg, its average there, which the caller
+    knows (x**(b) when a = 0), for 0 <= a < b < alpha.  The result splices
+    x's cut list: x's cuts below a, then a (when a > 0) and b, then x's cuts
+    above b.  x is a star, so only the pieces of x that meet a and b can
+    equal avg; there a or b is dropped, and the splice is canonical and
+    again a star, built flagged as one."""
     a, b = rat(a), rat(b)
-    avg = (phi.value_at(b) - phi.value_at(a)) / (b - a)
     cuts, values = x.cuts, (*x.values, x.tail)
     i, j = bisect_left(cuts, a), bisect_right(cuts, b)
     ka = int(a > 0 and values[i] != avg)  # 1: x's piece up to a stays
@@ -271,15 +269,7 @@ def _flatten(x: StepFunction, phi: PiecewiseLinearConcave, a, b) -> StepFunction
     spliced = [*values[:i + ka], avg, *values[j + 1 - kb:]]
     return _trusted(StepFunction, alpha=x.alpha,
                     cuts=(*cuts[:i], *[a][:ka], *[b][:kb], *cuts[j:]),
-                    values=tuple(spliced[:-1]), tail=spliced[-1])
-
-
-def _flatten_gap(phi: PiecewiseLinearConcave, a, b, t) -> Fraction:
-    """Phi_x(t) - Phi_y(t) for y = _flatten(x, phi, a, b), x = x* and t in
-    [a, b]: y is nonincreasing and equals x off [a, b), so Phi_y is the chord
-    of Phi_x over [a, b] there (and 0 at t = a or b)."""
-    pa, pb = phi.value_at(a), phi.value_at(b)
-    return phi.value_at(t) - pa - (pb - pa) * (t - a) / (b - a)
+                    values=tuple(spliced[:-1]), tail=spliced[-1], _is_star=True)
 
 
 def _section(x: StepFunction, tau, eps, role: str):
@@ -314,22 +304,23 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
     alpha = 1 inputs are rejected: on [0, 1) the ray of slope
     (Phi_x(tau) - eps)/tau need not meet Phi_x again.
 
-    eps1 is read off Phi_x: z and w are x averaged over an interval, so
-    Phi_z and Phi_w are Phi_x's chords over those intervals, and eps1 is the
-    smaller of Phi_x minus the chord at tau - tau1 (for z) and at tau + tau1
-    (for w); z and w are never rearranged.
+    z and w are x averaged over [a, b), whose Phi_x values are known from
+    how a and b are found (Phi_x(gamma) = p, Phi_x(beta) = p beta / tau,
+    gamma1 and beta1 on the lowered chord).  Phi_z and Phi_w are Phi_x's
+    chords there, and eps1 is read off them: z and w are never rearranged.
     """
     tau, eps, phi, phi_tau = _section(x, tau, eps, "construction")
     p = phi_tau - eps
     gamma = _crossing(phi, p, _ZERO, _ZERO)
     beta = _crossing(phi, _ZERO, p / tau, tau)
-    xi = (phi.value_at(beta) - p) / (beta - gamma)
-    # does the chord over [gamma, beta] dip strictly below phi inside?
+    xi = (p * beta / tau - p) / (beta - gamma)  # the chord of phi over [gamma, beta]
     chord_a = p - xi * gamma
-    # phi lies above the chord on [gamma, beta] and below phi's tangent
-    # from gamma, so it is affine there exactly when that slope is xi
+    # does the chord dip strictly below phi inside?  phi lies above the
+    # chord on [gamma, beta] and below phi's tangent from gamma, so it is
+    # affine there exactly when that slope is xi.  A flattening is
+    # (a, b, the average over [a, b), Phi_x(a)).
     if phi.slope(gamma) != xi:
-        z_ends = w_ends = (gamma, beta)
+        z_flat = w_flat = (gamma, beta, xi, p)
         tau1 = min(tau - gamma, beta - tau) / 2
         gamma0 = gamma1 = beta1 = None
         case_tag = "affine_gap"
@@ -337,20 +328,23 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
         gamma0 = _coincidence_left_end(phi, chord_a, xi, gamma)
         if gamma0 <= 0:
             raise AssertionError("chord through the origin cannot be affine-coincident")
-        eps_prime = min(eps, chord_a / 2)
-        gamma1 = _crossing(phi, chord_a - eps_prime, xi, _ZERO, gamma0)
-        beta1 = _crossing(phi, chord_a - eps_prime, xi, beta)
-        z_ends, w_ends = (gamma1, tau), (gamma, beta1)
+        low = chord_a - min(eps, chord_a / 2)  # the chord lowered by eps'
+        gamma1 = _crossing(phi, low, xi, _ZERO, gamma0)
+        beta1 = _crossing(phi, low, xi, beta)
+        at_gamma1 = low + xi * gamma1
+        z_flat = (gamma1, tau, (phi_tau - at_gamma1) / (tau - gamma1), at_gamma1)
+        w_flat = (gamma, beta1, (low + xi * beta1 - p) / (beta1 - gamma), p)
         tau1 = min(tau - gamma1, beta1 - tau) / 2
         case_tag = "affine_chord"
         if not (0 < gamma1 < gamma0 <= gamma < beta < beta1):
             raise AssertionError("construction ordering violated")
     if not (0 < gamma < tau < beta):
         raise AssertionError("gamma < tau < beta violated")
-    z = _flatten(x, phi, *z_ends)
-    w = z if w_ends == z_ends else _flatten(x, phi, *w_ends)
-    # tau - tau1 lies in z's flattened interval and tau + tau1 in w's
-    eps1 = min(_flatten_gap(phi, *z_ends, tau - tau1), _flatten_gap(phi, *w_ends, tau + tau1))
+    z = _flatten(x, *z_flat[:3])
+    w = z if w_flat is z_flat else _flatten(x, *w_flat[:3])
+    # Phi_x minus z's chord at tau - tau1 and w's at tau + tau1
+    gap = lambda t, a, b, avg, at_a: phi.value_at(t) - at_a - avg * (t - a)
+    eps1 = min(gap(tau - tau1, *z_flat), gap(tau + tau1, *w_flat))
     if not (0 < tau1 < tau and eps1 > 0):
         raise AssertionError("tau1/eps1 positivity violated")
     return ConstructionTrace(
@@ -378,8 +372,9 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
         bound = max(x.support_bound, tau, 1)
         r = Fraction(rng.randint(1, 4 * bound.numerator * bound.denominator),
                      2 * bound.denominator ** 2)
-        y0 = _flatten(x, phi, _ZERO, r)
-        m = phi_tau - (_flatten_gap(phi, _ZERO, r, tau) if tau < r else 0)
+        avg = phi.value_at(r) / r
+        y0 = _flatten(x, _ZERO, r, avg)
+        m = avg * tau if tau < r else phi_tau  # Phi_y0(tau), the chord below r
         c = min(_ONE, (phi_tau - eps) / m) * Fraction(rng.randint(8, 16), 16)
         return y0.scale(c)
     # independently drawn nonincreasing shape v, scaled to fit under Phi_x.

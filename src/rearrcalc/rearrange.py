@@ -14,7 +14,7 @@ The arithmetic is on int pairs, not Fractions, through the summation
 kernel of ``stepfn``.  Pieces are grouped by the ratio (|p|, q) of their
 value p/q, exact since a Fraction is in lowest terms; a group sums its
 length numerators per denominator, then adds those sums with one gcd per
-denominator, as ``stepfn._pair_total`` does for a total.
+denominator, as ``stepfn._total`` does for a total.
 Only the distinct values are sorted, by the int key (|p| << k) // q =
 floor(|p/q| 2^k), with k = 2 * D.bit_length() for D the largest
 denominator of x: distinct values differ by at least 1/D^2 > 2^-k, so the
@@ -25,8 +25,9 @@ A star passes through: when x is already x* (``stepfn``'s
 ``is_decreasing_rearrangement``), the rearrangement returns x itself as
 ``star``, without sorting or merging.  The star and its level integral are
 built by the trusted constructor (see ``stepfn``): they are canonical by
-construction, the level integral's segment slopes are the star's values,
-with no division, and its slope function is the star object itself.
+construction, a sorted star is flagged as a star when it is built, and the
+level integral's slope function is the star object itself, with no
+division.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
     ratios = [ratio_of[key] for key in keys]
     lengths = [totals[r] for r in ratios]
     star = _trusted(StepFunction, alpha=x.alpha, cuts=tuple(_running_sums(lengths)),
-                    values=tuple(_frac(p, q) for p, q in ratios), tail=tail)
+                    values=tuple(_frac(p, q) for p, q in ratios), tail=tail, _is_star=True)
     return star, lengths
 
 
@@ -118,7 +119,6 @@ def _rearrange(x: StepFunction) -> RearrangementResult:
         node_values=tuple(nodes),
         final_slope=star.tail,
         jump0=_ZERO,
-        segment_slopes=star.values,
         slope=star,
     )
     return RearrangementResult(star, phi, star.tail)

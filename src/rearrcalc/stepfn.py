@@ -13,12 +13,12 @@ integrals that diverge.  Floats are rejected everywhere else on purpose; feed
 The module also provides :class:`PiecewiseLinearConcave` for the increasing
 concave envelopes that arise as running integrals of decreasing step
 functions, with the same canonical-representative discipline.  Its slopes
-are one step function, ``slope``: the segment slopes between the cuts, then
-the final slope.  The function is canonical exactly when its slope function
-is a star (nonnegative, strictly decreasing), and
-:func:`is_decreasing_rearrangement` is the one test for x = x*: the PLC
-constructor, the rearrangement's pass-through and the preconditions of
-``majorize`` all call it, and none of them rearranges to find out.
+are one step function, ``slope`` (the segment slopes, then the final
+slope), stored when it is built; it is canonical exactly when ``slope`` is
+a star (nonnegative, strictly decreasing).  The one test for x = x* is
+:func:`is_decreasing_rearrangement`: the PLC constructor, the
+rearrangement's pass-through and the preconditions of ``majorize`` all
+call it, and none of them rearranges to find out.
 
 Binary kernels walk the common refinement once: :func:`refine` merges
 two cut lists in one pass and reads both operands' values on each merged
@@ -32,7 +32,7 @@ length is a pair of int products.  Running sums add pairs with one
 (``majorize.plc_dominated_by``).  A total (:func:`integrate`,
 :func:`exceedance_measure`, the L1 norm, ``majorize``'s integrals) adds
 numerators as ints per denominator, then the distinct denominators with
-one gcd each (:func:`_pair_total`), as the rearrangement's groups do.
+one gcd each (:func:`_total`), as the rearrangement's groups do.
 ``+`` and ``-`` add the operands' values on each piece of ``refine`` as
 reduced pairs, and merge equal neighbours by comparing pairs.  A pair that
 is already reduced becomes a Fraction through :func:`_frac`, which skips
@@ -56,10 +56,11 @@ flattenings of ``majorize`` and the rearrangement's star and level integral
 (``rearrange``) are built by :func:`_trusted`, which sets the fields without
 running ``__post_init__``.  The value types are frozen records
 (:func:`_record`), built without importing ``dataclasses``, whose import
-alone took about 10 ms of each CLI command's start.  A StepFunction's
-hash is computed once and kept on the instance, from the numerators and
-denominators of its tail and of at most 16 evenly spaced cuts and values
-(every one below 16 cuts), and so is its x = x* test.
+alone took about 10 ms of each CLI command's start.  A StepFunction keeps
+in its instance dict its hash, from the numerators and denominators of its
+tail and of at most 16 evenly spaced cuts and values (all below 16 cuts),
+and ``_is_star``, its x = x* test, which the trusted stars (the sorted
+rearrangement, a flattening, a PLC's ``slope``) carry from birth.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import attrgetter
 from typing import Iterator, Union
@@ -271,34 +271,18 @@ class StepFunction:
                 f"not canonical: last value equals tail {self.tail} (use canonicalize)"
             )
 
-    @cached_property
-    def _hash(self) -> int:
-        # From (numerator, denominator) pairs, cheaper than hashing Fractions,
-        # of every s-th cut and value: all of them below 16 cuts, at most 16
-        # of each above.  It is a function of the fields, so equal functions
-        # (equal fields, the record's __eq__) hash equal.  Functions that
-        # differ only off the sample collide, which costs the cache one
-        # field-tuple compare, never a wrong result.
-        cuts, values = self.cuts, self.values
-        s = len(cuts) // 16 + 1
-        pairs = map(Fraction.as_integer_ratio, (*cuts[::s], *values[::s], self.tail))
-        return hash((self.alpha, len(cuts), *pairs))
-
     def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _is_star(self) -> bool:
-        """See :func:`is_decreasing_rearrangement`."""
-        n, d = self.tail.numerator, self.tail.denominator
-        if n < 0:
-            return False
-        for v in reversed(self.values):
-            vn, vd = v.numerator, v.denominator
-            if vn * d <= n * vd:
-                return False
-            n, d = vn, vd
-        return True
+        # Kept in the instance dict.  From the (numerator, denominator) pairs
+        # of every s-th cut and value (all below 16 cuts, at most 16 above),
+        # so equal functions hash equal; functions that differ only off the
+        # sample collide, costing the cache one compare, never a wrong result.
+        h = vars(self).get("_hash")
+        if h is None:
+            cuts, values = self.cuts, self.values
+            s = len(cuts) // 16 + 1
+            pairs = map(Fraction.as_integer_ratio, (*cuts[::s], *values[::s], self.tail))
+            h = vars(self)["_hash"] = hash((self.alpha, len(cuts), *pairs))
+        return h
 
     # -- basic queries ----------------------------------------------------
 
@@ -456,8 +440,21 @@ def refine(f: StepFunction, g: StepFunction):
 
 def is_decreasing_rearrangement(f: StepFunction) -> bool:
     """f = f*: values strictly decreasing down to a tail >= 0, checked with
-    int compares and without rearranging f, once per instance."""
-    return f._is_star
+    int compares and without rearranging f.  The answer is kept in the
+    instance dict as ``_is_star``, which the constructors of stars set."""
+    known = vars(f).get("_is_star")
+    if known is None:
+        n, d = f.tail.numerator, f.tail.denominator
+        known = n >= 0
+        if known:
+            for v in reversed(f.values):
+                vn, vd = v.numerator, v.denominator
+                if vn * d <= n * vd:
+                    known = False
+                    break
+                n, d = vn, vd
+        vars(f)["_is_star"] = known
+    return known
 
 
 def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
@@ -621,21 +618,18 @@ def _running_sums(pairs) -> list[Fraction]:
     return [_frac(n, d) for n, d in _sums(pairs)]
 
 
-def _pair_total(sums: dict[int, int]) -> tuple[int, int]:
-    """The reduced pair of the sum of n/d over the items (d, n) of sums, added
-    by ``_sums``: a gcd at each step keeps it from growing on coprime d."""
-    sn, sd = 0, 1
-    for sn, sd in _sums((n, d) for d, n in sums.items()):  # keeps the last sum
-        pass
-    return sn, sd
-
-
 def _total(pairs) -> Fraction:
-    """The sum of int pairs (n, d), d > 0, added as ints per denominator."""
+    """The sum of int pairs (n, d), d > 0: numerators added as ints per
+    denominator, then those sums with a gcd per step, as ``_sums`` adds."""
     sums = defaultdict(int)
     for n, d in pairs:
         sums[d] += n
-    return _frac(*_pair_total(sums))
+    sn, sd = 0, 1
+    for d, n in sums.items():
+        n, d = sn * d + n * sd, sd * d
+        g = gcd(n, d)
+        sn, sd = n // g, d // g
+    return _frac(sn, sd)
 
 
 # -- increasing concave piecewise-linear functions --------------------------
@@ -647,9 +641,9 @@ class PiecewiseLinearConcave:
 
     Value 0 at t=0 with right-limit ``jump0`` >= 0, interior nodes at
     ``cuts`` with values ``node_values``, and slope ``final_slope`` from the
-    last node on.  Canonical form: the slope function is a star, that is the
-    segment slopes decrease strictly left to right (ending with final_slope)
-    and are all nonnegative.  Merge raw node data with :func:`plc_from_nodes`.
+    last node on.  ``slope``, stored when it is built, is the slope function:
+    the segment slopes, then final_slope.  Canonical form: ``slope`` is a
+    star.  Merge raw node data with :func:`plc_from_nodes`.
     """
 
     alpha: Ext
@@ -669,28 +663,17 @@ class PiecewiseLinearConcave:
         if self.jump0 < 0:
             raise PreconditionError(f"jump at 0 must be nonnegative, got {self.jump0}")
         _check_cuts(self.cuts, self.alpha)
-        if not is_decreasing_rearrangement(self.slope):
+        cuts, nodes = self.cuts, self.node_values
+        segments = tuple((v - pv) / (s - ps) for s, v, ps, pv
+                         in zip(cuts, nodes, (_ZERO, *cuts), (self.jump0, *nodes)))
+        slope = _trusted(StepFunction, alpha=self.alpha, cuts=cuts, values=segments,
+                         tail=self.final_slope)
+        if not is_decreasing_rearrangement(slope):
             raise PreconditionError(
                 "slopes not nonnegative and strictly decreasing: not a "
                 "nondecreasing concave function in canonical form"
             )
-
-    @cached_property
-    def segment_slopes(self) -> tuple[Fraction, ...]:
-        """Slope on (cuts[j-1], cuts[j]] for each j."""
-        out = []
-        ps, pv = _ZERO, self.jump0
-        for s, v in zip(self.cuts, self.node_values):
-            out.append((v - pv) / (s - ps))
-            ps, pv = s, v
-        return tuple(out)
-
-    @cached_property
-    def slope(self) -> StepFunction:
-        """The slope function: segment_slopes on the pieces between cuts, then
-        final_slope.  Canonical form holds exactly when it is a star."""
-        return _trusted(StepFunction, alpha=self.alpha, cuts=self.cuts,
-                        values=self.segment_slopes, tail=self.final_slope)
+        object.__setattr__(self, "slope", slope)
 
     def value_at(self, t) -> Fraction:
         """Exact value at t; t=alpha allowed for alpha=1 (the left limit)."""
@@ -703,7 +686,7 @@ class PiecewiseLinearConcave:
         if i > 0 and self.cuts[i - 1] == t:
             return self.node_values[i - 1]
         bs, bv = (_ZERO, self.jump0) if i == 0 else (self.cuts[i - 1], self.node_values[i - 1])
-        slope = self.segment_slopes[i] if i < len(self.cuts) else self.final_slope
+        slope = self.slope.values[i] if i < len(self.cuts) else self.final_slope
         return bv + slope * (t - bs) if slope else bv
 
     def final_branch(self) -> tuple[Fraction, Fraction]:
@@ -750,17 +733,18 @@ class PiecewiseLinearConcave:
 
 def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> PiecewiseLinearConcave:
     """Build a canonical PiecewiseLinearConcave, merging collinear nodes."""
+    alpha = _coerce_alpha(alpha)
     cuts = [rat(c) for c in cuts]
     node_values = [rat(v) for v in node_values]
     final_slope = rat(final_slope)
     jump0 = rat(jump0)
     if len(cuts) != len(node_values):
         raise PreconditionError("cuts and node_values must have equal length")
-    _check_cuts(cuts, INF)  # before any slope divides by a cut difference
+    _check_cuts(cuts, alpha)  # also a cut that merges away; before any division
     # a collinear node is a cut between equal neighbouring slopes
     slopes = [(v - pv) / (s - ps)
               for s, v, ps, pv in zip(cuts, node_values, [_ZERO, *cuts], [jump0, *node_values])]
-    kept = _merged(INF, cuts, [*slopes, final_slope]).cuts
+    kept = _merged(alpha, cuts, [*slopes, final_slope]).cuts
     value_of = dict(zip(cuts, node_values))
     return PiecewiseLinearConcave(alpha, kept, tuple(map(value_of.get, kept)),
                                   final_slope, jump0)

@@ -89,6 +89,18 @@ def test_fundamental_command(capsys):
     assert payload["embeds_in_L1"] is False
 
 
+def test_fundamental_command_rejects_a_phi_cut_outside_the_domain(capsys):
+    # on [0, 1): a node at 2 collinear with the rest (it would merge away)
+    # and one that is not are the same parse error
+    for node in ("2", "3/2"):
+        phi = {"kind": "piecewise_linear_concave", "alpha": "1", "breakpoints": ["1/2", "2"],
+               "node_values": ["1/2", node], "final_slope": "1"}
+        space = json.dumps({"kind": "Marcinkiewicz", "alpha": "1", "phi": phi})
+        code, out, err = run_cli(capsys, "fundamental", "--space", space, "--t", "1/2")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid piecewise-linear function: cut 2 outside [0,1)\n"
+
+
 def test_majorant_pair_command_with_flag_overrides(capsys):
     code, out, _ = run_cli(
         capsys, "majorant-pair",

@@ -203,7 +203,7 @@ def test_plc_validation_and_evaluation():
     assert phi.value_at(F(1, 2)) == 1
     assert phi.value_at(2) == 3
     assert phi.value_at(100) == 4
-    assert phi.segment_slopes == (F(2), F(1))
+    assert phi.slope.values == (F(2), F(1))
     assert phi.final_branch() == (F(4), F(0))
 
     with pytest.raises(PreconditionError):

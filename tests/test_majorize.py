@@ -409,7 +409,7 @@ def test_coincidence_left_end_matches_a_scan(phi, data):
     j = data.draw(st.integers(0, len(phi.cuts)))
     lo = F(0) if j == 0 else phi.cuts[j - 1]
     hi = phi.cuts[j] if j < len(phi.cuts) else lo + 1
-    b = phi.segment_slopes[j] if j < len(phi.cuts) else phi.final_slope
+    b = phi.slope.values[j] if j < len(phi.cuts) else phi.final_slope
     a = phi.value_at(lo) - b * lo
     gamma = lo + (hi - lo) * data.draw(st.builds(F, st.integers(1, 16), st.just(16)))
     assert _coincidence_left_end(phi, a, b, gamma) == scan_coincidence(phi, a, b, gamma) == lo
@@ -439,7 +439,6 @@ def test_crossing_reads_logarithmically_many_nodes():
         v += m / 3
         nodes.append(v)
     phi = PiecewiseLinearConcave(INF, cuts, nodes, 0)
-    phi.segment_slopes  # cached before the nodes are counted
     mid = cuts[n // 3]
     p = phi.value_at(mid) - F(1, 5)
     tau = cuts[n // 2] + F(1, 7)

@@ -6,8 +6,11 @@ a star.  Each is compared here with a reference written from the
 definition: the rearrangement's star for the predicate, and Fraction slopes
 between consecutive nodes for the constructor and for ``plc_from_nodes``.
 The flattenings of the two-majorant construction and of the sampler's
-"head" strategy are read off Phi_x's chords; their values are compared with
-the level integral of the flattened function itself.
+"head" strategy take their averages, and eps1, from the Phi_x values their
+endpoints are known to have.  They are compared with flattenings whose
+averages are read off Phi_x, and with the level integral of the flattened
+function itself.  ``plc_from_nodes`` checks every cut against the domain,
+also a cut that merges away.
 """
 
 import random
@@ -27,7 +30,7 @@ from rearrcalc import (
     sample_family_member,
 )
 from rearrcalc import gen, majorize
-from rearrcalc.majorize import _flatten, _flatten_gap
+from rearrcalc.majorize import _flatten
 from rearrcalc.stepfn import plc_from_nodes
 from test_trusted import stars
 from test_walks import step_functions
@@ -105,6 +108,16 @@ def test_plc_from_nodes_keeps_the_nodes_where_the_slope_changes(data):
     assert all(phi.value_at(c) == v for c, v in zip(cuts, nodes))
 
 
+def test_plc_from_nodes_rejects_a_cut_outside_the_domain():
+    # on [0, 1), a node at t = 2 on the line through the others (slope 1)
+    # would merge away, and one off it would not: both are outside
+    for node in (F(2), F(3, 2)):
+        with pytest.raises(PreconditionError, match=r"^cut 2 outside \[0,1\)$"):
+            plc_from_nodes([F(1, 2), F(2)], [F(1, 2), node], 1, 0, 1)
+    assert plc_from_nodes([F(1, 2), F(2)], [F(1, 2), F(2)], 1, 0, INF) == \
+        PiecewiseLinearConcave(INF, (), (), 1)
+
+
 def test_a_non_concave_function_is_one_error():
     # slopes 1 then 2; 1 then -1; 1, 1 and 0 (collinear nodes)
     for args in (([1, 2], [1, 3], 0), ([1], [1], -1), ([1, 2], [1, 2], 0)):
@@ -132,16 +145,9 @@ def test_the_slope_function_of_a_level_integral_is_the_star(x):
 # -- flattenings read off Phi_x's chords ---------------------------------------
 
 
-@SETTINGS
-@given(stars(), st.data())
-def test_the_flatten_gap_is_phi_minus_the_level_integral_of_the_flattening(x, data):
-    end = x.support_bound + 2 if x.alpha == INF else F(1)
-    points = st.builds(F, st.integers(0, 95), st.just(96)).map(lambda q: q * end)
-    a, b = sorted(data.draw(st.lists(points, min_size=2, max_size=2, unique=True)))
-    t = a + (b - a) * data.draw(st.builds(F, st.integers(0, 8), st.just(8)))
-    phi = level_integral(x)
-    y = _flatten(x, phi, a, b)
-    assert _flatten_gap(phi, a, b, t) == phi.value_at(t) - level_integral(y).value_at(t)
+def averaged(x, phi, a, b):
+    """x = x* with its average over [a, b) there, the average read off phi."""
+    return _flatten(x, a, b, (phi.value_at(b) - phi.value_at(a)) / (b - a))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -155,10 +161,10 @@ def test_eps1_is_read_off_the_flattenings(seed, plateau):
                    phi.value_at(above) - level_integral(tr.w).value_at(above))
     assert tr.eps1 == expected
     if tr.case_tag == "affine_gap":
-        assert tr.z == tr.w == _flatten(x, phi, tr.gamma, tr.beta)
+        assert tr.z == tr.w == averaged(x, phi, tr.gamma, tr.beta)
     else:
-        assert tr.z == _flatten(x, phi, tr.gamma1, tau)
-        assert tr.w == _flatten(x, phi, tr.gamma, tr.beta1)
+        assert tr.z == averaged(x, phi, tr.gamma1, tau)
+        assert tr.w == averaged(x, phi, tr.gamma, tr.beta1)
 
 
 def head_member(x, tau, eps, seed):
@@ -170,7 +176,7 @@ def head_member(x, tau, eps, seed):
     bound = max(x.support_bound, tau, 1)
     r = F(rng.randint(1, 4 * bound.numerator * bound.denominator), 2 * bound.denominator ** 2)
     phi = level_integral(x)
-    y0 = _flatten(x, phi, 0, r)
+    y0 = averaged(x, phi, 0, r)
     m = level_integral(y0).value_at(tau)
     c = min(F(1), (phi.value_at(tau) - eps) / m) * F(rng.randint(8, 16), 16)
     return y0.scale(c)

@@ -6,11 +6,14 @@ skip ``__post_init__``, and so does the flattening that splices a cut
 list.  Each one is rebuilt here through the public constructor, which
 coerces and validates everything, and must come back equal, with the same
 exact types.  The Fractions the int-pair sums build from reduced pairs
-must equal, and hash like, Fractions built the usual way.  The stored segment slopes of a level
-integral are checked against the quotients of its nodes.  A StepFunction's
-hash reads every field below 16 cuts and a strided sample above; functions
-that differ only off the sample collide and still get their own
-rearrangements.  The x = x* test runs once per instance.
+must equal, and hash like, Fractions built the usual way.  The stored
+slope function of a concave function is checked against the quotients of
+its nodes.  A StepFunction's hash reads every field below 16 cuts and a
+strided sample above; functions that differ only off the sample collide
+and still get their own rearrangements.  The x = x* test runs once per instance, and on every
+construction route the flag it keeps agrees with the definition; the star
+of a rearrangement, a flattening and a concave function's slope are
+flagged when they are built.
 """
 
 import json
@@ -56,7 +59,8 @@ def revalidated_plc(phi: PiecewiseLinearConcave) -> None:
     for s, v in zip(phi.cuts, phi.node_values):
         quotients.append((v - pv) / (s - ps))
         ps, pv = s, v
-    assert list(phi.segment_slopes) == quotients
+    assert list(phi.slope.values) == quotients
+    assert (phi.slope.cuts, phi.slope.tail) == (phi.cuts, phi.final_slope)
 
 
 @st.composite
@@ -132,7 +136,7 @@ def test_rearrangement_of_any_function_is_canonical(x):
     assert revalidated(rr.star) == sorted_star(x)
     revalidated_plc(rr.level_integral)
     assert rr.level_integral.cuts == rr.star.cuts
-    assert rr.level_integral.segment_slopes == rr.star.values
+    assert rr.level_integral.slope.values == rr.star.values
     assert rr.level_integral.final_slope == rr.star.tail == rr.star_at_infinity
 
 
@@ -143,7 +147,7 @@ def test_a_star_passes_through(x):
     assert rr.star is x
     assert revalidated(rr.star) == sorted_star(x)
     revalidated_plc(rr.level_integral)
-    assert rr.level_integral.segment_slopes == x.values
+    assert rr.level_integral.slope.values == x.values
 
 
 @SETTINGS
@@ -188,8 +192,8 @@ def test_flatten_output_is_canonical(x, data):
                        st.builds(lambda k: end * F(k, 64), st.integers(0, 63)))
     a, b = sorted(data.draw(st.sets(points, min_size=2, max_size=2)))
     phi = rearrangement(x).level_integral
-    y = revalidated(_flatten(x, phi, a, b))
     avg = (phi.value_at(b) - phi.value_at(a)) / (b - a)
+    y = revalidated(_flatten(x, a, b, avg))
     assert y == x.window(0, a) + block(avg, a, b, x.alpha) + x.window(b, None)
 
 
@@ -259,18 +263,70 @@ def test_short_functions_hash_every_field():
             assert hash(canonicalize(x.cuts, x.values, 5, alpha)) != hash(x)
 
 
-def test_star_test_runs_once_per_instance(monkeypatch):
-    memo = vars(StepFunction)["_is_star"]
+def counting_star_tests(f: StepFunction, calls: list) -> StepFunction:
+    """f, whose values now append f to calls on every reversed walk: the
+    star test walks them from the tail, and no other code reverses them."""
+
+    class Values(tuple):
+        def __reversed__(self):
+            calls.append(f)
+            return iter(self[::-1])
+
+    object.__setattr__(f, "values", Values(f.values))
+    return f
+
+
+def test_star_test_runs_once_per_instance():
     calls = []
-    run = memo.func
-    monkeypatch.setattr(memo, "func", lambda f: calls.append(f) or run(f))
-    x = canonicalize([1, 2, 3], [5, 4, 2], 1, INF)
+    x = counting_star_tests(canonicalize([1, 2, 3], [5, 4, 2], 1, INF), calls)
     _rearrange.cache_clear()
     assert _require_star(x, "x").star is x  # the star test, then the cache miss
     assert calls == [x]
     assert is_decreasing_rearrangement(x) and calls == [x]
-    y = long_function(40)  # not a star: the miss tests it, then sorts
+    # not a star: the miss tests it, then sorts
+    y = counting_star_tests(long_function(40), calls)
     assert rearrangement(y).star == _sorted_oracle_star(y)
     assert not is_decreasing_rearrangement(y)
     assert calls == [x, y]
 
+
+# -- the star flag on every construction route --------------------------------
+
+
+def is_star_by_definition(f: StepFunction) -> bool:
+    """f = f*: f equals the rearrangement of a plain sort of its pieces."""
+    return sorted_star(f) == f
+
+
+def flagged_at_birth(f: StepFunction) -> StepFunction:
+    """f, which must carry the star flag before anything asks."""
+    assert vars(f).get("_is_star") is True
+    return f
+
+
+@SETTINGS
+@given(x=st.one_of(step_functions(max_pieces=10), stars(), stars().map(lambda f: -f)),
+       data=st.data())
+def test_the_star_flag_agrees_with_the_definition_on_every_route(x, data):
+    routes = [
+        StepFunction(x.alpha, x.cuts, x.values, x.tail),  # the public constructor
+        flagged_at_birth(uncached_rearrangement(x).star),  # sorted, or passed through
+        -x, x.scale(data.draw(rationals())), x + data.draw(step_functions(alpha=x.alpha)),
+    ]
+    star = routes[1]
+    phi = uncached_rearrangement(star).level_integral
+    assert phi.slope is star  # the pass-through: the trusted level integral's slope
+    public = PiecewiseLinearConcave(phi.alpha, phi.cuts, phi.node_values, phi.final_slope)
+    routes.append(flagged_at_birth(public.slope))
+    # a flattening of the star over [a, b), with a and b on its cuts as
+    # often as between them
+    end = star.alpha if star.alpha != INF else star.support_bound + 2
+    points = st.one_of(st.sampled_from([F(0), *star.cuts]),
+                       st.builds(lambda k: end * F(k, 64), st.integers(0, 63)))
+    a, b = sorted(data.draw(st.sets(points, min_size=2, max_size=2)))
+    avg = (phi.value_at(b) - phi.value_at(a)) / (b - a)
+    routes.append(flagged_at_birth(_flatten(star, a, b, avg)))
+    for f in routes:
+        expected = is_star_by_definition(f)
+        assert is_decreasing_rearrangement(f) == expected
+        assert vars(f)["_is_star"] == expected
