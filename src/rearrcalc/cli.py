@@ -6,7 +6,8 @@ identical arguments (and seed) produce byte-identical bytes on stdout, in
 (including probes, whose verdict is part of the payload), 2 on parse errors,
 3 on precondition violations, 4 when a property suite finds a counterexample
 (the minimized counterexample is part of the JSON payload) or when a
-construction fails its own invariant check (one line on stderr, nothing on
+construction fails its own invariant check (one line on stderr, with the
+command line that reruns it on its inputs inlined as JSON; nothing on
 stdout).  The handlers that use ``experiments`` or ``gen`` import it when
 they run, so that no other command pays for that import.
 """
@@ -49,11 +50,15 @@ _EXIT_PROPERTY = 4
 #: the names of ``gen.SUITES``, without importing ``gen`` to build the parser
 _SUITE_NAMES = ("rearrange", "hlp", "prop32", "spaces", "hardy")
 
+#: the JSON that ``_load_json`` read in this ``main`` call, by source argument
+_loaded: dict = {}
+
 
 def _load_json(source: str):
     """Load JSON from an inline string, a file path, or '-' (stdin).
 
-    Text starting with '{' or '[' (after whitespace) is inline JSON."""
+    Text starting with '{' or '[' (after whitespace) is inline JSON.  The
+    result is kept in ``_loaded`` for :func:`_rerun_line`."""
     if source == "-":
         text = sys.stdin.read()
     elif source.lstrip().startswith(("{", "[")):
@@ -64,11 +69,28 @@ def _load_json(source: str):
         except (OSError, ValueError) as e:  # ValueError: a NUL in the path, or not UTF-8
             raise ParseError(f"cannot read input {source!r}: {e}") from None
     try:
-        return json.loads(text)
+        _loaded[source] = obj = json.loads(text)
+        return obj
     except json.JSONDecodeError as e:
         raise ParseError(f"input is not valid JSON: {e}") from None
     except RecursionError:
         raise ParseError("input is not valid JSON: nested too deeply") from None
+
+
+def _rerun_line(argv) -> str:
+    """The shell line that reruns ``main(argv)`` on the same input: each
+    source that was read (a file, '-' or inline JSON, also as
+    ``--flag=source``) is inlined as compact JSON."""
+    import shlex  # only this error path uses it
+
+    def inline(arg):
+        flag, eq, source = arg.partition("=")
+        if arg in _loaded:
+            return json.dumps(_loaded[arg], separators=(",", ":"))
+        if eq and source in _loaded:
+            return f"{flag}={inline(source)}"
+        return arg
+    return shlex.join(["python", "-m", "rearrcalc", *map(inline, argv)])
 
 
 def _load_step(source: str) -> StepFunction:
@@ -536,6 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _loaded.clear()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -550,7 +574,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_PRECONDITION
     except AssertionError as e:  # a construction's own invariant check
-        print(f"error: invariant broken: {e}", file=sys.stderr)
+        print(f"error: invariant broken: {e}; rerun: {_rerun_line(argv)}", file=sys.stderr)
         return _EXIT_PROPERTY
 
 

@@ -16,7 +16,8 @@ segment, where the objective has the form A/t + B + C*t with A, C >= 0
 and t -> alpha-); +inf is returned when the far limit diverges.
 
 L1 and Linf need no rearrangement: L1 is the int-pair total of |value| times
-length over the pieces (``stepfn``), Linf the largest |value|.  L1 + Linf is
+length over the pieces (``stepfn``), Linf the largest |value|, found by
+int cross-multiplication of the value pairs.  L1 + Linf is
 Phi_x(1), read off the level integral of the rearrangement (``rearrange``).
 The fundamental function of every kind is the exact data of
 :meth:`SpaceSpec.fundamental_function` (built once per kind and domain for
@@ -35,8 +36,10 @@ from .stepfn import (
     Ext,
     PiecewiseLinearConcave,
     StepFunction,
+    _frac,
     _lengths,
     _products,
+    _ratio,
     _record,
     _running_sums,
     _total,
@@ -245,11 +248,14 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
     if space.kind == "L1":
         if x.alpha == INF and x.tail != 0:
             return INF
-        return _total((abs(v.numerator) * n, v.denominator * d)
-                      for v, (n, d) in zip((*x.values, x.tail), _lengths(x.cuts, x.alpha)))
+        return _total((abs(n), d)
+                      for n, d in _products((*x.values, x.tail), _lengths(x.cuts, x.alpha)))
     if space.kind == "Linf":
-        values = (*x.values, x.tail)
-        return max(max(values), -min(values))
+        bn, bd = 0, 1
+        for n, d in map(_ratio, (*x.values, x.tail)):
+            if abs(n) * bd > bn * d:
+                bn, bd = abs(n), d
+        return _frac(bn, bd)
     if space.kind == "L1plusLinf":
         # int_0^1 x*; value_at(1) is the left limit when alpha = 1
         return rearrangement(x).level_integral.value_at(_ONE)

@@ -22,7 +22,10 @@ call it, and none of them rearranges to find out.
 
 Binary kernels walk the common refinement once: :func:`refine` merges
 two cut lists in one pass and reads both operands' values on each merged
-piece.  It is the only walk over two cut lists.
+piece.  It is the only walk over two cut lists.  The walk, the merge of
+equal neighbours and the sums compare and add no Fractions: they read
+cuts and values as int pairs once, ``map(Fraction.as_integer_ratio,
+...)``, and work on ints.
 
 Every integral and measure of a step function is one int-pair sum.  A
 length is an int pair, reduced by gcd unless its cut shares the previous
@@ -33,11 +36,12 @@ length is a pair of int products.  Running sums add pairs with one
 :func:`exceedance_measure`, the L1 norm, ``majorize``'s integrals) adds
 numerators as ints per denominator, then the distinct denominators with
 one gcd each (:func:`_total`), as the rearrangement's groups do.
-``+`` and ``-`` add the operands' values on each piece of ``refine`` as
-reduced pairs, and merge equal neighbours by comparing pairs.  A pair that
-is already reduced becomes a Fraction through :func:`_frac`, which skips
-the second gcd of ``Fraction.__new__``; it is the only code that sets
-Fraction's internal slots, and the result is a plain Fraction.  Running
+``+`` and ``-`` add the value pairs on each piece of ``refine`` and
+reduce by gcd.  Every merge of equal neighbours compares the pair list
+with itself shifted by one (:func:`_kept`).  A pair that is already
+reduced becomes a Fraction through :func:`_frac`, which skips the second
+gcd of ``Fraction.__new__``; it is the only code that sets Fraction's
+internal slots, and the result is a plain Fraction.  Running
 integrals of concave functions are read the same way over ``refine``'s
 pieces: the level integral of the rearrangement, both operands of the
 Marcinkiewicz norm (phi through its slope function), the shape
@@ -70,8 +74,9 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
+from itertools import compress, islice, starmap
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, ne
 from typing import Iterator, Union
 
 from .errors import (
@@ -88,6 +93,9 @@ Ext = Union[Fraction, float]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+#: a Fraction's (numerator, denominator) pair, lowest terms, denominator > 0
+_ratio = Fraction.as_integer_ratio
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -280,7 +288,7 @@ class StepFunction:
         if h is None:
             cuts, values = self.cuts, self.values
             s = len(cuts) // 16 + 1
-            pairs = map(Fraction.as_integer_ratio, (*cuts[::s], *values[::s], self.tail))
+            pairs = map(_ratio, (*cuts[::s], *values[::s], self.tail))
             h = vars(self)["_hash"] = hash((self.alpha, len(cuts), *pairs))
         return h
 
@@ -408,11 +416,13 @@ def refine(f: StepFunction, g: StepFunction):
     """Common refinement of two step functions: ``(cuts, fv, gv)``, where
     fv[k], gv[k] are f and g on merged piece k (the last one ends at alpha).
 
-    One linear walk; cuts compare as cross-multiplied ints, exact and
-    cheaper than Fraction, and equal cuts advance both sides.
+    One linear walk over both cut lists, read as int pairs once up front;
+    each step is one cross-multiplied int compare, and equal cuts advance
+    both sides.
     """
     _require_same_domain(f, g)
     fc, gc = f.cuts, g.cuts
+    fp, gp = list(map(_ratio, fc)), list(map(_ratio, gc))
     fvals, gvals = (*f.values, f.tail), (*g.values, g.tail)
     n, m = len(fc), len(gc)
     cuts: list[Fraction] = []
@@ -420,9 +430,9 @@ def refine(f: StepFunction, g: StepFunction):
     gv: list[Fraction] = []
     i = j = 0
     while i < n and j < m:
-        a, b = fc[i], gc[j]
-        d = a.numerator * b.denominator - b.numerator * a.denominator
-        cuts.append(a if d <= 0 else b)
+        (an, ad), (bn, bd) = fp[i], gp[j]
+        d = an * bd - bn * ad
+        cuts.append(fc[i] if d <= 0 else gc[j])
         fv.append(fvals[i])
         gv.append(gvals[j])
         i += d <= 0
@@ -444,11 +454,10 @@ def is_decreasing_rearrangement(f: StepFunction) -> bool:
     instance dict as ``_is_star``, which the constructors of stars set."""
     known = vars(f).get("_is_star")
     if known is None:
-        n, d = f.tail.numerator, f.tail.denominator
+        n, d = _ratio(f.tail)
         known = n >= 0
         if known:
-            for v in reversed(f.values):
-                vn, vd = v.numerator, v.denominator
+            for vn, vd in map(_ratio, reversed(f.values)):
                 if vn * d <= n * vd:
                     known = False
                     break
@@ -458,26 +467,23 @@ def is_decreasing_rearrangement(f: StepFunction) -> bool:
 
 
 def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
-    """f + sign * g (sign = 1 or -1), trusted.  On each piece of refine(f, g)
-    the value is the gcd-reduced int pair (an*bd + sign*bn*ad, ad*bd); equal
-    neighbours merge by comparing pairs, and only the output pieces get a
-    Fraction."""
+    """f + sign * g (sign = 1 or -1), trusted.  On each piece of
+    refine(f, g) the sum of the value pairs is (an + sign*bn, d) over a
+    shared denominator d, else (an*bd + sign*bn*ad, ad*bd), gcd-reduced;
+    equal neighbours merge by pair, and only the output gets Fractions."""
     cs, fv, gv = refine(f, g)
-    cuts: list[Fraction] = []
-    values: list[Fraction] = []
-    cur = None
-    for k, (a, b) in enumerate(zip(fv, gv)):
-        ad, bd = a.denominator, b.denominator
-        n, d = a.numerator * bd + sign * b.numerator * ad, ad * bd
+    pairs = []
+    for (an, ad), (bn, bd) in zip(map(_ratio, fv), map(_ratio, gv)):
+        if ad == bd:
+            n, d = an + sign * bn, ad
+        else:
+            n, d = an * bd + sign * bn * ad, ad * bd
         c = gcd(n, d)
-        pair = (n // c, d // c)
-        if pair != cur:
-            if cur is not None:
-                cuts.append(cs[k - 1])
-                values.append(_frac(*cur))
-            cur = pair
-    return _trusted(StepFunction, alpha=f.alpha, cuts=tuple(cuts),
-                    values=tuple(values), tail=_frac(*cur))
+        pairs.append((n // c, d // c))
+    keep = _kept(pairs)
+    return _trusted(StepFunction, alpha=f.alpha, cuts=(*compress(cs, keep),),
+                    values=(*starmap(_frac, compress(pairs, keep)),),
+                    tail=_frac(*pairs[-1]))
 
 
 def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
@@ -501,17 +507,18 @@ def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
 def _merged(alpha, cuts, values) -> StepFunction:
     """The canonical StepFunction of checked piece data, trusted: cuts are
     Fractions increasing strictly inside (0, alpha), values are Fractions,
-    one per piece, the last being the tail.  Equal neighbours are merged."""
-    out_cuts: list[Fraction] = []
-    out_vals: list[Fraction] = []
-    cur = values[0]
-    for t, nxt in zip(cuts, values[1:]):
-        if nxt != cur:
-            out_cuts.append(t)
-            out_vals.append(cur)
-            cur = nxt
-    return _trusted(StepFunction, alpha=alpha, cuts=tuple(out_cuts),
-                    values=tuple(out_vals), tail=cur)
+    one per piece, the last being the tail.  Equal neighbours, found by
+    their int pairs, are merged."""
+    keep = _kept(list(map(_ratio, values)))
+    return _trusted(StepFunction, alpha=alpha, cuts=(*compress(cuts, keep),),
+                    values=(*compress(values, keep),), tail=values[-1])
+
+
+def _kept(pairs) -> list[bool]:
+    """keep[k]: piece k's reduced int pair differs from piece k+1's, so cut k
+    and value k survive the merge.  Build the kept tuples as
+    ``(*compress(...),)``: ``tuple()`` of an iterator may keep spare slots."""
+    return list(map(ne, pairs, islice(pairs, 1, None)))
 
 
 def constant(c, alpha=INF) -> StepFunction:
@@ -576,8 +583,7 @@ def _lengths(cuts, alpha) -> list[tuple[int, int]]:
     except (cn - pn, cd) for a cut over the previous cut's denominator."""
     out = []
     pn, pd = 0, 1
-    for c in cuts:
-        cn, cd = c.as_integer_ratio()
+    for cn, cd in map(_ratio, cuts):
         if cd == pd:
             out.append((cn - pn, cd))
         else:
@@ -592,7 +598,7 @@ def _lengths(cuts, alpha) -> list[tuple[int, int]]:
 
 def _products(values, lengths) -> Iterator[tuple[int, int]]:
     """Int pairs of value * length, for Fraction values and length pairs."""
-    return ((v.numerator * n, v.denominator * d) for v, (n, d) in zip(values, lengths))
+    return ((vn * n, vd * d) for (vn, vd), (n, d) in zip(map(_ratio, values), lengths))
 
 
 def _sums(pairs) -> Iterator[tuple[int, int]]:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -275,7 +276,29 @@ def test_broken_invariants_report_one_line_and_exit_4(capsys, monkeypatch, comma
     else:
         argv = ["--input", json.dumps({"x": json.loads(BOX), "tau": "1/2", "eps": "1/4"})]
     code, out, err = run_cli(capsys, command, *argv)
-    assert (code, out, err) == (4, "", "error: invariant broken: synthetic invariant\n")
+    # the input comes back inlined as compact JSON, quoted for a shell
+    compact = json.dumps(json.loads(argv[1]), separators=(",", ":"))
+    rerun = shlex.join(["python", "-m", "rearrcalc", command, "--input", compact, *argv[2:]])
+    assert (code, out, err) == (
+        4, "", f"error: invariant broken: synthetic invariant; rerun: {rerun}\n")
+
+
+def test_the_rerun_line_inlines_files_stdin_and_flag_forms(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("synthetic invariant")
+
+    monkeypatch.setattr(cli, "norm", broken)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(json.loads(BOX), indent=2))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(L1))
+    code, out, err = run_cli(capsys, "norm", f"--input={path}", "--space", "-")
+    assert (code, out) == (4, "")
+    line, rerun = err.rstrip("\n").split("; rerun: ")
+    assert line == "error: invariant broken: synthetic invariant" and "\n" not in rerun
+    argv = shlex.split(rerun)
+    assert argv == ["python", "-m", "rearrcalc", "norm", f"--input={BOX}", "--space", L1]
+    # the line reruns the same command on the same input, with no file or stdin
+    assert run_cli(capsys, *argv[3:]) == (code, out, err)
 
 
 _NOT_CONCAVE = ("error: invalid piecewise-linear function: slopes not "
