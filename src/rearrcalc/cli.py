@@ -52,6 +52,8 @@ _SUITE_NAMES = ("rearrange", "hlp", "prop32", "spaces", "hardy")
 
 #: the JSON that ``_load_json`` read in this ``main`` call, by source argument
 _loaded: dict = {}
+#: the options whose sources ``_rerun_line`` inlines
+_INLINED = ("--input", "--space")
 
 
 def _load_json(source: str):
@@ -78,19 +80,23 @@ def _load_json(source: str):
 
 
 def _rerun_line(argv) -> str:
-    """The shell line that reruns ``main(argv)`` on the same input: each
-    source that was read (a file, '-' or inline JSON, also as
-    ``--flag=source``) is inlined as compact JSON."""
+    """The shell line that reruns ``main(argv)`` on the same input: the
+    source of each ``--input`` or ``--space`` (a file, '-' or inline JSON,
+    also as ``--input=source``) is inlined as compact JSON."""
     import shlex  # only this error path uses it
 
-    def inline(arg):
+    def compact(source):
+        return json.dumps(_loaded[source], separators=(",", ":"))
+
+    out = []
+    for prev, arg in zip([None, *argv], argv):
         flag, eq, source = arg.partition("=")
-        if arg in _loaded:
-            return json.dumps(_loaded[arg], separators=(",", ":"))
-        if eq and source in _loaded:
-            return f"{flag}={inline(source)}"
-        return arg
-    return shlex.join(["python", "-m", "rearrcalc", *map(inline, argv)])
+        if prev in _INLINED and arg in _loaded:
+            arg = compact(arg)
+        elif eq and flag in _INLINED and source in _loaded:
+            arg = f"{flag}={compact(source)}"
+        out.append(arg)
+    return shlex.join(["python", "-m", "rearrcalc", *out])
 
 
 def _load_step(source: str) -> StepFunction:
@@ -559,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    _loaded.clear()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -576,6 +581,8 @@ def main(argv=None) -> int:
     except AssertionError as e:  # a construction's own invariant check
         print(f"error: invariant broken: {e}; rerun: {_rerun_line(argv)}", file=sys.stderr)
         return _EXIT_PROPERTY
+    finally:
+        _loaded.clear()
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ from .stepfn import (
     StepFunction,
     _lengths,
     _products,
-    _ratio,
     _record,
     _require_same_domain,
     _running_sums,
@@ -103,16 +102,15 @@ def plc_dominated_by(u: StepFunction, v: StepFunction):
     final piece; only the witness is built as a Fraction.
     """
     cs, uv, vv = refine(u, v)
-    slopes = [(an * bd - bn * ad, ad * bd)
-              for (an, ad), (bn, bd) in zip(map(_ratio, uv), map(_ratio, vv))]
-    sums = _sums((sn * n, sd * d) for (sn, sd), (n, d) in zip(slopes, _lengths(cs, u.alpha)))
+    slopes = [a - b for a, b in zip(uv, vv)]
+    sums = _sums(_products(slopes, _lengths(cs, u.alpha)))
     at_last = (0, 1)  # D at the last cut, as an int pair; D(0) = 0
     for c, at_last in zip(cs, sums):
         if at_last[0] > 0:
             return False, c
     # past the last cut D is linear with slope m and D(last) <= 0, so a
     # rise above 0 starts at root = last - D(last)/m
-    last, m = (cs[-1] if cs else _ZERO), Fraction(*slopes[-1])
+    last, m = (cs[-1] if cs else _ZERO), slopes[-1]
     if u.alpha != INF:
         if next(sums)[0] <= 0:  # D(1)
             return True, None

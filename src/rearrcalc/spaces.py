@@ -248,8 +248,8 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
     if space.kind == "L1":
         if x.alpha == INF and x.tail != 0:
             return INF
-        return _total((abs(n), d)
-                      for n, d in _products((*x.values, x.tail), _lengths(x.cuts, x.alpha)))
+        return _total((abs(v.numerator) * n, v.denominator * d)
+                      for v, (n, d) in zip((*x.values, x.tail), _lengths(x.cuts, x.alpha)))
     if space.kind == "Linf":
         bn, bd = 0, 1
         for n, d in map(_ratio, (*x.values, x.tail)):

@@ -22,9 +22,9 @@ call it, and none of them rearranges to find out.
 
 Binary kernels walk the common refinement once: :func:`refine` merges
 two cut lists in one pass and reads both operands' values on each merged
-piece.  It is the only walk over two cut lists.  The walk, the merge of
-equal neighbours and the sums compare and add no Fractions: they read
-cuts and values as int pairs once, ``map(Fraction.as_integer_ratio,
+piece.  It is the only walk over two cut lists.  The walk, ``+`` and
+``-``, and the merge of equal neighbours compare and add no Fractions:
+they read cuts and values as int pairs once, ``map(Fraction.as_integer_ratio,
 ...)``, and work on ints.
 
 Every integral and measure of a step function is one int-pair sum.  A
@@ -288,7 +288,7 @@ class StepFunction:
         if h is None:
             cuts, values = self.cuts, self.values
             s = len(cuts) // 16 + 1
-            pairs = map(_ratio, (*cuts[::s], *values[::s], self.tail))
+            pairs = map(Fraction.as_integer_ratio, (*cuts[::s], *values[::s], self.tail))
             h = vars(self)["_hash"] = hash((self.alpha, len(cuts), *pairs))
         return h
 
@@ -454,10 +454,11 @@ def is_decreasing_rearrangement(f: StepFunction) -> bool:
     instance dict as ``_is_star``, which the constructors of stars set."""
     known = vars(f).get("_is_star")
     if known is None:
-        n, d = _ratio(f.tail)
+        n, d = f.tail.numerator, f.tail.denominator
         known = n >= 0
         if known:
-            for vn, vd in map(_ratio, reversed(f.values)):
+            for v in reversed(f.values):
+                vn, vd = v.numerator, v.denominator
                 if vn * d <= n * vd:
                     known = False
                     break
@@ -468,16 +469,13 @@ def is_decreasing_rearrangement(f: StepFunction) -> bool:
 
 def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
     """f + sign * g (sign = 1 or -1), trusted.  On each piece of
-    refine(f, g) the sum of the value pairs is (an + sign*bn, d) over a
-    shared denominator d, else (an*bd + sign*bn*ad, ad*bd), gcd-reduced;
-    equal neighbours merge by pair, and only the output gets Fractions."""
+    refine(f, g) the value is the gcd-reduced int pair
+    (an*bd + sign*bn*ad, ad*bd); equal neighbours merge by pair, and only
+    the output gets Fractions."""
     cs, fv, gv = refine(f, g)
     pairs = []
     for (an, ad), (bn, bd) in zip(map(_ratio, fv), map(_ratio, gv)):
-        if ad == bd:
-            n, d = an + sign * bn, ad
-        else:
-            n, d = an * bd + sign * bn * ad, ad * bd
+        n, d = an * bd + sign * bn * ad, ad * bd
         c = gcd(n, d)
         pairs.append((n // c, d // c))
     keep = _kept(pairs)
@@ -583,7 +581,8 @@ def _lengths(cuts, alpha) -> list[tuple[int, int]]:
     except (cn - pn, cd) for a cut over the previous cut's denominator."""
     out = []
     pn, pd = 0, 1
-    for cn, cd in map(_ratio, cuts):
+    for c in cuts:
+        cn, cd = c.as_integer_ratio()
         if cd == pd:
             out.append((cn - pn, cd))
         else:

@@ -301,6 +301,21 @@ def test_the_rerun_line_inlines_files_stdin_and_flag_forms(tmp_path, capsys, mon
     assert run_cli(capsys, *argv[3:]) == (code, out, err)
 
 
+def test_the_rerun_line_inlines_only_input_and_space(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("synthetic invariant")
+
+    monkeypatch.setattr(experiments, "flatten_head", broken)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1..3").write_text(BOX)  # a file spelled like the --n value
+    code, out, err = run_cli(capsys, "flatten-head", "--input", "1..3", "--n", "1..3")
+    assert (code, out) == (4, "")
+    compact = json.dumps(json.loads(BOX), separators=(",", ":"))
+    assert shlex.split(err.rstrip("\n").split("; rerun: ")[1]) == [
+        "python", "-m", "rearrcalc", "flatten-head", "--input", compact, "--n", "1..3"]
+    assert cli._loaded == {}  # main keeps no input once it returns
+
+
 _NOT_CONCAVE = ("error: invalid piecewise-linear function: slopes not "
                 "nonnegative and strictly decreasing: not a nondecreasing concave "
                 "function in canonical form\n")

@@ -1,216 +1,23 @@
-"""The int-pair kernels of ``stepfn`` against Fraction-operator oracles.
+"""No Fraction operator runs per piece in the int-pair kernels of ``stepfn``.
 
 ``refine``, ``+`` and ``-``, the merge pass behind ``window``,
 ``integrate``, ``abs`` and ``canonicalize``, and the L-infinity norm read
 each operand's cuts and values as (numerator, denominator) int pairs once
-and compare or add ints.  The references here use Fraction operators only:
-merged cuts come from ``sorted(set(...))``, values from scanning the
-pieces, and equal neighbours are merged with Fraction ``!=``, never through
-``canonicalize``.  Inputs cover both domains, empty cut lists, x - x and
-x + (-x), runs of equal values at either end of a window, values of equal
-magnitude and opposite sign, and pairwise-coprime denominators near 10**6.
-
-The last test counts the Fraction operator calls these kernels, the star
-test and ``majorize.plc_dominated_by`` make on 2,000-piece operands: a
-constant number, plus O(log n) for ``window``'s bisection.
+and compare or add ints.  The test here counts the Fraction operator calls they make on 2,000-piece
+operands: a constant number, plus O(log n) for ``window``'s bisection.
+Their results are compared with Fraction-operator references in
+``test_walks``.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from rearrcalc import INF, StepFunction, canonicalize, constant
-from rearrcalc.majorize import plc_dominated_by
+from rearrcalc import INF, canonicalize
 from rearrcalc.spaces import SpaceSpec, norm
-from rearrcalc.stepfn import integrate, is_decreasing_rearrangement
-from test_walks import BIG_PRIMES, at, slow_integral
-
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
-
-
-# -- Fraction-operator references -------------------------------------------------
-
-
-def slow_merge(cuts, values):
-    """(cuts, values, tail) of piece data with equal neighbours merged by
-    Fraction ``!=``; values has one entry per piece, the last is the tail."""
-    out_cuts, out_vals, cur = [], [], values[0]
-    for t, v in zip(cuts, values[1:]):
-        if v != cur:
-            out_cuts.append(t)
-            out_vals.append(cur)
-            cur = v
-    return tuple(out_cuts), tuple(out_vals), cur
-
-
-def fields(f: StepFunction):
-    return f.cuts, f.values, f.tail
-
-
-def reduced(q) -> bool:
-    return type(q) is F and q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
-
-
-def check_result(h: StepFunction, expected):
-    assert fields(h) == expected
-    assert all(map(reduced, (*h.cuts, *h.values, h.tail)))
-
-
-def slow_pointwise(f, g, op):
-    cuts = sorted({*f.cuts, *g.cuts})
-    return slow_merge(cuts, [op(at(f, t), at(g, t)) for t in [F(0), *cuts]])
-
-
-def slow_window(f, a, hi):
-    """f times the indicator of [a, hi), piece by piece."""
-    cuts = sorted({c for c in (*f.cuts, a, hi) if 0 < c < f.alpha})
-    return slow_merge(cuts, [at(f, t) if a <= t < hi else F(0) for t in [F(0), *cuts]])
-
-
-# -- strategies -------------------------------------------------------------------
-
-
-@st.composite
-def operands(draw, alpha=None):
-    """A step function whose values come from a few magnitudes of both signs
-    (0 among them), so that raw runs of equal values and +-v pairs are
-    common; over small denominators or primes near 10**6, possibly with no
-    cut at all.  Returns the raw (cuts, values, tail) too."""
-    if alpha is None:
-        alpha = draw(st.sampled_from([INF, F(1)]))
-    if draw(st.booleans()):
-        den = st.integers(1, 8)
-    else:
-        den = st.sampled_from(BIG_PRIMES)
-    mags = draw(st.lists(st.builds(F, st.integers(0, 10**6), den), min_size=1, max_size=3))
-    value = st.builds(lambda m, s: m * s, st.sampled_from([F(0), *mags]),
-                      st.sampled_from([1, -1]))
-    k = draw(st.integers(0, 10))
-    if alpha == INF:
-        cuts, acc = [], F(0)
-        for step in draw(st.lists(st.builds(F, st.integers(1, 10**6), den),
-                                  min_size=k, max_size=k)):
-            acc += step
-            cuts.append(acc)
-    else:
-        pool = draw(st.lists(st.builds(F, st.integers(1, 10**6), den), max_size=k))
-        cuts = sorted({q / (1 + q) for q in pool})
-    values = draw(st.lists(value, min_size=len(cuts), max_size=len(cuts)))
-    tail = draw(value)
-    return canonicalize(cuts, values, tail, alpha), (cuts, values, tail)
-
-
-@st.composite
-def operand_pairs(draw):
-    f, _ = draw(operands())
-    shape = draw(st.sampled_from(["free", "same", "negated", "constant", "shared_cuts"]))
-    if shape == "same":  # f - f and f + f
-        g = f
-    elif shape == "negated":  # f + (-f)
-        g = -f
-    elif shape == "constant":
-        g = constant(draw(st.sampled_from([F(0), *f.values, f.tail])), f.alpha)
-    elif shape == "shared_cuts":  # cancels where the drawn signs flip f
-        flips = draw(st.lists(st.sampled_from([1, -1]), min_size=len(f.cuts) + 1,
-                              max_size=len(f.cuts) + 1))
-        vals = [v * s for v, s in zip((*f.values, f.tail), flips)]
-        g = canonicalize(f.cuts, vals[:-1], vals[-1], f.alpha)
-    else:
-        g, _ = draw(operands(alpha=f.alpha))
-    return (f, g) if draw(st.booleans()) else (g, f)
-
-
-def window_bounds(f: StepFunction, draw):
-    """a and the window end (None, INF or a point past a), often on cuts,
-    so that zeros next to a or to the end merge into the outside."""
-    span = f.cuts[-1] if f.cuts else F(1)
-    ends = [F(0), *f.cuts, span / 3]
-    a = draw(st.sampled_from([c for c in ends if c < f.alpha]))
-    later = [c for c in (*f.cuts, a + span / 2, F(1)) if c > a and c <= f.alpha]
-    return a, draw(st.sampled_from([None, INF, *later]))
-
-
-# -- differential tests -----------------------------------------------------------
-
-
-@SETTINGS
-@given(operand_pairs())
-def test_sum_and_difference_match_fraction_operators(pair):
-    f, g = pair
-    check_result(f + g, slow_pointwise(f, g, lambda a, b: a + b))
-    check_result(f - g, slow_pointwise(f, g, lambda a, b: a - b))
-
-
-@pytest.mark.parametrize("alpha", [INF, F(1)])
-def test_cancellation_leaves_a_constant(alpha):
-    x = canonicalize([F(1, 999983), F(2, 999979), F(1, 2)],
-                     [F(5, 999961), F(-5, 999961), F(0)], F(3, 7), alpha)
-    zero = constant(0, alpha)
-    assert fields(x - x) == fields(x + -x) == fields(-x + x) == ((), (), F(0))
-    assert x - x == zero
-    assert fields(x + x) == ((*x.cuts,), tuple(2 * v for v in x.values), 2 * x.tail)
-    # no cut on either side, and no cut on one side
-    c = constant(F(2, 3), alpha)
-    assert fields(c + c) == ((), (), F(4, 3)) and fields(c - c) == ((), (), F(0))
-    check_result(x + c, slow_pointwise(x, c, lambda a, b: a + b))
-
-
-@SETTINGS
-@given(data=st.data())
-def test_window_and_integrate_match_fraction_operators(data):
-    f, _ = data.draw(operands())
-    a, b = window_bounds(f, data.draw)
-    hi = f.alpha if b is None or b == INF else b
-    check_result(f.window(a, b), slow_window(f, a, hi))
-    expected = slow_integral(f, a, hi)
-    if expected is not None:
-        got = integrate(f, a, hi)
-        assert got == expected and reduced(got)
-
-
-def test_window_merges_runs_at_both_ends():
-    # zeros next to a and to the end join the zeros outside the window
-    x = canonicalize([1, 2, 3, 4, 5], [7, 0, 3, -3, 0], 9, INF)
-    assert fields(x.window(1, 5)) == ((F(2), F(3), F(4)), (F(0), F(3), F(-3)), F(0))
-    assert fields(x.window(1, 4)) == ((F(2), F(3), F(4)), (F(0), F(3), F(-3)), F(0))
-    assert fields(x.window(2, 4)) == ((F(2), F(3), F(4)), (F(0), F(3), F(-3)), F(0))
-    assert fields(x.window(4, 5)) == ((), (), F(0))  # one zero piece: no cut
-    assert fields(x.window(0, 2)) == ((F(1),), (F(7),), F(0))
-
-
-@SETTINGS
-@given(operands())
-def test_abs_and_canonicalize_match_fraction_operators(case):
-    f, (cuts, values, tail) = case
-    check_result(f, slow_merge(cuts, [*values, tail]))
-    check_result(abs(f), slow_merge(cuts, [abs(v) for v in (*values, tail)]))
-
-
-@SETTINGS
-@given(operands())
-def test_linf_matches_fraction_operators(case):
-    f, (_, values, tail) = case
-    got = norm(SpaceSpec("Linf", alpha=f.alpha), f)
-    assert got == max(abs(v) for v in (*values, tail)) and reduced(got)
-
-
-@pytest.mark.parametrize("alpha", [INF, F(1)])
-def test_linf_of_equal_magnitudes_with_both_signs(alpha):
-    v = F(999979, 999983)
-    linf = SpaceSpec("Linf", alpha=alpha)
-    for vals, tail in (([v, -v], F(0)), ([-v, v], -v), ([-v, F(1, 2)], v), ([], -v)):
-        x = canonicalize([F(1, 3), F(1, 2)][:len(vals)], vals, tail, alpha)
-        assert norm(linf, x) == v
-    assert norm(linf, canonicalize([F(1, 2)], [-F(3)], F(-2), alpha)) == 3
-    assert norm(linf, constant(0, alpha)) == 0
-
-
-# -- no Fraction operators per piece ----------------------------------------------
-
+from rearrcalc.stepfn import integrate
 
 PIECES = 2000
 
@@ -244,18 +51,10 @@ def large_operand(rng, alpha):
     return canonicalize(cuts, values, 0, alpha)
 
 
-def large_star(rng, alpha):
-    """A fresh x = x*: PIECES distinct decreasing values down to a tail 0."""
-    x = large_operand(rng, alpha)
-    values = sorted({F(rng.randint(1, 64 * PIECES), 64) for _ in x.cuts}, reverse=True)
-    return canonicalize(x.cuts[:len(values)], values, 0, alpha)
-
-
 @pytest.mark.parametrize("alpha", [INF, F(1)])
 def test_kernels_make_no_fraction_operator_call_per_piece(alpha, fraction_calls):
     rng = random.Random(2000)
     x, y = large_operand(rng, alpha), large_operand(rng, alpha)
-    u, v = large_star(rng, alpha), large_star(rng, alpha)
     a, b = x.cuts[PIECES // 5], x.cuts[4 * PIECES // 5]
     linf = SpaceSpec("Linf", alpha=alpha)
     # bisect_left and bisect_right; each compare reads the other operand's
@@ -265,9 +64,7 @@ def test_kernels_make_no_fraction_operator_call_per_piece(alpha, fraction_calls)
                             ("x - y", lambda: x - y, 16),
                             ("window", lambda: x.window(a, b), 32 + bisect_calls),
                             ("integrate", lambda: integrate(x, a, b), 32 + bisect_calls),
-                            ("norm Linf", lambda: norm(linf, x), 16),
-                            ("star test", lambda: is_decreasing_rearrangement(u), 16),
-                            ("u < v", lambda: plc_dominated_by(u, v), 64)):
+                            ("norm Linf", lambda: norm(linf, x), 16)):
         fraction_calls.clear()
         op()
         calls = sum(fraction_calls.values())

@@ -6,7 +6,11 @@ phi, ``maximal_distance``) or sorts pieces (``rearrangement``) is compared
 with a reference written here from the definitions: step functions are
 evaluated by scanning their pieces, merged cuts come from
 ``sorted(set(...))``, concave functions are read through ``value_at``, and
-the rearrangement is a plain sort of the pieces.  The int-pair summation
+the rearrangement is a plain sort of the pieces.  Where a kernel's output
+is compared field by field, the reference merges equal neighbours with
+Fraction ``!=`` (``slow_merge``), not through ``canonicalize``; that covers
+``+``, ``-``, ``window``, ``abs`` and ``canonicalize`` itself, which merge
+by comparing int pairs.  The int-pair summation
 kernel (``integrate``, ``exceedance_measure``,
 ``majorize._integral_product``, the L1 and Linf norms) is compared with
 Fraction loops over the pieces.  The domination kernel
@@ -136,6 +140,22 @@ def at(f: StepFunction, t):
         if t < c:
             return v
     return f.tail
+
+
+def fields(f: StepFunction):
+    return f.cuts, f.values, f.tail
+
+
+def slow_merge(cuts, values):
+    """(cuts, values, tail) of piece data with equal neighbours merged by
+    Fraction ``!=``; values has one entry per piece, the last is the tail."""
+    out_cuts, out_vals, cur = [], [], values[0]
+    for t, v in zip(cuts, values[1:]):
+        if v != cur:
+            out_cuts.append(t)
+            out_vals.append(cur)
+            cur = v
+    return tuple(out_cuts), tuple(out_vals), cur
 
 
 def check_points(alpha, *cut_lists):
@@ -280,10 +300,9 @@ def window_ends(f: StepFunction, draw):
 def test_window_matches_pointwise_evaluation(f, data):
     a, b = window_ends(f, data.draw)
     hi = f.alpha if b is None or b == INF else b
-    w = f.window(a, b)
-    pts = check_points(f.alpha, f.cuts, [a] + ([hi] if hi != INF else []))
-    for t in pts:
-        assert at(w, t) == (at(f, t) if a <= t < hi else 0)
+    cuts = sorted({c for c in (*f.cuts, a, hi) if 0 < c < f.alpha})
+    values = [at(f, t) if a <= t < hi else F(0) for t in (F(0), *cuts)]
+    assert fields(f.window(a, b)) == slow_merge(cuts, values)
 
 
 def test_window_named_edge_cases():
@@ -299,6 +318,12 @@ def test_window_named_edge_cases():
     assert y.window(F(1, 4), F(1, 2)) == canonicalize([F(1, 4), F(1, 2)], [0, -2], 0, 1)
     assert y.window(1, INF) == constant(0, 1)
     assert constant(4, INF).window(0, 1) == canonicalize([1], [4], 0, INF)  # no cuts
+    # zeros next to a and to the end join the zeros outside the window
+    z = canonicalize([1, 2, 3, 4, 5], [7, 0, 3, -3, 0], 9, INF)
+    inner = canonicalize([2, 3, 4], [0, 3, -3], 0, INF)
+    assert z.window(1, 5) == z.window(1, 4) == z.window(2, 4) == inner
+    assert z.window(4, 5) == constant(0, INF)
+    assert z.window(0, 2) == canonicalize([1], [7], 0, INF)
 
 
 # -- concave functions ------------------------------------------------------------
@@ -666,7 +691,19 @@ def test_cumulative_dominated_verdict_and_witness(pair):
 def test_l1_and_linf_norms_match_piece_loop(x):
     l1 = slow_integral(abs(x), 0, x.alpha)
     assert norm(SpaceSpec("L1", alpha=x.alpha), x) == (INF if l1 is None else l1)
-    assert norm(SpaceSpec("Linf", alpha=x.alpha), x) == max(abs(v) for _, _, v in pieces(x))
+    linf = norm(SpaceSpec("Linf", alpha=x.alpha), x)
+    assert linf == max(abs(v) for _, _, v in pieces(x)) and reduced(linf)
+
+
+@pytest.mark.parametrize("alpha", [INF, F(1)])
+def test_linf_of_equal_magnitudes_with_both_signs(alpha):
+    v = F(999979, 999983)
+    linf = SpaceSpec("Linf", alpha=alpha)
+    for vals, tail in (([v, -v], F(0)), ([-v, v], -v), ([-v, F(1, 2)], v), ([], -v)):
+        x = canonicalize([F(1, 3), F(1, 2)][:len(vals)], vals, tail, alpha)
+        assert norm(linf, x) == v
+    assert norm(linf, canonicalize([F(1, 2)], [-F(3)], F(-2), alpha)) == 3
+    assert norm(linf, constant(0, alpha)) == 0
 
 
 # -- + and - on int pairs ---------------------------------------------------------
@@ -675,14 +712,23 @@ def test_l1_and_linf_norms_match_piece_loop(x):
 @st.composite
 def sum_pairs(draw):
     """Operands of + and -: free pairs, pairs that cancel to 0 on some or all
-    pieces, pairs whose sum's last value equals its tail, and pairs with
-    denominators near 10**40."""
+    pieces (g = f, g = -f, or g = +-f piece by piece), pairs whose sum's last
+    value equals its tail, and pairs with denominators near 10**40."""
     f, g = draw(step_pairs())
-    shape = draw(st.sampled_from(["free", "cancel", "tail", "huge"]))
+    shape = draw(st.sampled_from(
+        ["free", "cancel", "same", "negated", "signs", "tail", "huge"]))
     vals = (*f.values, f.tail)
     if shape == "cancel":  # g = -f on the pieces drawn, so f + g is 0 there
         keep = draw(st.lists(st.booleans(), min_size=len(vals), max_size=len(vals)))
         other = [-v if k else v + 1 for v, k in zip(vals, keep)]
+        g = canonicalize(f.cuts, other[:-1], other[-1], f.alpha)
+    elif shape == "same":  # f - f and f + f
+        g = f
+    elif shape == "negated":  # f + (-f)
+        g = -f
+    elif shape == "signs":  # f + g is 0 where the sign is -1, f - g where it is 1
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(vals), max_size=len(vals)))
+        other = [s * v for v, s in zip(vals, signs)]
         g = canonicalize(f.cuts, other[:-1], other[-1], f.alpha)
     elif shape == "tail" and f.cuts:  # f + g ends on f's last value
         other = [F(0)] * len(f.cuts) + [f.values[-1] - f.tail]
@@ -696,10 +742,10 @@ def sum_pairs(draw):
 
 
 def piecewise_sum(f, g, sign):
-    """f + sign*g by Fraction arithmetic on every piece of the sorted union of cuts."""
+    """(cuts, values, tail) of f + sign*g by Fraction arithmetic on every
+    piece of the sorted union of cuts."""
     cuts = sorted({*f.cuts, *g.cuts})
-    values = [at(f, t) + sign * at(g, t) for t in [F(0), *cuts]]
-    return canonicalize(cuts, values[:-1], values[-1], f.alpha)
+    return slow_merge(cuts, [at(f, t) + sign * at(g, t) for t in [F(0), *cuts]])
 
 
 @SETTINGS
@@ -708,8 +754,8 @@ def test_sum_and_difference_match_a_fraction_loop(pair):
     f, g = pair
     for h, sign in ((f + g, 1), (f - g, -1)):
         ref = piecewise_sum(f, g, sign)
-        assert h == ref and hash(h) == hash(ref)
-        assert all(type(q) is F for q in (*h.values, h.tail))
+        assert fields(h) == ref and hash(h) == hash(StepFunction(f.alpha, *ref))
+        assert all(map(reduced, (*h.cuts, *h.values, h.tail)))
     assert f - f == constant(0, f.alpha) == f + -f
 
 
@@ -717,12 +763,12 @@ def test_sum_and_difference_match_a_fraction_loop(pair):
 
 
 @st.composite
-def grouped_step_functions(draw):
-    """Step functions whose few |values| recur, with both signs, on pieces of
-    many lengths: cuts over one shared denominator, over mixed denominators
-    up to 8, or over distinct primes above 10**6, on both domains.  On
-    [0, inf) the tail is often one of the magnitudes, absorbing the pieces
-    at and below it."""
+def grouped_pieces(draw):
+    """Raw (cuts, values, tail, alpha) whose few |values| recur, with both
+    signs, on pieces of many lengths: cuts over one shared denominator, over
+    mixed denominators up to 8, or over distinct primes above 10**6, on both
+    domains.  On [0, inf) the tail is often one of the magnitudes, absorbing
+    the pieces at and below it."""
     alpha = draw(st.sampled_from([INF, F(1)]))
     shape = draw(st.sampled_from(["shared", "mixed", "coprime"]))
     if shape == "shared":  # k coprime to den: every cut keeps the denominator den
@@ -744,11 +790,25 @@ def grouped_step_functions(draw):
     value = st.builds(lambda m, s: s * m, st.sampled_from(pool), st.sampled_from([1, -1]))
     values = draw(st.lists(value, min_size=len(cuts), max_size=len(cuts)))
     tail = draw(st.one_of(value, st.just(F(0))))
-    return canonicalize(cuts, values, tail, alpha)
+    return cuts, values, tail, alpha
+
+
+def grouped_step_functions():
+    return grouped_pieces().map(lambda raw: canonicalize(*raw))
 
 
 def reduced(q) -> bool:
     return type(q) is F and q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+
+@SETTINGS
+@given(grouped_pieces())
+def test_canonicalize_and_abs_merge_like_fraction_operators(raw):
+    cuts, values, tail, _ = raw
+    f = canonicalize(*raw)
+    for h, vals in ((f, [*values, tail]), (abs(f), [abs(v) for v in (*values, tail)])):
+        assert fields(h) == slow_merge(cuts, vals)
+        assert all(map(reduced, (*h.cuts, *h.values, h.tail)))
 
 
 @SETTINGS
