@@ -8,8 +8,8 @@ identical arguments (and seed) produce byte-identical bytes on stdout, in
 (the minimized counterexample is part of the JSON payload) or when a
 construction fails its own invariant check (one line on stderr, with the
 command line that reruns it on its inputs inlined as JSON; nothing on
-stdout).  The handlers that use ``experiments`` or ``gen`` import it when
-they run, so that no other command pays for that import.
+stdout).  The handlers that use ``majorize``, ``experiments`` or ``gen``
+import it when they run, so that no other command pays for that import.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError, RearrCalcError
-from .majorize import (
-    family_contains,
-    hlp_compare,
-    majorant_pair,
-    sample_family_member,
-)
 from .rearrange import maximal_eval, rearrangement
 from .spaces import Hyperbolic, SpaceSpec, embeds_in_l1, fundamental_eval, norm
 from .stepfn import (
@@ -228,11 +222,12 @@ def _cmd_hlp(args) -> int:
     obj = _load_json(args.input)
     if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
         raise ParseError('hlp input must be {"x": <stepfn>, "y": <stepfn>}')
+    from . import majorize
     x = StepFunction.from_json(obj["x"])
     y = StepFunction.from_json(obj["y"])
     payload = {
-        "x_prec_y": hlp_compare(x, y).to_json(),
-        "y_prec_x": hlp_compare(y, x).to_json(),
+        "x_prec_y": majorize.hlp_compare(x, y).to_json(),
+        "y_prec_x": majorize.hlp_compare(y, x).to_json(),
     }
     return _emit(args, payload)
 
@@ -280,11 +275,12 @@ def _majorant_args(args):
 
 
 def _majorant_payload(x: StepFunction, tau: Fraction, eps: Fraction) -> dict:
+    from . import majorize
     return {
         "x": x.to_json(),
         "tau": rat_str(tau),
         "eps": rat_str(eps),
-        "trace": majorant_pair(x, tau, eps).to_json(),
+        "trace": majorize.majorant_pair(x, tau, eps).to_json(),
     }
 
 
@@ -293,16 +289,17 @@ def _cmd_majorant_pair(args) -> int:
 
 
 def _cmd_sample_member(args) -> int:
+    from . import majorize
     x, tau, eps = _majorant_args(args)
     seed = _resolve_seed(args)
-    y = sample_family_member(x, tau, eps, seed)
+    y = majorize.sample_family_member(x, tau, eps, seed)
     payload = {
         "x": x.to_json(),
         "tau": rat_str(tau),
         "eps": rat_str(eps),
         "seed": seed,
         "member": y.to_json(),
-        "in_family": family_contains(y, x, tau, eps),
+        "in_family": majorize.family_contains(y, x, tau, eps),
     }
     return _emit(args, payload)
 
@@ -404,7 +401,7 @@ _LEMMA43_SPACE = SpaceSpec(
 
 
 def _replicate_lemma43(n_list):
-    from . import experiments
+    from . import experiments, majorize
     x, space, t_x = _LEMMA43_X, _LEMMA43_SPACE, Fraction(1)
     fam_y = experiments.builtin_family("lemma43_y", x, t_x)
     fam_x = experiments.builtin_family("lemma43_x", x)
@@ -415,8 +412,8 @@ def _replicate_lemma43(n_list):
             "n": n,
             "norm_y": ext_str(norm(space, y_n)),
             "norm_x": ext_str(norm(space, x_n)),
-            "y_hlp": hlp_compare(y_n, x).holds,
-            "x_hlp": hlp_compare(x_n, x).holds,
+            "y_hlp": majorize.hlp_compare(y_n, x).holds,
+            "x_hlp": majorize.hlp_compare(x_n, x).holds,
         })
     payload = {
         "x": x.to_json(),

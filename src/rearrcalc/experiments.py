@@ -11,9 +11,9 @@ inconclusive) and never claim more than the finitely many indices tested.
 
 All distances are exact: for rearrangements the set {|x_n* - x*| > delta}
 is a finite union of intervals of a step function.  For maximal functions,
-``refine`` of the two stars gives the slope m of G = Phi_{x_n} - Phi_x on
-every merged piece, where G is affine, and running int-pair sums of m times
-length give G at the cuts.  As x_n** - x** = G(t)/t, the set
+``stepfn``'s walk over the two stars gives Phi_{x_n} and Phi_x at the
+merged cuts as int pairs, and G = Phi_{x_n} - Phi_x is affine, of slope m,
+on every merged piece.  As x_n** - x** = G(t)/t, the set
 {|x_n** - x**| > delta} is the disjoint union of {G - delta t > 0} and
 {-G - delta t > 0}.  On a piece each is decided by the signs of its affine
 function at the piece's two ends, int cross-products of G, the end and
@@ -36,17 +36,15 @@ from .stepfn import (
     INF,
     Ext,
     StepFunction,
-    _lengths,
     _record,
-    _sums,
     _total,
+    _walk,
     box,
     constant,
     exceedance_measure,
     ext_str,
     rat,
     rat_str,
-    refine,
 )
 
 _ZERO = Fraction(0)
@@ -167,21 +165,15 @@ def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
         raise PreconditionError(f"need delta > 0, got {delta}")
     if x.alpha != y.alpha:
         raise PreconditionError("operands live on different domains")
-    cuts, xv, yv = refine(rearrangement(x).star, rearrangement(y).star)
-    lengths = _lengths(cuts, x.alpha)
-    slopes = [(a.numerator * b.denominator - b.numerator * a.denominator,
-               a.denominator * b.denominator) for a, b in zip(xv, yv)]
-    at_ends = _sums((mn * n, md * d) for (mn, md), (n, d) in zip(slopes, lengths))
-    ends = [c.as_integer_ratio() for c in cuts]
-    if x.alpha != INF:
-        ends.append((1, 1))  # G(1) is the last sum: lengths end with 1 - cuts[-1]
+    ends, lengths, xv, yv, at_x, at_y = _walk(rearrangement(x).star, rearrangement(y).star)
     en, ed = delta.as_integer_ratio()
     # (G - delta t) D and (-G - delta t) D at t = 0, then at each end, D > 0
     plus = minus = 0
     D = 1
     pieces = []  # int pairs of the lengths of the exceedance set
-    for (n, d), (cn, cd), (gn, gd) in zip(lengths, ends, at_ends):
-        g, e, D_hi = gn * ed * cd, en * cn * gd, gd * ed * cd
+    for (n, d), (cn, cd), (an, ad), (bn, bd) in zip(lengths, ends, at_x, at_y):
+        gd = ad * bd  # G at the end is (an bd - bn ad) / gd
+        g, e, D_hi = (an * bd - bn * ad) * ed * cd, en * cn * gd, gd * ed * cd
         plus_hi, minus_hi = g - e, -g - e
         for lo, hi in ((plus, plus_hi), (minus, minus_hi)):
             if lo >= 0 and hi >= 0:
@@ -192,7 +184,8 @@ def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
                 pieces.append((n * u, d * (u - w)) if lo > 0 else (n * w, d * (w - u)))
         plus, minus, D = plus_hi, minus_hi, D_hi
     if x.alpha == INF:  # the ray from the last cut, slope m -+ delta
-        mn, md = slopes[-1]
+        (an, ad), (bn, bd) = xv[-1], yv[-1]
+        mn, md = an * bd - bn * ad, ad * bd
         for h, sn in ((plus, mn * ed - en * md), (minus, -mn * ed - en * md)):
             if sn > 0 or (sn == 0 and h > 0):
                 return INF

@@ -51,19 +51,17 @@ from .stepfn import (
     Ext,
     PiecewiseLinearConcave,
     StepFunction,
-    _lengths,
-    _products,
+    _frac,
+    _largest,
     _record,
     _require_same_domain,
-    _running_sums,
-    _sums,
     _trusted,
+    _walk,
     canonicalize,
     integrate,
     is_decreasing_rearrangement,
     rat,
     rat_str,
-    refine,
 )
 
 _ZERO = Fraction(0)
@@ -95,31 +93,30 @@ def plc_dominated_by(u: StepFunction, v: StepFunction):
     """Decide int_0^t u <= int_0^t v for every t in (0, alpha), that is, the
     piecewise-linear running integrals of u and v; returns (holds, witness).
 
-    D(t) = int_0^t (u - v) is summed in int pairs over the merged pieces of
-    refine(u, v), not of the canonical u - v, whose merging of equal
-    neighbours drops the cuts a witness is read from.  D is linear between
-    merged cuts, so a violation shows at the first cut with D > 0 or on the
-    final piece; only the witness is built as a Fraction.
+    D(t) = int_0^t (u - v) is compared as the running integrals of u and v
+    at the merged cuts of refine(u, v) (``stepfn``'s walk), not of the
+    canonical u - v, whose merge drops the cuts a witness is read from.  D
+    is linear between merged cuts, so a violation shows at the first cut
+    with D > 0 or on the final piece; only the witness is a Fraction.
     """
-    cs, uv, vv = refine(u, v)
-    slopes = [a - b for a, b in zip(uv, vv)]
-    sums = _sums(_products(slopes, _lengths(cs, u.alpha)))
-    at_last = (0, 1)  # D at the last cut, as an int pair; D(0) = 0
-    for c, at_last in zip(cs, sums):
-        if at_last[0] > 0:
-            return False, c
-    # past the last cut D is linear with slope m and D(last) <= 0, so a
-    # rise above 0 starts at root = last - D(last)/m
-    last, m = (cs[-1] if cs else _ZERO), slopes[-1]
-    if u.alpha != INF:
-        if next(sums)[0] <= 0:  # D(1)
+    ends, _, _, _, at_u, at_v = _walk(u, v)
+    last, a, b = (0, 1), (0, 1), (0, 1)  # the last end with D <= 0, u's and v's integrals there
+    for end, (un, ud), (vn, vd) in zip(ends, at_u, at_v):
+        if un * vd > vn * ud:  # D(end) > 0
+            if u.alpha == INF or end != (1, 1):  # (1, 1) ends [0, 1)
+                return False, _frac(*end)
+            break
+        last, a, b = end, (un, ud), (vn, vd)
+    else:
+        if u.alpha != INF or u.tail <= v.tail:
             return True, None
-        root = last - Fraction(*at_last) / m
-        return False, next(t for t in ((2 * last + 1) / 3, (last + 2) / 3, (root + 1) / 2)
-                           if t > root)
-    if m > 0:
-        return False, last - Fraction(*at_last) / m + 1
-    return True, None
+    # past the last cut D is linear with slope m = u.tail - v.tail and
+    # D(last) <= 0, so a rise above 0 starts at root = last - D(last)/m
+    lo = _frac(*last)
+    root = lo - (_frac(*a) - _frac(*b)) / (u.tail - v.tail)
+    if u.alpha == INF:
+        return False, root + 1
+    return False, next(t for t in ((2 * lo + 1) / 3, (lo + 2) / 3, (root + 1) / 2) if t > root)
 
 
 def hlp_compare(y: StepFunction, x: StepFunction) -> HlpVerdict:
@@ -381,18 +378,16 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
     # Phi_v and Phi_x are 0 at 0, linear between merged cuts and flat past
     # the last one, so c*Phi_v <= Phi_x at every merged cut gives it
     # everywhere; the first and last merged cuts carry the head and
-    # total-mass ratios.  Both are running integrals over refine(x, v).
+    # total-mass ratios.  Both are running integrals of stepfn's walk over
+    # refine(x, v); the least ratio is found by cross-multiplication.
     k = rng.randint(1, 6)
     lengths = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
     drops = [Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(k)]
     values = list(accumulate(reversed(drops)))[::-1]  # v drops by drops[i] at cut i
     v = canonicalize(list(accumulate(lengths)), values, 0, INF)
-    cs, xv, vv = refine(x, v)
-    pieces = _lengths(cs, INF)
-    at_x = _running_sums(_products(xv, pieces))
-    at_v = _running_sums(_products(vv, pieces))
-    c = min(min(a / b for a, b in zip(at_x, at_v)),
-            (phi_tau - eps) / level_integral(v).value_at(tau))
+    *_, at_x, at_v = _walk(x, v)  # Phi_x > 0 there: the least ratio is 1 / the largest inverse
+    fit = 1 / _largest((bn * ad, bd * an) for (an, ad), (bn, bd) in zip(at_x, at_v))
+    c = min(fit, (phi_tau - eps) / level_integral(v).value_at(tau))
     y = v.scale(c * Fraction(rng.randint(8, 16), 16))
     if not family_contains(y, x, tau, eps):
         raise AssertionError("fitted shape left M(x, tau, eps)")

@@ -3,23 +3,24 @@
 For a step function x on [0, alpha), the decreasing rearrangement
 x*(t) = inf{ lam : d_x(lam) <= t }, with d_x(lam) = mu{ |x| > lam } the
 distribution function (``stepfn.exceedance_measure``), is computed by
-sorting the pieces of |x| by value.  On [0, inf) a nonzero eventual value |tail| acts as an infinite
-plateau: pieces with |value| <= |tail| are absorbed by it, larger ones stack
-in front, and x*(inf) = |tail|.  The running integral Phi_x(t) = int_0^t x*
-is the increasing concave piecewise-linear ``level_integral``, and the
-maximal function is x**(t) = Phi_x(t)/t, with Phi_x frozen at its limit for
-t >= 1 when alpha = 1.
+sorting the pieces of |x| by value.  On [0, inf) a nonzero eventual value
+|tail| acts as an infinite plateau: pieces with |value| <= |tail| are
+absorbed by it, larger ones stack in front, and x*(inf) = |tail|.  The
+running integral Phi_x(t) = int_0^t x* is the increasing concave
+piecewise-linear ``level_integral``, and the maximal function is
+x**(t) = Phi_x(t)/t, with Phi_x frozen at its limit for t >= 1 when
+alpha = 1.
 
-The arithmetic is on int pairs, not Fractions, through the summation
-kernel of ``stepfn``.  Pieces are grouped by the ratio (|p|, q) of their
-value p/q, exact since a Fraction is in lowest terms; a group sums its
-length numerators per denominator, then adds those sums with one gcd per
-denominator, as ``stepfn._total`` does for a total.
-Only the distinct values are sorted, by the int key (|p| << k) // q =
-floor(|p/q| 2^k), with k = 2 * D.bit_length() for D the largest
-denominator of x: distinct values differ by at least 1/D^2 > 2^-k, so the
-keys order them exactly.  The star's cuts and the level integral's nodes
-are running sums of pairs, one gcd and one Fraction per distinct value.
+The arithmetic is on int pairs, not Fractions.  One pass reads each
+piece's cut and value as int pairs, works out its length and adds it to
+the group of its |value|, the ratio (|p|, q) of its value p/q (exact, as a
+Fraction is in lowest terms), over the lcm of the group's length
+denominators: a gcd only when that lcm grows.  Only the distinct values
+are sorted, by the int key (|p| << k) // q = floor(|p/q| 2^k), with
+k = 2 * D.bit_length() for D the largest value denominator: distinct
+values differ by at least 1/D^2 > 2^-k, so the keys order them exactly.
+The star's cuts and the level integral's nodes are running sums of pairs
+(``stepfn``'s kernel), one gcd and one Fraction per distinct value.
 
 A star passes through: when x is already x* (``stepfn``'s
 ``is_decreasing_rearrangement``), the rearrangement returns x itself as
@@ -32,7 +33,6 @@ division.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -45,6 +45,7 @@ from .stepfn import (
     _frac,
     _lengths,
     _products,
+    _ratio,
     _record,
     _require_same_domain,
     _running_sums,
@@ -70,25 +71,30 @@ class RearrangementResult:
     star_at_infinity: Fraction
 
 
-def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
-    """x* by grouping the pieces of |x| by value and sorting the distinct
-    values, with the reduced length pairs of its pieces."""
-    # numerator sums per (|value| as its reduced ratio (|p|, q), length
-    # denominator), then added per (|p|, q) with one gcd per denominator
-    sums = defaultdict(int)
-    for (n, d), v in zip(lengths, (*x.values, x.tail)):  # the tail on [0, 1) only
-        p, q = v.as_integer_ratio()
-        sums[p if p >= 0 else -p, q, d] += n
-    totals = {}
-    for (p, q, d), n in sums.items():
-        total = totals.get((p, q))
-        if total is not None:
-            n, d = total[0] * d + n * total[1], total[1] * d
-        g = gcd(n, d)
-        totals[p, q] = (n // g, d // g)
+def _sorted_star(x: StepFunction):
+    """x*, with the int pairs of its values and piece lengths."""
+    # (|p|, q) -> the lengths of the pieces of value +-p/q, summed over the
+    # lcm of their denominators: (cn - pn, d) when the ends share d
+    groups = {}
+    pn, pd = 0, 1
+    ends = list(map(_ratio, x.cuts))
+    if x.alpha != INF:
+        ends.append((1, 1))
+    for (cn, cd), (p, q) in zip(ends, map(_ratio, (*x.values, x.tail))):
+        if cd == pd:
+            n, d = cn - pn, cd
+        else:
+            n, d = cn * pd - pn * cd, cd * pd
+        pn, pd = cn, cd
+        key = (p if p >= 0 else -p, q)
+        sn, sd = groups.get(key) or (0, d)
+        if sd % d:  # a gcd only when the lcm grows
+            g = gcd(sd, d)
+            sn, sd = sn * (d // g), sd // g * d
+        groups[key] = sn + n * (sd // d), sd
     # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
-    k = 2 * max([x.tail.denominator, *(q for _, q in totals)]).bit_length()
-    ratio_of = {(p << k) // q: (p, q) for p, q in totals}
+    k = 2 * max([x.tail.denominator, *(q for _, q in groups)]).bit_length()
+    ratio_of = {(p << k) // q: (p, q) for p, q in groups}
     keys = sorted(ratio_of, reverse=True)
     if x.alpha == INF:
         tail = abs(x.tail)
@@ -97,21 +103,20 @@ def _sorted_star(x: StepFunction, lengths) -> tuple[StepFunction, list]:
     else:  # the smallest value is the tail of the rearrangement
         tail = _frac(*ratio_of[keys.pop()])
     ratios = [ratio_of[key] for key in keys]
-    lengths = [totals[r] for r in ratios]
+    lengths = [groups[r] for r in ratios]
     star = _trusted(StepFunction, alpha=x.alpha, cuts=tuple(_running_sums(lengths)),
                     values=tuple(_frac(p, q) for p, q in ratios), tail=tail, _is_star=True)
-    return star, lengths
+    return star, ratios, lengths
 
 
 @lru_cache(maxsize=8192)
 def _rearrange(x: StepFunction) -> RearrangementResult:
-    lengths = _lengths(x.cuts, x.alpha)
     if is_decreasing_rearrangement(x):
-        star = x
+        star, values, lengths = x, map(_ratio, x.values), _lengths(map(_ratio, x.cuts), x.alpha)
     else:
-        star, lengths = _sorted_star(x, lengths)
+        star, values, lengths = _sorted_star(x)
     # running integral of the star: one node per cut, then slope = tail
-    nodes = _running_sums(_products(star.values, lengths))
+    nodes = _running_sums(_products(values, lengths))
     phi = _trusted(
         PiecewiseLinearConcave,
         alpha=x.alpha,

@@ -13,12 +13,12 @@ function positive on (0, alpha), or the rational hyperbola t/(c + t), c > 0.
 Everything is exact: suprema of x**(t)*phi(t) are computed per refined
 segment, where the objective has the form A/t + B + C*t with A, C >= 0
 (convex, so the supremum sits at segment endpoints or at the limits t -> 0+
-and t -> alpha-); +inf is returned when the far limit diverges.
-
-L1 and Linf need no rearrangement: L1 is the int-pair total of |value| times
-length over the pieces (``stepfn``), Linf the largest |value|, found by
-int cross-multiplication of the value pairs.  L1 + Linf is
-Phi_x(1), read off the level integral of the rearrangement (``rearrange``).
+and t -> alpha-); +inf is returned when the far limit diverges.  The
+candidates of both Marcinkiewicz norms are int pairs, read off ``stepfn``'s
+walk for a piecewise-linear phi, and compared by cross-multiplication; only
+the largest becomes a Fraction.  L1 and Linf need no rearrangement: L1 is
+the int-pair total of |value| times length, Linf the largest |value|, found
+the same way.  L1 + Linf is Phi_x(1), read off the level integral.
 The fundamental function of every kind is the exact data of
 :meth:`SpaceSpec.fundamental_function` (built once per kind and domain for
 the classical kinds), which ``fundamental_eval`` and ``embeds_in_l1`` read.
@@ -37,18 +37,17 @@ from .stepfn import (
     PiecewiseLinearConcave,
     StepFunction,
     _frac,
+    _largest,
     _lengths,
-    _products,
     _ratio,
     _record,
-    _running_sums,
     _total,
+    _walk,
     alpha_str,
     parse_alpha,
     parse_rat,
     rat,
     rat_str,
-    refine,
 )
 
 _ZERO = Fraction(0)
@@ -184,9 +183,18 @@ class SpaceSpec:
 
 def _norm_marcinkiewicz_star(phi: FundamentalFunction, x: StepFunction) -> Ext:
     star = rearrangement(x).star
-    # phi increases, so sup over a piece [s, e) of the star is v*phi(e)
-    best: Ext = max((v * phi.value_at(e) for e, v in zip(star.cuts, star.values)),
-                    default=_ZERO)
+    # phi increases, so sup over a piece [s, e) of the star is v*phi(e); a
+    # PLC phi's cut inside a piece never beats the piece's end
+    if isinstance(phi, Hyperbolic):
+        cn, cd = _ratio(phi.c)
+        cands = ((vn * en * cd, vd * (cn * ed + en * cd))  # v e / (c + e)
+                 for (en, ed), (vn, vd) in zip(map(_ratio, star.cuts), map(_ratio, star.values)))
+    else:
+        _, _, values, _, _, at_phi = _walk(star, phi.slope)
+        jn, jd = _ratio(phi.jump0)
+        cands = ((vn * (jn * pd + pn * jd), vd * jd * pd)
+                 for (vn, vd), (pn, pd) in zip(values, at_phi))
+    best: Ext = _largest(cands)
     if star.tail != 0:
         top = phi_limit(phi, x.alpha)
         if top == INF:
@@ -215,28 +223,26 @@ def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
     if isinstance(phi, Hyperbolic):
         # Phi(t)/(c+t) is a Moebius transform of an affine function on each
         # segment, hence monotone there: endpoints suffice.
-        cands = [v / (phi.c + s) for s, v in zip(big.cuts, big.node_values)]
+        cn, cd = _ratio(phi.c)
+        nodes = zip(map(_ratio, big.cuts), map(_ratio, big.node_values))
+        cands = ((vn * cd * sd, vd * (cn * sd + sn * cd)) for (sn, sd), (vn, vd) in nodes)
     else:
         # piecewise-linear phi: on each refined segment the objective is
         # A/t + B + C*t with A, C >= 0: convex, so endpoints and limits suffice.
-        # Phi_x and phi are running integrals of x* and of phi's slope
-        # function, read at the merged cuts; phi starts from its jump at 0.
-        cs, xv, pv = refine(rr.star, phi.slope)
-        lengths = _lengths(cs, x.alpha)
-        at_big = _running_sums(_products(xv, lengths))
-        at_phi = _running_sums(_products(pv, lengths))
-        cands = [b * (phi.jump0 + p) / s for s, b, p in zip(cs, at_big, at_phi)]
-    # the limit at 0+ (jump0 * x*(0+), or 0) is never larger: on the first
-    # merged piece the objective x*(0+) * phi(t) is nondecreasing, and with no
-    # merged cut the alpha = 1 or t -> inf candidate is at least as large
-    if x.alpha != INF:
-        cands.append(big.value_at(x.alpha) * phi.value_at(x.alpha))
-    else:
-        at_inf = _limits(phi, rr)[1]
-        if at_inf == INF:
-            return INF
-        cands.append(at_inf)
-    return max(cands)
+        # Phi_x and phi - jump0 are the walk's integrals of x* and phi's slope.
+        ends, _, _, _, at_big, at_phi = _walk(rr.star, phi.slope)
+        jn, jd = _ratio(phi.jump0)
+        cands = ((bn * (jn * pd + pn * jd) * sd, bd * jd * pd * sn)  # b (jump0 + p) / s
+                 for (sn, sd), (bn, bd), (pn, pd) in zip(ends, at_big, at_phi))
+    # candidates are int pairs, compared by cross-multiplication.  The limit
+    # at 0+ (jump0 * x*(0+), or 0) is never larger: on the first merged piece
+    # the objective x*(0+) * phi(t) is nondecreasing, and with no merged cut
+    # the alpha = 1 or t -> inf candidate is at least as large
+    best = _largest(cands)
+    if x.alpha != INF:  # with a PLC phi, the walk's last end was already 1
+        return max(best, big.value_at(x.alpha) * phi.value_at(x.alpha))
+    at_inf = _limits(phi, rr)[1]
+    return INF if at_inf == INF else max(best, at_inf)
 
 
 def norm(space: SpaceSpec, x: StepFunction) -> Ext:
@@ -248,8 +254,8 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
     if space.kind == "L1":
         if x.alpha == INF and x.tail != 0:
             return INF
-        return _total((abs(v.numerator) * n, v.denominator * d)
-                      for v, (n, d) in zip((*x.values, x.tail), _lengths(x.cuts, x.alpha)))
+        pieces = zip(map(_ratio, (*x.values, x.tail)), _lengths(map(_ratio, x.cuts), x.alpha))
+        return _total((abs(vn) * n, vd * d) for (vn, vd), (n, d) in pieces)
     if space.kind == "Linf":
         bn, bd = 0, 1
         for n, d in map(_ratio, (*x.values, x.tail)):

@@ -22,32 +22,28 @@ call it, and none of them rearranges to find out.
 
 Binary kernels walk the common refinement once: :func:`refine` merges
 two cut lists in one pass and reads both operands' values on each merged
-piece.  It is the only walk over two cut lists.  The walk, ``+`` and
-``-``, and the merge of equal neighbours compare and add no Fractions:
-they read cuts and values as int pairs once, ``map(Fraction.as_integer_ratio,
-...)``, and work on ints.
+piece; it is the only walk over two cut lists.  It, ``+``, ``-`` and the
+merge of equal neighbours (:func:`_kept`) read cuts and values as int
+pairs once, ``map(Fraction.as_integer_ratio, ...)``, and compare or add
+ints.  A reduced pair becomes a Fraction through :func:`_frac`, which skips
+the gcd of ``Fraction.__new__``; it is the only code that sets Fraction's
+internal slots, and the result is a plain Fraction.
 
-Every integral and measure of a step function is one int-pair sum.  A
-length is an int pair, reduced by gcd unless its cut shares the previous
-cut's denominator d, which gives (cn - pn, d) with no gcd.  Value times
-length is a pair of int products.  Running sums add pairs with one
-``math.gcd`` per step, into one Fraction per result or signs
-(``majorize.plc_dominated_by``).  A total (:func:`integrate`,
-:func:`exceedance_measure`, the L1 norm, ``majorize``'s integrals) adds
-numerators as ints per denominator, then the distinct denominators with
-one gcd each (:func:`_total`), as the rearrangement's groups do.
-``+`` and ``-`` add the value pairs on each piece of ``refine`` and
-reduce by gcd.  Every merge of equal neighbours compares the pair list
-with itself shifted by one (:func:`_kept`).  A pair that is already
-reduced becomes a Fraction through :func:`_frac`, which skips the second
-gcd of ``Fraction.__new__``; it is the only code that sets Fraction's
-internal slots, and the result is a plain Fraction.  Running
-integrals of concave functions are read the same way over ``refine``'s
-pieces: the level integral of the rearrangement, both operands of the
-Marcinkiewicz norm (phi through its slope function), the shape
-fit of ``majorize`` and the maximal distances of ``experiments``.  Pairs
-beat one common denominator, which grows to thousands of bits on coprime
-denominators.
+Every integral and measure is one int-pair sum.  A length is an int pair,
+reduced by gcd unless its cut shares the previous cut's denominator d,
+which gives (cn - pn, d).  Value times length is a pair of int products,
+and running sums add pairs with one ``math.gcd`` per step.  A total
+(:func:`integrate`, :func:`exceedance_measure`, the L1 norm) adds
+numerators per denominator, then the distinct denominators with one gcd
+each (:func:`_total`).  The consumers of two stars share one walk,
+:func:`_walk`: the pieces of ``refine`` as int pairs, their ends and
+lengths, and the running integrals of both operands at the ends, each
+summed only when read.  ``majorize``'s order test and shape fit, the
+maximal distance of ``experiments`` and both Marcinkiewicz norms (phi
+through its slope function) read it, compare candidates by int
+cross-multiplication (:func:`_largest`) and build one Fraction per result.
+Pairs beat one common denominator, which grows to thousands of bits on
+coprime denominators.
 
 Validated at the boundary, trusted inside.  The public constructors
 (``StepFunction(...)``, ``PiecewiseLinearConcave(...)``, :func:`canonicalize`,
@@ -412,22 +408,24 @@ class StepFunction:
             raise ParseError(f"invalid step function: {e}") from None
 
 
-def refine(f: StepFunction, g: StepFunction):
+def refine(f: StepFunction, g: StepFunction, pairs: bool = False):
     """Common refinement of two step functions: ``(cuts, fv, gv)``, where
-    fv[k], gv[k] are f and g on merged piece k (the last one ends at alpha).
+    fv[k], gv[k] are f and g on merged piece k (the last one ends at alpha);
+    with ``pairs``, all three lists hold (numerator, denominator) int pairs.
 
     One linear walk over both cut lists, read as int pairs once up front;
     each step is one cross-multiplied int compare, and equal cuts advance
     both sides.
     """
     _require_same_domain(f, g)
-    fc, gc = f.cuts, g.cuts
-    fp, gp = list(map(_ratio, fc)), list(map(_ratio, gc))
+    fp, gp = list(map(_ratio, f.cuts)), list(map(_ratio, g.cuts))
     fvals, gvals = (*f.values, f.tail), (*g.values, g.tail)
+    if pairs:
+        fc, gc, fvals, gvals = fp, gp, [*map(_ratio, fvals)], [*map(_ratio, gvals)]
+    else:
+        fc, gc = f.cuts, g.cuts
     n, m = len(fc), len(gc)
-    cuts: list[Fraction] = []
-    fv: list[Fraction] = []
-    gv: list[Fraction] = []
+    cuts, fv, gv = [], [], []
     i = j = 0
     while i < n and j < m:
         (an, ad), (bn, bd) = fp[i], gp[j]
@@ -448,17 +446,37 @@ def refine(f: StepFunction, g: StepFunction):
     return cuts, fv, gv
 
 
+def _walk(u: StepFunction, v: StepFunction):
+    """refine(u, v) as int pairs: the right ends of the finite pieces (then 1
+    when alpha = 1), their lengths, u and v on every merged piece (the last
+    one their tails), and iterators of int_0^end u and int_0^end v."""
+    ends, uv, vv = refine(u, v, pairs=True)
+    lengths = _lengths(ends, u.alpha)
+    if u.alpha != INF:
+        ends.append((1, 1))
+    return ends, lengths, uv, vv, _sums(_products(uv, lengths)), _sums(_products(vv, lengths))
+
+
+def _largest(pairs) -> Fraction:
+    """The largest of 0 and the int pairs (n, d), d > 0, compared by
+    cross-multiplication, as one Fraction."""
+    bn, bd = 0, 1
+    for n, d in pairs:
+        if n * bd > bn * d:
+            bn, bd = n, d
+    return Fraction(bn, bd)
+
+
 def is_decreasing_rearrangement(f: StepFunction) -> bool:
     """f = f*: values strictly decreasing down to a tail >= 0, checked with
     int compares and without rearranging f.  The answer is kept in the
     instance dict as ``_is_star``, which the constructors of stars set."""
     known = vars(f).get("_is_star")
     if known is None:
-        n, d = f.tail.numerator, f.tail.denominator
+        n, d = _ratio(f.tail)
         known = n >= 0
         if known:
-            for v in reversed(f.values):
-                vn, vd = v.numerator, v.denominator
+            for vn, vd in map(_ratio, reversed(f.values)):
                 if vn * d <= n * vd:
                     known = False
                     break
@@ -558,7 +576,8 @@ def integrate(f: StepFunction, a, b) -> Fraction:
             f"integral diverges: tail value {rat_str(f.tail)} on an infinite interval"
         )
     w = f.window(a, hi)  # its tail is 0 on [0, inf): the finite pieces carry it all
-    return _total(_products((*w.values, w.tail), _lengths(w.cuts, w.alpha)))
+    lengths = _lengths(map(_ratio, w.cuts), w.alpha)
+    return _total(_products(map(_ratio, (*w.values, w.tail)), lengths))
 
 
 def exceedance_measure(f: StepFunction, lam) -> Ext:
@@ -568,7 +587,7 @@ def exceedance_measure(f: StepFunction, lam) -> Ext:
         raise PreconditionError(f"level must be nonnegative, got {lam}")
     if f.alpha == INF and abs(f.tail) > lam:
         return INF
-    lengths = _lengths(f.cuts, f.alpha)  # none for the tail on [0, inf)
+    lengths = _lengths(map(_ratio, f.cuts), f.alpha)  # none for the tail on [0, inf)
     return _total(l for v, l in zip((*f.values, f.tail), lengths) if abs(v) > lam)
 
 
@@ -576,13 +595,12 @@ def exceedance_measure(f: StepFunction, lam) -> Ext:
 
 
 def _lengths(cuts, alpha) -> list[tuple[int, int]]:
-    """Int pairs (n, d) of the finite piece lengths that ``cuts`` make in
-    [0, alpha): one per cut, and 1 - cuts[-1] when alpha = 1.  Reduced,
+    """Int pairs (n, d) of the finite piece lengths that the cut pairs make
+    in [0, alpha): one per cut, and 1 - cuts[-1] when alpha = 1.  Reduced,
     except (cn - pn, cd) for a cut over the previous cut's denominator."""
     out = []
     pn, pd = 0, 1
-    for c in cuts:
-        cn, cd = c.as_integer_ratio()
+    for cn, cd in cuts:
         if cd == pd:
             out.append((cn - pn, cd))
         else:
@@ -596,8 +614,8 @@ def _lengths(cuts, alpha) -> list[tuple[int, int]]:
 
 
 def _products(values, lengths) -> Iterator[tuple[int, int]]:
-    """Int pairs of value * length, for Fraction values and length pairs."""
-    return ((vn * n, vd * d) for (vn, vd), (n, d) in zip(map(_ratio, values), lengths))
+    """Int pairs of value * length, for value and length int pairs."""
+    return ((vn * n, vd * d) for (vn, vd), (n, d) in zip(values, lengths))
 
 
 def _sums(pairs) -> Iterator[tuple[int, int]]:

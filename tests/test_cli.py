@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rearrcalc import StepFunction, cli, experiments, gen
+from rearrcalc import StepFunction, cli, experiments, gen, majorize
 from rearrcalc.gen import SuiteResult
 
 BOX = '{"alpha":"inf","breakpoints":["1/1"],"values":["1/1"],"tail":"0/1"}'
@@ -269,8 +269,8 @@ def test_broken_invariants_report_one_line_and_exit_4(capsys, monkeypatch, comma
     def broken(*args):
         raise AssertionError("synthetic invariant")
 
-    # the handler reads flatten_head off experiments when it is called
-    monkeypatch.setattr(experiments if name == "flatten_head" else cli, name, broken)
+    # the handlers read their function off experiments or majorize when called
+    monkeypatch.setattr(experiments if name == "flatten_head" else majorize, name, broken)
     if command == "flatten-head":
         argv = ["--input", BOX, "--n", "1..3"]
     else:
@@ -452,6 +452,22 @@ def test_cli_import_loads_only_what_every_command_needs():
     loaded = set(proc.stdout.split())
     assert "rearrcalc.cli" in loaded
     assert not loaded & {"rearrcalc.gen", "rearrcalc.experiments", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--input", BOX, "--space", L1],
+    ["rearrange", "--input", BOX],
+    ["maximal", "--input", BOX, "--t", "1/2,2"],
+    ["fundamental", "--space", L1, "--t", "1,2"],
+])
+def test_norm_rearrange_maximal_and_fundamental_leave_majorize_unloaded(argv):
+    probe = ("import sys; from rearrcalc import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, *sorted(m for m in sys.modules if m.startswith('rearrcalc.')))")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split("\n")[-2].split()
+    assert code == "0" and "rearrcalc.cli" in loaded
+    assert not {"rearrcalc.majorize", "rearrcalc.experiments", "rearrcalc.gen"} & {*loaded}
 
 
 def test_package_names_resolve_though_experiments_loads_lazily():
