@@ -1,12 +1,13 @@
 """Sequence families and finite-evidence probes for order continuity.
 
-A SequenceFamily is an indexed family n -> x_n of step functions sitting
-below a base point in the majorization order.  probe_koc tracks norms of
-x_n along an index list and reports whether the evidence is consistent with
-the norms tending to 0 (K-order continuity at the base point); probe_lkm
-tracks |x_n| -> |x| style convergence instead: exact in-measure distances
-between rearrangements and between maximal functions, plus the norm gap.
-Verdicts are three-valued (consistent_with_KOC, consistent_with_failure,
+A SequenceFamily is an indexed family n -> x_n of step functions; a probe
+checks every x_n it records against a base point x, and a member with x_n
+not ≺ x ends the probe with a PreconditionError.  probe_koc tracks norms
+of x_n along an index list and reports whether the evidence is consistent
+with the norms tending to 0 (K-order continuity at x); probe_lkm tracks
+|x_n| -> |x| style convergence instead: exact in-measure distances between
+rearrangements and between maximal functions, plus the norm gap.  Verdicts
+are three-valued (consistent_with_KOC, consistent_with_failure,
 inconclusive) and never claim more than the finitely many indices tested.
 
 All distances are exact: for rearrangements the set {|x_n* - x*| > delta}
@@ -26,7 +27,7 @@ m -+ delta is positive, or zero with a positive value at the last cut.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import PreconditionError
 from .majorize import _flatten, hlp_compare
@@ -37,10 +38,10 @@ from .stepfn import (
     Ext,
     StepFunction,
     _record,
+    _require_same_domain,
     _total,
     _walk,
     box,
-    constant,
     exceedance_measure,
     ext_str,
     rat,
@@ -55,12 +56,10 @@ DEFAULT_DELTAS = (Fraction(1), Fraction(1, 2), Fraction(1, 10))
 
 @_record
 class SequenceFamily:
-    """An indexed family n -> x_n with an optional base point it sits under."""
+    """An indexed family n -> x_n."""
 
     name: str
     generator: Callable[[int], StepFunction]
-    description: str
-    base_point: Optional[StepFunction] = None
 
     def __call__(self, n: int) -> StepFunction:
         if not isinstance(n, int) or n < 1:
@@ -100,47 +99,29 @@ def builtin_family(name: str, x: Optional[StepFunction] = None, t_x=None) -> Seq
     * ``thm47_flatten``:   y_n = flatten_head(x, n)          (needs x)
     """
     if name == "remark45":
-        base = box(1, 1)
-        return SequenceFamily(
-            name, lambda n: box(Fraction(1, n), n),
-            "unit-mass boxes (1/n) on [0,n) under the indicator of [0,1)", base,
-        )
+        return SequenceFamily(name, lambda n: box(Fraction(1, n), n))
     if name == "example46_heads":
-        base = constant(1)
-        return SequenceFamily(
-            name, lambda n: box(1, Fraction(1, n)),
-            "shrinking unit-height heads, indicator of [0,1/n)", base,
-        )
+        return SequenceFamily(name, lambda n: box(1, Fraction(1, n)))
     if name in ("lemma43_y", "lemma43_x", "thm47_flatten"):
         if x is None:
             raise PreconditionError(f"family {name} needs a base function x")
         if x.alpha != INF:
             raise PreconditionError(f"family {name} is defined on [0, inf)")
-        star = rearrangement(x).star
-        if name == "lemma43_y":
-            if t_x is None:
-                raise PreconditionError("family lemma43_y needs the point t_x")
-            t_x = rat(t_x)
-            if t_x <= 0:
-                raise PreconditionError(f"need t_x > 0, got {t_x}")
-            v = star(t_x)
-            if v <= 0:
-                raise PreconditionError(
-                    f"family lemma43_y needs x*(t_x) > 0, got x*({rat_str(t_x)}) = 0"
-                )
-            return SequenceFamily(
-                name, lambda n: box(v / n, n * t_x),
-                f"boxes of height x*(t_x)/n on [0, n*t_x), t_x = {rat_str(t_x)}", x,
-            )
         if name == "lemma43_x":
-            return SequenceFamily(
-                name, lambda n: box(maximal_eval(x, n), n),
-                "boxes of height x**(n) on [0, n)", x,
+            return SequenceFamily(name, lambda n: box(maximal_eval(x, n), n))
+        if name == "thm47_flatten":
+            return SequenceFamily(name, lambda n: flatten_head(x, n))
+        if t_x is None:
+            raise PreconditionError("family lemma43_y needs the point t_x")
+        t_x = rat(t_x)
+        if t_x <= 0:
+            raise PreconditionError(f"need t_x > 0, got {t_x}")
+        v = rearrangement(x).star(t_x)
+        if v <= 0:
+            raise PreconditionError(
+                f"family lemma43_y needs x*(t_x) > 0, got x*({rat_str(t_x)}) = 0"
             )
-        return SequenceFamily(
-            name, lambda n: flatten_head(x, n),
-            "x* with its head averaged over [0, n)", x,
-        )
+        return SequenceFamily(name, lambda n: box(v / n, n * t_x))
     raise PreconditionError(
         "unknown family name; expected remark45, example46_heads, "
         "lemma43_y, lemma43_x, or thm47_flatten"
@@ -150,21 +131,22 @@ def builtin_family(name: str, x: Optional[StepFunction] = None, t_x=None) -> Seq
 # -- exact in-measure distances ----------------------------------------------
 
 
-def measure_distance(f: StepFunction, g: StepFunction, delta) -> Ext:
-    """mu{ t : |f(t) - g(t)| > delta }, exactly; may be INF."""
+def _positive(delta) -> Fraction:
     delta = rat(delta)
     if delta <= 0:
         raise PreconditionError(f"need delta > 0, got {delta}")
-    return exceedance_measure(f - g, delta)
+    return delta
+
+
+def measure_distance(f: StepFunction, g: StepFunction, delta) -> Ext:
+    """mu{ t : |f(t) - g(t)| > delta }, exactly; may be INF."""
+    return exceedance_measure(f - g, _positive(delta))
 
 
 def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
     """mu{ t in (0, alpha) : |x**(t) - y**(t)| > delta }, exactly."""
-    delta = rat(delta)
-    if delta <= 0:
-        raise PreconditionError(f"need delta > 0, got {delta}")
-    if x.alpha != y.alpha:
-        raise PreconditionError("operands live on different domains")
+    delta = _positive(delta)
+    _require_same_domain(x, y)
     ends, lengths, xv, yv, at_x, at_y = _walk(rearrangement(x).star, rearrangement(y).star)
     en, ed = delta.as_integer_ratio()
     # (G - delta t) D and (-G - delta t) D at t = 0, then at each end, D > 0
@@ -199,11 +181,10 @@ def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
 
 @_record
 class ProbeRecord:
-    """Measurements at one index n."""
+    """Measurements at one index n, for a member x_n checked ≺ x."""
 
     n: int
     norm: Ext
-    hlp_holds: bool
     star_distances: tuple[tuple[Fraction, Ext], ...]
     maximal_distances: Optional[tuple[tuple[Fraction, Ext], ...]] = None
     norm_gap: Optional[Ext] = None
@@ -212,7 +193,7 @@ class ProbeRecord:
         out = {
             "n": self.n,
             "norm": ext_str(self.norm),
-            "hlp_holds": self.hlp_holds,
+            "hlp_holds": True,
             "star_distance": {rat_str(d): ext_str(m) for d, m in self.star_distances},
         }
         if self.maximal_distances is not None:
@@ -261,7 +242,7 @@ class ProbeReport:
             header.append("norm_gap")
         rows = []
         for r in self.records:
-            row = [str(r.n), ext_str(r.norm), "yes" if r.hlp_holds else "no"]
+            row = [str(r.n), ext_str(r.norm), "yes"]
             row += [ext_str(m) for _, m in r.star_distances]
             if r.maximal_distances is not None:
                 row += [ext_str(m) for _, m in r.maximal_distances]
@@ -292,14 +273,18 @@ def _norm_gap(a: Ext, b: Ext) -> Ext:
     return abs(a - b)
 
 
-def _check_family_below(x: StepFunction, family: SequenceFamily, n: int,
-                        x_n: StepFunction) -> None:
-    verdict = hlp_compare(x_n, x)
-    if not verdict.holds:
-        raise PreconditionError(
-            f"family {family.name} leaves the order interval at n = {n}: "
-            f"int_0^t x_n* > int_0^t x* at t = {rat_str(verdict.witness)}"
-        )
+def _members(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
+             n_list: tuple[int, ...]) -> Iterator[tuple[int, StepFunction, Ext]]:
+    """(n, x_n, ||x_n||) along a validated n_list; raises at the first x_n not ≺ x."""
+    for n in n_list:
+        x_n = family(n)
+        verdict = hlp_compare(x_n, x)
+        if not verdict.holds:
+            raise PreconditionError(
+                f"family {family.name} leaves the order interval at n = {n}: "
+                f"int_0^t x_n* > int_0^t x* at t = {rat_str(verdict.witness)}"
+            )
+        yield n, x_n, norm(space, x_n)
 
 
 def probe_koc(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
@@ -316,20 +301,12 @@ def probe_koc(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
         raise PreconditionError(f"need tolerance > 0, got {tolerance}")
     n_list = _validated_n_list(n_list)
     deltas = tuple(rat(d) for d in deltas)
-    zero = constant(0, x.alpha)
-    records = []
-    for n in n_list:
-        x_n = family(n)
-        _check_family_below(x, family, n, x_n)
-        star_n = rearrangement(x_n).star
-        records.append(ProbeRecord(
-            n=n,
-            norm=norm(space, x_n),
-            hlp_holds=True,
-            star_distances=tuple(
-                (d, measure_distance(star_n, zero, d)) for d in deltas
-            ),
-        ))
+    # x_n and x_n* are equimeasurable: mu{x_n* > d} = mu{|x_n| > d}
+    records = [
+        ProbeRecord(n, norm_n, tuple((d, exceedance_measure(x_n, _positive(d)))
+                                     for d in deltas))
+        for n, x_n, norm_n in _members(x, family, space, n_list)
+    ]
     norms = [r.norm for r in records]
     tail_start = len(norms) - 1
     while tail_start > 0 and norms[tail_start - 1] >= norms[tail_start]:
@@ -384,39 +361,21 @@ def probe_lkm(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
     norm_x = norm(space, x)
     star_x = rearrangement(x).star
     records = []
-    for n in n_list:
-        x_n = family(n)
-        _check_family_below(x, family, n, x_n)
+    for n, x_n, norm_n in _members(x, family, space, n_list):
         star_n = rearrangement(x_n).star
-        norm_n = norm(space, x_n)
         records.append(ProbeRecord(
-            n=n,
-            norm=norm_n,
-            hlp_holds=True,
-            star_distances=tuple(
-                (d, measure_distance(star_n, star_x, d)) for d in deltas
-            ),
-            maximal_distances=tuple(
-                (d, maximal_distance(x_n, x, d)) for d in deltas
-            ),
-            norm_gap=_norm_gap(norm_n, norm_x),
+            n, norm_n,
+            tuple((d, measure_distance(star_n, star_x, d)) for d in deltas),
+            tuple((d, maximal_distance(x_n, x, d)) for d in deltas),
+            _norm_gap(norm_n, norm_x),
         ))
     final = records[-1]
-    all_final_zero = all(m == 0 for _, m in final.star_distances) and all(
-        m == 0 for _, m in final.maximal_distances
-    )
-    # lower bounds per delta over the later half of the index list, so a
-    # degenerate early entry (x_1 = x gives distance 0) cannot mask a trend
+    all_final_zero = all(m == 0 for _, m in final.star_distances + final.maximal_distances)
+    # lower bounds per distance column over the later half of the index list,
+    # so a degenerate early entry (x_1 = x gives distance 0) cannot mask a trend
     half = records[len(records) // 2:]
-    positive_bounds: list[Ext] = []
-    for i in range(len(deltas)):
-        for pick in (
-            lambda r: r.star_distances[i][1],
-            lambda r: r.maximal_distances[i][1],
-        ):
-            lo = min(pick(r) for r in half)
-            if lo > 0:
-                positive_bounds.append(lo)
+    columns = zip(*((*r.star_distances, *r.maximal_distances) for r in half))
+    positive_bounds = [lo for lo in (min(m for _, m in c) for c in columns) if lo > 0]
     if all_final_zero:
         verdict = "consistent_with_KOC"
         notes = "all star/maximal distances vanished at the final n"

@@ -32,6 +32,9 @@ from .stepfn import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HLP_GRID = 10000  # grid points of the hlp suite's oracle
+_PROP32_MEMBERS = 5  # family members the prop32 suite samples per case
+_SHRINK_BUDGET = 400  # candidate tries per shrink
 
 
 def _frac(rng: random.Random, max_num=24, max_den=8) -> Fraction:
@@ -61,10 +64,9 @@ def rand_step(rng: random.Random, alpha: Ext = INF, max_pieces: int = 12,
     return canonicalize(cuts, values, tail, alpha)
 
 
-def rand_star(rng: random.Random, alpha: Ext = INF, max_pieces: int = 8,
-              min_pieces: int = 1) -> StepFunction:
+def rand_star(rng: random.Random, alpha: Ext = INF, max_pieces: int = 8) -> StepFunction:
     """A random nonzero decreasing rearrangement (tail 0 when alpha = inf)."""
-    k = rng.randint(min_pieces, max_pieces)
+    k = rng.randint(1, max_pieces)
     drops = [_frac(rng, 12, 6) for _ in range(k)]
     total = sum(drops)
     values = []
@@ -326,12 +328,12 @@ def _phi_grid_le(x: StepFunction, y: StepFunction, grid: int) -> Optional[Fracti
     return None
 
 
-def _hlp_problems(y: StepFunction, x: StepFunction, grid: int) -> tuple[list[str], bool]:
+def _hlp_problems(y: StepFunction, x: StepFunction) -> tuple[list[str], bool]:
     """(problems found, whether hlp_compare says y ≺ x)."""
     problems = []
     verdict = majorize.hlp_compare(y, x)
     if verdict.holds:
-        grid_hit = _phi_grid_le(y, x, grid)
+        grid_hit = _phi_grid_le(y, x, _HLP_GRID)
         if grid_hit is not None:
             problems.append(f"grid oracle found violation at t={rat_str(grid_hit)}")
     else:
@@ -345,7 +347,7 @@ def _hlp_problems(y: StepFunction, x: StepFunction, grid: int) -> tuple[list[str
     return problems, verdict.holds
 
 
-def run_hlp_suite(cases: int, seed: int, grid: int = 10000) -> SuiteResult:
+def run_hlp_suite(cases: int, seed: int) -> SuiteResult:
     """hlp_compare against a dense-grid oracle, witness validity, reflexivity,
     and transitivity along constructed chains."""
     rng = random.Random(seed)
@@ -358,7 +360,7 @@ def run_hlp_suite(cases: int, seed: int, grid: int = 10000) -> SuiteResult:
         else:
             x = rand_step(rng, alpha, max_pieces=8)
             y = rand_step(rng, alpha, max_pieces=8)
-        problems, holds = _hlp_problems(y, x, grid)
+        problems, holds = _hlp_problems(y, x)
         agree += holds
         # transitivity along a constructed chain zz ≺ yy ≺ xx
         yy, xx = majorized_pair(rng, alpha)
@@ -370,7 +372,7 @@ def run_hlp_suite(cases: int, seed: int, grid: int = 10000) -> SuiteResult:
             })
         if problems:
             case = shrink_case(
-                {"x": x, "y": y}, lambda c: bool(_hlp_problems(c["y"], c["x"], grid)[0]))
+                {"x": x, "y": y}, lambda c: bool(_hlp_problems(c["y"], c["x"])[0]))
             res.failures.append({
                 "case": i, "problems": problems,
                 "x": case["x"].to_json(), "y": case["y"].to_json(),
@@ -381,7 +383,7 @@ def run_hlp_suite(cases: int, seed: int, grid: int = 10000) -> SuiteResult:
     return res
 
 
-def run_prop32_suite(cases: int, seed: int, members_per_case: int = 5) -> SuiteResult:
+def run_prop32_suite(cases: int, seed: int) -> SuiteResult:
     """Construction invariants: trace geometry, memberships, z/w != x, and the
     covering property on sampled members."""
     rng = random.Random(seed)
@@ -389,13 +391,12 @@ def run_prop32_suite(cases: int, seed: int, members_per_case: int = 5) -> SuiteR
     tags = {"affine_gap": 0, "affine_chord": 0}
     for i in range(cases):
         x, tau, eps = prop32_instance(rng, plateau=bool(i % 2))
-        problems, tag = _prop32_problems(x, tau, eps, members_per_case, seed * 1000003 + i)
+        problems, tag = _prop32_problems(x, tau, eps, seed * 1000003 + i)
         if tag is not None:
             tags[tag] += 1
         if problems:
             case = shrink_case({"x": x, "tau": tau, "eps": eps}, lambda c: bool(
-                _prop32_problems(c["x"], c["tau"], c["eps"], members_per_case,
-                                 seed * 1000003 + i)[0]))
+                _prop32_problems(c["x"], c["tau"], c["eps"], seed * 1000003 + i)[0]))
             res.failures.append({
                 "case": i, "problems": problems,
                 "x": case["x"].to_json(), "tau": rat_str(case["tau"]),
@@ -407,13 +408,12 @@ def run_prop32_suite(cases: int, seed: int, members_per_case: int = 5) -> SuiteR
     return res
 
 
-def _prop32_problems(x, tau, eps, members: int,
-                     member_seed: int) -> tuple[list[str], Optional[str]]:
+def _prop32_problems(x, tau, eps, member_seed: int) -> tuple[list[str], Optional[str]]:
     """(problems found, the construction's case tag or None if it raised)."""
     try:
         trace = majorize.majorant_pair(x, tau, eps)
         ys = [majorize.sample_family_member(x, tau, eps, member_seed + j)
-              for j in range(members)]
+              for j in range(_PROP32_MEMBERS)]
     except RearrCalcError as e:
         return [f"construction raised: {e}"], None
     except AssertionError as e:  # both check their own geometry and membership
@@ -531,7 +531,7 @@ def _hardy_triple(rng: random.Random, alpha: Ext):
         cuts = [s] + [c + s for c in v.cuts]
         u = canonicalize(cuts, [_ZERO, *v.values], v.tail, INF)
     else:
-        # cap v's running integral with a star's: averaged prefix
+        # mode 2, and mode 1 on [0, 1): u = (k/8) v with k <= 7, so Phi_u <= Phi_v
         u = v.scale(Fraction(rng.randint(0, 7), 8))
     w = rand_star(rng, alpha, max_pieces=5) if rng.random() < 0.8 else constant(
         _frac(rng), alpha
@@ -630,13 +630,12 @@ def _rat_variants(x: StepFunction) -> list[StepFunction]:
     return outs
 
 
-def shrink_case(case: dict, still_fails: Callable[[dict], bool],
-                budget: int = 400) -> dict:
+def shrink_case(case: dict, still_fails: Callable[[dict], bool]) -> dict:
     """Greedy structural shrink of StepFunction/Fraction entries in a case."""
     case = dict(case)
     tries = 0
     improved = True
-    while improved and tries < budget:
+    while improved and tries < _SHRINK_BUDGET:
         improved = False
         for key, val in list(case.items()):
             if isinstance(val, StepFunction):
@@ -651,7 +650,7 @@ def shrink_case(case: dict, still_fails: Callable[[dict], bool],
                 continue
             for cand in candidates:
                 tries += 1
-                if tries >= budget:
+                if tries >= _SHRINK_BUDGET:
                     break
                 trial = dict(case)
                 trial[key] = cand

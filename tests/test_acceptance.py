@@ -88,7 +88,7 @@ def test_acceptance_02_example46_replication():
 
 def test_acceptance_03_prop32_covering_suite():
     t0 = time.perf_counter()
-    result = run_prop32_suite(1000, 2026, members_per_case=5)
+    result = run_prop32_suite(1000, 2026)
     elapsed = time.perf_counter() - t0
     assert result.ok, result.failures[:1]
     tags = result.stats["case_tags"]

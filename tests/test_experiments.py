@@ -2,12 +2,14 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from rearrcalc import (
     INF,
+    DomainMismatchError,
     Hyperbolic,
     PiecewiseLinearConcave,
     PreconditionError,
@@ -17,6 +19,7 @@ from rearrcalc import (
     canonicalize,
     cli,
     constant,
+    exceedance_measure,
     flatten_head,
     hlp_compare,
     maximal_distance,
@@ -36,11 +39,11 @@ X13 = canonicalize([1, 3], [2, 1], 0, INF)
 def test_builtin_families():
     fam = builtin_family("remark45")
     assert fam(3) == box(F(1, 3), 3)
-    assert fam.base_point == box(1, 1)
+    assert hlp_compare(fam(3), box(1, 1)).holds
 
     heads = builtin_family("example46_heads")
     assert heads(4) == box(1, F(1, 4))
-    assert heads.base_point == constant(1, INF)
+    assert hlp_compare(heads(4), constant(1, INF)).holds
 
     lx = builtin_family("lemma43_x", X13)
     assert lx(2) == box(F(3, 2), 2)
@@ -106,6 +109,28 @@ def test_measure_distance_examples():
         measure_distance(box(1, 1), box(1, 1), 0)
 
 
+def test_distance_to_zero_of_the_star_is_the_exceedance_measure():
+    # probe_koc's in-measure diagnostic rests on x and x* being equimeasurable
+    rng = random.Random(47)
+    for i in range(300):
+        alpha = INF if i % 2 else F(1)
+        x = rand_step(rng, alpha, max_pieces=8, signed=True, nonzero_tail=True)
+        zero = constant(0, alpha)
+        star = rearrangement(x).star
+        levels = {abs(v) for v in (*x.values, x.tail)} | {F(1, 10), F(1, 2), F(1)}
+        for delta in sorted(levels - {0}):
+            assert exceedance_measure(x, delta) == measure_distance(star, zero, delta)
+
+
+def test_distances_reject_operands_on_different_domains():
+    on_unit, on_ray = box(1, F(1, 2), alpha=1), box(1, 1)
+    for distance in (measure_distance, maximal_distance):
+        with pytest.raises(DomainMismatchError, match=re.escape("[0,1) vs [0,inf)")):
+            distance(on_unit, on_ray, F(1, 2))
+        with pytest.raises(DomainMismatchError, match=re.escape("[0,inf) vs [0,1)")):
+            distance(on_ray, on_unit, F(1, 2))
+
+
 def test_measure_distance_strictness_boundary():
     # the exceedance is strict, so a difference exactly at delta is invisible
     fam = builtin_family("remark45")
@@ -150,7 +175,7 @@ def test_probe_koc_remark45_failure():
                        list(range(1, 11)), F(1, 100))
     assert report.verdict == "consistent_with_failure"
     assert all(r.norm == 1 for r in report.records)
-    assert all(r.hlp_holds for r in report.records)
+    assert all(r.to_json()["hlp_holds"] is True for r in report.records)
 
 
 def test_probe_koc_example46_success():

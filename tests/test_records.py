@@ -91,22 +91,22 @@ RECORDS = {
         ("Marcinkiewicz", _PHI_B, F(1)),
     ),
     SequenceFamily: (
-        [("name", _NO), ("generator", _NO), ("description", _NO), ("base_point", None)],
-        ("twice", _twice, "x", None),
-        ("thrice", _thrice, "y", _STEP_B),
+        [("name", _NO), ("generator", _NO)],
+        ("twice", _twice),
+        ("thrice", _thrice),
     ),
     ProbeRecord: (
-        [("n", _NO), ("norm", _NO), ("hlp_holds", _NO), ("star_distances", _NO),
-         ("maximal_distances", None), ("norm_gap", None)],
-        (1, F(1), True, ((F(1), F(0)),), None, None),
-        (2, INF, False, ((F(1, 2), INF),), ((F(1), F(1, 3)),), F(1, 4)),
+        [("n", _NO), ("norm", _NO), ("star_distances", _NO), ("maximal_distances", None),
+         ("norm_gap", None)],
+        (1, F(1), ((F(1), F(0)),), None, None),
+        (2, INF, ((F(1, 2), INF),), ((F(1), F(1, 3)),), F(1, 4)),
     ),
     ProbeReport: (
         [("probe", _NO), ("family", _NO), ("space", _NO), ("n_list", _NO),
          ("records", _NO), ("verdict", _NO), ("notes", _NO), ("tolerance", None)],
         ("koc", "remark45", _L1, (1,), (), "a", "", None),
         ("lkm", "lemma43_x", SpaceSpec("Linf"), (1, 2),
-         (ProbeRecord(1, F(1), True, ()),), "b", "n", F(1, 100)),
+         (ProbeRecord(1, F(1), ()),), "b", "n", F(1, 100)),
     ),
 }
 CLASSES = list(RECORDS)
