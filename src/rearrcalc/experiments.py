@@ -265,14 +265,6 @@ class ProbeReport:
         return "\n".join(lines)
 
 
-def _norm_gap(a: Ext, b: Ext) -> Ext:
-    if a == INF and b == INF:
-        return _ZERO
-    if a == INF or b == INF:
-        return INF
-    return abs(a - b)
-
-
 def _members(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
              n_list: tuple[int, ...]) -> Iterator[tuple[int, StepFunction, Ext]]:
     """(n, x_n, ||x_n||) along a validated n_list; raises at the first x_n not ≺ x."""
@@ -367,7 +359,9 @@ def probe_lkm(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
             n, norm_n,
             tuple((d, measure_distance(star_n, star_x, d)) for d in deltas),
             tuple((d, maximal_distance(x_n, x, d)) for d in deltas),
-            _norm_gap(norm_n, norm_x),
+            # both norms are finite: on [0, inf), x*(inf) = 0 (checked above) and
+            # x_n ≺ x give x_n*(inf) = 0, and such step functions have finite norms
+            abs(norm_n - norm_x),
         ))
     final = records[-1]
     all_final_zero = all(m == 0 for _, m in final.star_distances + final.maximal_distances)

@@ -1,15 +1,18 @@
 """Seeded random generators, property suites, and a counterexample shrinker.
 
 The suites here back both the test suite and the CLI ``prop-test`` command,
-so they are deterministic functions of (cases, seed) and report failures as
-JSON-ready dicts holding minimized inputs.  Shrinking is structural: drop
-pieces of the offending step functions, then simplify the rationals, while
-the failure predicate keeps failing.
+so they are deterministic functions of (cases, seed).  All five run on one
+loop (``_suite``): each failing property group is shrunk and reported as a
+JSON-ready dict holding its minimized inputs, and a suite stops at 5 such
+records.  Shrinking is structural: drop pieces of the offending step
+functions, then simplify the rationals, while the failure predicate keeps
+failing.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -35,24 +38,25 @@ _ONE = Fraction(1)
 _HLP_GRID = 10000  # grid points of the hlp suite's oracle
 _PROP32_MEMBERS = 5  # family members the prop32 suite samples per case
 _SHRINK_BUDGET = 400  # candidate tries per shrink
+_MAX_FAILURES = 5  # a suite stops at this many recorded counterexamples
+_BANACH = ("L1", "Linf", "L1plusLinf", "Marcinkiewicz")  # kinds with a triangle inequality
 
 
 def _frac(rng: random.Random, max_num=24, max_den=8) -> Fraction:
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
 
 
+def _rand_cuts(rng: random.Random, k: int, alpha: Ext) -> list[Fraction]:
+    """k increasing cuts on [0, inf); on [0, 1), the distinct ones of k draws."""
+    if alpha == INF:
+        return list(itertools.accumulate(_frac(rng) for _ in range(k)))
+    return sorted({Fraction(rng.randint(1, 47), 48) for _ in range(k)})
+
+
 def rand_step(rng: random.Random, alpha: Ext = INF, max_pieces: int = 12,
               signed: bool = True, nonzero_tail: bool = False) -> StepFunction:
     """A random canonical step function with small rational data."""
-    k = rng.randint(0, max_pieces)
-    if alpha == INF:
-        cuts, acc = [], _ZERO
-        for _ in range(k):
-            acc += _frac(rng)
-            cuts.append(acc)
-    else:
-        pool = sorted({Fraction(rng.randint(1, 47), 48) for _ in range(k)})
-        cuts = pool
+    cuts = _rand_cuts(rng, rng.randint(0, max_pieces), alpha)
     def value() -> Fraction:
         v = _frac(rng) if rng.random() < 0.9 else _ZERO
         return -v if signed and rng.random() < 0.4 else v
@@ -73,16 +77,9 @@ def rand_star(rng: random.Random, alpha: Ext = INF, max_pieces: int = 8) -> Step
     for d in drops:
         values.append(total)
         total -= d
-    if alpha == INF:
-        cuts, acc = [], _ZERO
-        for _ in range(k):
-            acc += _frac(rng)
-            cuts.append(acc)
-        return canonicalize(cuts, values, 0, INF)
-    pool = sorted({Fraction(rng.randint(1, 47), 48) for _ in range(k)})
-    j = len(pool)  # distinct cuts inside (0, 1); may be fewer than k
-    tail = values[j] if j < len(values) else _ZERO
-    return canonicalize(pool, values[:j], tail, alpha)
+    cuts = _rand_cuts(rng, k, alpha)
+    j = len(cuts)  # fewer than k only on [0, 1)
+    return canonicalize(cuts, values[:j], values[j] if j < k else _ZERO, alpha)
 
 
 def rand_phi(rng: random.Random, alpha: Ext = INF, force_pl: bool = False):
@@ -98,24 +95,20 @@ def rand_phi(rng: random.Random, alpha: Ext = INF, force_pl: bool = False):
         slopes.append(total)
         total -= d
     final = slopes[-1] if rng.random() < 0.3 else _ZERO
-    if jump0 == 0 and slopes[0] == 0:
-        jump0 = _ONE
+    # on [0, 1) the k <= 4 steps of at most 11/48 stay inside the domain
     cuts, acc = [], _ZERO
     vals, v = [], jump0
     for m in slopes[:k]:
         step = _frac(rng, 8, 4) if alpha == INF else Fraction(rng.randint(1, 11), 48)
         acc += step
-        if alpha != INF and acc >= 1:
-            break
         v += m * step
         cuts.append(acc)
         vals.append(v)
-    return plc_from_nodes(cuts, vals, final if cuts else slopes[0], jump0, alpha)
+    return plc_from_nodes(cuts, vals, final if k else slopes[0], jump0, alpha)
 
 
-def rand_space(rng: random.Random, alpha: Ext = INF,
-               kinds=spaces._KINDS) -> spaces.SpaceSpec:
-    kind = rng.choice(list(kinds))
+def rand_space(rng: random.Random, alpha: Ext = INF) -> spaces.SpaceSpec:
+    kind = rng.choice(list(spaces._KINDS))
     if kind in spaces._PHI_KINDS:
         return spaces.SpaceSpec(kind, rand_phi(rng, alpha), alpha)
     return spaces.SpaceSpec(kind, None, alpha)
@@ -128,37 +121,29 @@ def prop32_instance(rng: random.Random, plateau: bool):
     enough that the construction meets its affine-chord case; plateau=False
     aims at the affine-gap case by putting the plateau first (the running
     integral is then strictly concave past it) or using a generic star.
+    Both modes give 0 < eps < Phi_x(tau) by construction: tau > 0 lies inside
+    the support of a positive x, and eps is a proper fraction of a positive
+    part of Phi_x(tau).
     """
-    while True:
-        if plateau:
-            head = [_frac(rng, 12, 4) + 1 for _ in range(rng.randint(1, 3))]
-            head.sort(reverse=True)
-            v = _frac(rng, 6, 4)
-            head = [h + v for h in head]
-            a, acc = [], _ZERO
-            for _ in head:
-                acc += _frac(rng, 4, 4)
-                a.append(acc)
-            start = acc
-            length = _frac(rng, 12, 2) + 4
-            b = start + length
-            x = canonicalize(a + [b], head + [v], 0, INF)
-            tau = start + length * Fraction(rng.randint(1, 3), 4)
-            phi = rearrange.level_integral(x)
-            phi_tau = phi.value_at(tau)
-            # keep the lowered level inside the plateau's affine stretch
-            gap_cap = min(phi_tau - phi.value_at(start), v * (b - start) / 4)
-            eps = gap_cap * Fraction(rng.randint(1, 7), 8)
-        else:
-            x = rand_star(rng, INF, max_pieces=6)
-            phi = rearrange.level_integral(x)
-            tau = x.support_bound * Fraction(rng.randint(1, 7), 8)
-            if tau <= 0:
-                continue
-            phi_tau = phi.value_at(tau)
-            eps = phi_tau * Fraction(rng.randint(1, 7), 16)
-        if 0 < eps < phi_tau:
-            return x, tau, eps
+    if plateau:
+        head = [_frac(rng, 12, 4) + 1 for _ in range(rng.randint(1, 3))]
+        head.sort(reverse=True)
+        v = _frac(rng, 6, 4)
+        head = [h + v for h in head]
+        a = list(itertools.accumulate(_frac(rng, 4, 4) for _ in head))
+        start = a[-1]
+        length = _frac(rng, 12, 2) + 4
+        b = start + length
+        x = canonicalize(a + [b], head + [v], 0, INF)
+        tau = start + length * Fraction(rng.randint(1, 3), 4)
+        phi = rearrange.level_integral(x)
+        # keep the lowered level inside the plateau's affine stretch
+        gap_cap = min(phi.value_at(tau) - phi.value_at(start), v * (b - start) / 4)
+        return x, tau, gap_cap * Fraction(rng.randint(1, 7), 8)
+    x = rand_star(rng, INF, max_pieces=6)
+    tau = x.support_bound * Fraction(rng.randint(1, 7), 8)
+    eps = rearrange.level_integral(x).value_at(tau) * Fraction(rng.randint(1, 7), 16)
+    return x, tau, eps
 
 
 def majorized_pair(rng: random.Random, alpha: Ext = INF):
@@ -209,6 +194,32 @@ class SuiteResult:
             "stats": self.stats,
             "failures": self.failures,
         }
+
+
+def _suite(name: str, cases: int, seed: int, checks, **stats) -> SuiteResult:
+    """The loop every suite shares.
+
+    checks(rng, i, stats) draws case i from the seeded rng and yields
+    (problems, case, check) per property group: case maps names to the
+    group's inputs and check(case) lists its problems.  A failing group is
+    shrunk against check and recorded as {"case", "problems", then the case's
+    entries in their own order}; the suite stops at _MAX_FAILURES records.
+    """
+    rng = random.Random(seed)
+    res = SuiteResult(name, cases, seed)
+    res.stats = stats
+    for i in range(cases):
+        for problems, case, check in checks(rng, i, stats):
+            if not problems:
+                continue
+            case = shrink_case(case, check)
+            res.failures.append({"case": i, "problems": problems, **{
+                k: rat_str(v) if isinstance(v, Fraction) else v.to_json()
+                for k, v in case.items()
+            }})
+            if len(res.failures) >= _MAX_FAILURES:
+                return res
+    return res
 
 
 def _sorted_oracle_star(x: StepFunction) -> StepFunction:
@@ -266,21 +277,11 @@ def _rearrange_problems(x: StepFunction) -> list[str]:
 def run_rearrange_suite(cases: int, seed: int) -> SuiteResult:
     """Rearrangement vs an independent sorting oracle; distribution equality;
     equimeasurability; right-continuity flags of the star."""
-    rng = random.Random(seed)
-    res = SuiteResult("rearrange", cases, seed)
-    for i in range(cases):
+    def checks(rng, i, stats):
         alpha = INF if rng.random() < 0.6 else _ONE
         x = rand_step(rng, alpha, nonzero_tail=True)
-        problems = _rearrange_problems(x)
-        if problems:
-            case = shrink_case({"x": x}, lambda c: bool(_rearrange_problems(c["x"])))
-            res.failures.append({
-                "case": i, "problems": problems,
-                "x": case["x"].to_json(),
-            })
-            if len(res.failures) >= 5:
-                break
-    return res
+        yield _rearrange_problems(x), {"x": x}, lambda c: _rearrange_problems(c["x"])
+    return _suite("rearrange", cases, seed, checks)
 
 
 def _phi_grid_le(x: StepFunction, y: StepFunction, grid: int) -> Optional[Fraction]:
@@ -347,13 +348,16 @@ def _hlp_problems(y: StepFunction, x: StepFunction) -> tuple[list[str], bool]:
     return problems, verdict.holds
 
 
+def _chain_problems(x: StepFunction, y: StepFunction, z: StepFunction) -> list[str]:
+    if majorize.hlp_compare(z, y).holds and not majorize.hlp_compare(z, x).holds:
+        return ["transitivity fails along a chain"]
+    return []
+
+
 def run_hlp_suite(cases: int, seed: int) -> SuiteResult:
     """hlp_compare against a dense-grid oracle, witness validity, reflexivity,
     and transitivity along constructed chains."""
-    rng = random.Random(seed)
-    res = SuiteResult("hlp", cases, seed)
-    agree = 0
-    for i in range(cases):
+    def checks(rng, i, stats):
         alpha = INF if rng.random() < 0.6 else _ONE
         if rng.random() < 0.5:
             y, x = majorized_pair(rng, alpha)
@@ -361,51 +365,29 @@ def run_hlp_suite(cases: int, seed: int) -> SuiteResult:
             x = rand_step(rng, alpha, max_pieces=8)
             y = rand_step(rng, alpha, max_pieces=8)
         problems, holds = _hlp_problems(y, x)
-        agree += holds
+        stats["holds"] += holds
         # transitivity along a constructed chain zz ≺ yy ≺ xx
         yy, xx = majorized_pair(rng, alpha)
         zz = rearrange.rearrangement(yy).star.scale(Fraction(rng.randint(0, 8), 8))
-        if majorize.hlp_compare(zz, yy).holds and not majorize.hlp_compare(zz, xx).holds:
-            res.failures.append({
-                "case": i, "problems": ["transitivity fails along a chain"],
-                "x": xx.to_json(), "y": yy.to_json(), "z": zz.to_json(),
-            })
-        if problems:
-            case = shrink_case(
-                {"x": x, "y": y}, lambda c: bool(_hlp_problems(c["y"], c["x"])[0]))
-            res.failures.append({
-                "case": i, "problems": problems,
-                "x": case["x"].to_json(), "y": case["y"].to_json(),
-            })
-            if len(res.failures) >= 5:
-                break
-    res.stats["holds"] = agree
-    return res
+        yield (_chain_problems(xx, yy, zz), {"x": xx, "y": yy, "z": zz},
+               lambda c: _chain_problems(c["x"], c["y"], c["z"]))
+        yield problems, {"x": x, "y": y}, lambda c: _hlp_problems(c["y"], c["x"])[0]
+    return _suite("hlp", cases, seed, checks, holds=0)
 
 
 def run_prop32_suite(cases: int, seed: int) -> SuiteResult:
     """Construction invariants: trace geometry, memberships, z/w != x, and the
     covering property on sampled members."""
-    rng = random.Random(seed)
-    res = SuiteResult("prop32", cases, seed)
-    tags = {"affine_gap": 0, "affine_chord": 0}
-    for i in range(cases):
+    def checks(rng, i, stats):
         x, tau, eps = prop32_instance(rng, plateau=bool(i % 2))
-        problems, tag = _prop32_problems(x, tau, eps, seed * 1000003 + i)
+        member_seed = seed * 1000003 + i
+        problems, tag = _prop32_problems(x, tau, eps, member_seed)
         if tag is not None:
-            tags[tag] += 1
-        if problems:
-            case = shrink_case({"x": x, "tau": tau, "eps": eps}, lambda c: bool(
-                _prop32_problems(c["x"], c["tau"], c["eps"], seed * 1000003 + i)[0]))
-            res.failures.append({
-                "case": i, "problems": problems,
-                "x": case["x"].to_json(), "tau": rat_str(case["tau"]),
-                "eps": rat_str(case["eps"]),
-            })
-            if len(res.failures) >= 5:
-                break
-    res.stats["case_tags"] = tags
-    return res
+            stats["case_tags"][tag] += 1
+        yield problems, {"x": x, "tau": tau, "eps": eps}, lambda c: _prop32_problems(
+            c["x"], c["tau"], c["eps"], member_seed)[0]
+    return _suite("prop32", cases, seed, checks,
+                  case_tags={"affine_gap": 0, "affine_chord": 0})
 
 
 def _prop32_problems(x, tau, eps, member_seed: int) -> tuple[list[str], Optional[str]]:
@@ -445,29 +427,18 @@ def run_spaces_suite(cases: int, seed: int) -> SuiteResult:
     homogeneity, triangle (Banach kinds), fundamental-function consistency,
     lattice monotonicity under pointwise domination, majorization
     monotonicity, M* <= M, and embedding into M_{phi_E}."""
-    rng = random.Random(seed)
-    res = SuiteResult("spaces", cases, seed)
-    banach = ("L1", "Linf", "L1plusLinf", "Marcinkiewicz")
-    for i in range(cases):
+    def checks(rng, i, stats):
         alpha = INF if rng.random() < 0.6 else _ONE
         space = rand_space(rng, alpha)
         x = rand_step(rng, alpha, max_pieces=6, nonzero_tail=True)
         y = rand_step(rng, alpha, max_pieces=6)
         snapshot = copy.copy(rng)  # rng's state: shrinking replays the draws that failed
-        problems = _space_problems(space, x, y, rng, banach)
-        if problems:
-            case = shrink_case({"x": x, "y": y}, lambda c: bool(_space_problems(
-                space, c["x"], c["y"], copy.copy(snapshot), banach)))
-            res.failures.append({
-                "case": i, "problems": problems, "space": space.to_json(),
-                "x": case["x"].to_json(), "y": case["y"].to_json(),
-            })
-            if len(res.failures) >= 5:
-                break
-    return res
+        yield (_space_problems(space, x, y, rng), {"space": space, "x": x, "y": y},
+               lambda c: _space_problems(c["space"], c["x"], c["y"], copy.copy(snapshot)))
+    return _suite("spaces", cases, seed, checks)
 
 
-def _space_problems(space, x, y, rng, banach) -> list[str]:
+def _space_problems(space, x, y, rng) -> list[str]:
     problems = []
     star = rearrange.rearrangement(x).star
     nx = spaces.norm(space, x)
@@ -482,7 +453,7 @@ def _space_problems(space, x, y, rng, banach) -> list[str]:
             problems.append("0 * x must have norm 0")
     elif sx != c * nx:
         problems.append("homogeneity fails")
-    if space.kind in banach:
+    if space.kind in _BANACH:
         ny = spaces.norm(space, y)
         if nx != INF and ny != INF and spaces.norm(space, x + y) > nx + ny:
             problems.append("triangle inequality fails")
@@ -511,7 +482,7 @@ def _space_problems(space, x, y, rng, banach) -> list[str]:
         ms = spaces.SpaceSpec("MarcinkiewiczStar", space.phi, space.alpha)
         if spaces.norm(ms, x) > spaces.norm(m, x):
             problems.append("M* norm exceeds M norm")
-    if space.kind in banach:
+    if space.kind in _BANACH:
         phi_e = space.fundamental_function()
         m = spaces.SpaceSpec("Marcinkiewicz", phi_e, space.alpha)
         if spaces.norm(m, x) > nx:
@@ -542,38 +513,37 @@ def _hardy_triple(rng: random.Random, alpha: Ext):
 def run_hardy_suite(cases: int, seed: int) -> SuiteResult:
     """Admissible triples must satisfy the product inequality; adversarial
     triples must be rejected with a verifiable witness."""
-    rng = random.Random(seed)
-    res = SuiteResult("hardy", cases, seed)
-    for i in range(cases):
+    def checks(rng, i, stats):
         alpha = INF if rng.random() < 0.6 else _ONE
         u, v, w = _hardy_triple(rng, alpha)
-        problems = []
-        try:
-            if not majorize.hardy_check(u, v, w):
-                problems.append("product inequality fails on an admissible triple")
-        except HypothesisError as e:
-            problems.append(f"admissible triple rejected: {e}")
-        # adversarial: add mass to the head of u so cumulative domination breaks
         bump = _frac(rng)
-        u_bad = v + canonicalize([bump], [bump], 0, alpha) if (
-            alpha == INF or bump < 1
-        ) else v + constant(bump, alpha)
-        try:
-            majorize.hardy_check(u_bad, v, w)
-            problems.append("violating triple accepted")
-        except HypothesisError as e:
-            if e.witness is not None:
-                t = e.witness
-                if integrate(u_bad, 0, t) <= integrate(v, 0, t):
-                    problems.append("hypothesis witness does not witness")
-        if problems:
-            res.failures.append({
-                "case": i, "problems": problems, "u": u.to_json(),
-                "v": v.to_json(), "w": w.to_json(),
-            })
-            if len(res.failures) >= 5:
-                break
-    return res
+        yield (_hardy_problems(u, v, w, bump), {"u": u, "v": v, "w": w},
+               lambda c: _hardy_problems(c["u"], c["v"], c["w"], bump))
+    return _suite("hardy", cases, seed, checks)
+
+
+def _hardy_problems(u, v, w, bump: Fraction) -> list[str]:
+    """Problems of the admissible triple (u, v, w) and of the violating one
+    whose u is v plus bump on [0, bump)."""
+    problems = []
+    try:
+        if not majorize.hardy_check(u, v, w):
+            problems.append("product inequality fails on an admissible triple")
+    except HypothesisError as e:
+        problems.append(f"admissible triple rejected: {e}")
+    # adversarial: add mass to the head of u so cumulative domination breaks
+    alpha = v.alpha
+    u_bad = v + (canonicalize([bump], [bump], 0, alpha) if alpha == INF or bump < 1
+                 else constant(bump, alpha))
+    try:
+        majorize.hardy_check(u_bad, v, w)
+        problems.append("violating triple accepted")
+    except HypothesisError as e:
+        if e.witness is not None:
+            t = e.witness
+            if integrate(u_bad, 0, t) <= integrate(v, 0, t):
+                problems.append("hypothesis witness does not witness")
+    return problems
 
 
 SUITES: dict[str, Callable[[int, int], SuiteResult]] = {
@@ -611,22 +581,18 @@ def _simplify_rat(q: Fraction) -> list[Fraction]:
 
 
 def _rat_variants(x: StepFunction) -> list[StepFunction]:
+    """One simplified rational at a time: cuts, then values, then the tail."""
     outs = []
-    data = [list(x.cuts), list(x.values)]
-    for which in (0, 1):
-        for j in range(len(data[which])):
-            for r in _simplify_rat(data[which][j]):
-                cuts, values = list(x.cuts), list(x.values)
-                (cuts if which == 0 else values)[j] = r
-                try:
-                    outs.append(canonicalize(cuts, values, x.tail, x.alpha))
-                except RearrCalcError:
-                    continue
-    for r in _simplify_rat(x.tail):
-        try:
-            outs.append(canonicalize(x.cuts, x.values, r, x.alpha))
-        except RearrCalcError:
-            continue
+    k = len(x.cuts)
+    data = [*x.cuts, *x.values, x.tail]
+    for j, q in enumerate(data):
+        for r in _simplify_rat(q):
+            d = data.copy()
+            d[j] = r
+            try:
+                outs.append(canonicalize(d[:k], d[k:-1], d[-1], x.alpha))
+            except RearrCalcError:
+                continue
     return outs
 
 

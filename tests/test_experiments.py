@@ -225,6 +225,34 @@ def test_probe_lkm_flattened_heads_l1_plus_linf():
     assert by_n[16].norm == F(1, 4)
 
 
+def test_probe_koc_inconclusive_notes():
+    # x_n = x**(n) on [0, n) in L1 has norm Phi_x(n): 2, 3, 4, 4 along n = 1..4
+    fam = builtin_family("lemma43_x", X13)
+    diagnostic = ("; x*(inf) = 0/1; in-measure diagnostic: final x_n* not within "
+                  "every delta of 0")
+    report = probe_koc(X13, fam, L1, [1, 2, 3], 3)
+    assert [r.norm for r in report.records] == [2, 3, 4]
+    assert report.verdict == "inconclusive"
+    assert report.notes == "no nonincreasing norm tail" + diagnostic
+    report = probe_koc(X13, fam, L1, [1, 2, 3, 4], 3)
+    assert [r.norm for r in report.records] == [2, 3, 4, 4]
+    assert report.verdict == "inconclusive"
+    assert report.notes == "final norm 4/1 not below tolerance 3/1" + diagnostic
+
+
+def test_probe_lkm_vanishing_and_inconclusive_verdicts():
+    x = box(1, 3)
+    fam = builtin_family("thm47_flatten", x)
+    report = probe_lkm(x, fam, L1, [1, 2, 3])
+    assert report.verdict == "consistent_with_KOC"
+    assert report.notes == "all star/maximal distances vanished at the final n; ||x|| = 3/1"
+    assert all(r.norm_gap == 0 for r in report.records)
+    report = probe_lkm(x, fam, L1, [1, 2, 3, 4])
+    assert report.verdict == "inconclusive"
+    assert report.notes == ("distances neither vanish at the final n nor stay bounded "
+                            "below; ||x|| = 3/1")
+
+
 def test_probe_report_serialization_round_trip():
     report = probe_koc(box(1, 1), builtin_family("remark45"), L1,
                        [1, 2, 3], F(1, 100))

@@ -216,7 +216,7 @@ def test_norm_respects_domain():
 def test_spaces_suite_shrinks_against_the_draws_that_failed(monkeypatch):
     states = []
 
-    def fails_always(space, x, y, rng, banach):
+    def fails_always(space, x, y, rng):
         states.append(rng.getstate())
         return ["synthetic"]
 
