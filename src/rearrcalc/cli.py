@@ -252,7 +252,7 @@ def _cmd_fundamental(args) -> int:
             {"t": rat_str(t), "phi": rat_str(fundamental_eval(space, t))} for t in ts
         ],
     }
-    if space.alpha == INF:
+    if space.alpha is INF:
         payload["embeds_in_L1"] = embeds_in_l1(space)
     return _emit(args, payload)
 

@@ -73,7 +73,7 @@ def flatten_head(x: StepFunction, n: int) -> StepFunction:
     x must be nonnegative on [0, inf).  The result is nonincreasing, equals
     x* past n, and satisfies y_n ≺ x (re-verified here on every call).
     """
-    if x.alpha != INF:
+    if x.alpha is not INF:
         raise PreconditionError("head flattening is defined on [0, inf)")
     if not x.is_nonnegative():
         raise PreconditionError("head flattening needs a nonnegative x")
@@ -105,7 +105,7 @@ def builtin_family(name: str, x: Optional[StepFunction] = None, t_x=None) -> Seq
     if name in ("lemma43_y", "lemma43_x", "thm47_flatten"):
         if x is None:
             raise PreconditionError(f"family {name} needs a base function x")
-        if x.alpha != INF:
+        if x.alpha is not INF:
             raise PreconditionError(f"family {name} is defined on [0, inf)")
         if name == "lemma43_x":
             return SequenceFamily(name, lambda n: box(maximal_eval(x, n), n))
@@ -165,7 +165,7 @@ def maximal_distance(x: StepFunction, y: StepFunction, delta) -> Ext:
                 u, w = lo * D_hi, hi * D
                 pieces.append((n * u, d * (u - w)) if lo > 0 else (n * w, d * (w - u)))
         plus, minus, D = plus_hi, minus_hi, D_hi
-    if x.alpha == INF:  # the ray from the last cut, slope m -+ delta
+    if x.alpha is INF:  # the ray from the last cut, slope m -+ delta
         (an, ad), (bn, bd) = xv[-1], yv[-1]
         mn, md = an * bd - bn * ad, ad * bd
         for h, sn in ((plus, mn * ed - en * md), (minus, -mn * ed - en * md)):
@@ -348,7 +348,7 @@ def probe_lkm(x: StepFunction, family: SequenceFamily, space: SpaceSpec,
     """
     n_list = _validated_n_list(n_list)
     deltas = tuple(rat(d) for d in deltas)
-    if x.alpha == INF and rearrangement(x).star_at_infinity != 0:
+    if x.alpha is INF and rearrangement(x).star_at_infinity:
         raise PreconditionError("probe needs x*(inf) = 0 so distances can vanish")
     norm_x = norm(space, x)
     star_x = rearrangement(x).star

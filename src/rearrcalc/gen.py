@@ -24,6 +24,8 @@ from .stepfn import (
     INF,
     Ext,
     StepFunction,
+    _ONE,
+    _ZERO,
     box,
     canonicalize,
     constant,
@@ -33,8 +35,6 @@ from .stepfn import (
     rat_str,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _HLP_GRID = 10000  # grid points of the hlp suite's oracle
 _PROP32_MEMBERS = 5  # family members the prop32 suite samples per case
 _SHRINK_BUDGET = 400  # candidate tries per shrink
@@ -201,9 +201,11 @@ def _suite(name: str, cases: int, seed: int, checks, **stats) -> SuiteResult:
 
     checks(rng, i, stats) draws case i from the seeded rng and yields
     (problems, case, check) per property group: case maps names to the
-    group's inputs and check(case) lists its problems.  A failing group is
-    shrunk against check and recorded as {"case", "problems", then the case's
-    entries in their own order}; the suite stops at _MAX_FAILURES records.
+    group's inputs and check(case) lists its problems (nothing for a case
+    outside the suite's input class, so shrinking stays inside it).  A
+    failing group is shrunk against check and recorded as {"case",
+    "problems", then the case's entries in their own order}; the suite stops
+    at _MAX_FAILURES records.
     """
     rng = random.Random(seed)
     res = SuiteResult(name, cases, seed)
@@ -384,10 +386,18 @@ def run_prop32_suite(cases: int, seed: int) -> SuiteResult:
         problems, tag = _prop32_problems(x, tau, eps, member_seed)
         if tag is not None:
             stats["case_tags"][tag] += 1
-        yield problems, {"x": x, "tau": tau, "eps": eps}, lambda c: _prop32_problems(
-            c["x"], c["tau"], c["eps"], member_seed)[0]
+        yield problems, {"x": x, "tau": tau, "eps": eps}, lambda c: (
+            _prop32_admissible(c["x"], c["tau"], c["eps"])
+            and _prop32_problems(c["x"], c["tau"], c["eps"], member_seed)[0])
     return _suite("prop32", cases, seed, checks,
                   case_tags={"affine_gap": 0, "affine_chord": 0})
+
+
+def _prop32_admissible(x: StepFunction, tau: Fraction, eps: Fraction) -> bool:
+    """The contract of prop32_instance, which the shrinker keeps: x = x* on
+    [0, inf), x*(inf) = 0 and 0 < eps < Phi_x(tau)."""
+    return (x.alpha is INF and majorize.is_decreasing_rearrangement(x) and not x.tail
+            and tau > 0 and 0 < eps < rearrange.level_integral(x).value_at(tau))
 
 
 def _prop32_problems(x, tau, eps, member_seed: int) -> tuple[list[str], Optional[str]]:
@@ -518,8 +528,17 @@ def run_hardy_suite(cases: int, seed: int) -> SuiteResult:
         u, v, w = _hardy_triple(rng, alpha)
         bump = _frac(rng)
         yield (_hardy_problems(u, v, w, bump), {"u": u, "v": v, "w": w},
-               lambda c: _hardy_problems(c["u"], c["v"], c["w"], bump))
+               lambda c: _hardy_admissible(c["u"], c["v"], c["w"])
+               and _hardy_problems(c["u"], c["v"], c["w"], bump))
     return _suite("hardy", cases, seed, checks)
+
+
+def _hardy_admissible(u: StepFunction, v: StepFunction, w: StepFunction) -> bool:
+    """The hypotheses of Hardy's lemma, which _hardy_triple guarantees and
+    the shrinker keeps: u, v >= 0, int_0^t u <= int_0^t v for every t, and
+    w = w*."""
+    return (u.is_nonnegative() and v.is_nonnegative()
+            and majorize.is_decreasing_rearrangement(w) and majorize.plc_dominated_by(u, v)[0])
 
 
 def _hardy_problems(u, v, w, bump: Fraction) -> list[str]:

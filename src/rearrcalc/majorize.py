@@ -103,18 +103,18 @@ def plc_dominated_by(u: StepFunction, v: StepFunction):
     last, a, b = (0, 1), (0, 1), (0, 1)  # the last end with D <= 0, u's and v's integrals there
     for end, (un, ud), (vn, vd) in zip(ends, at_u, at_v):
         if un * vd > vn * ud:  # D(end) > 0
-            if u.alpha == INF or end != (1, 1):  # (1, 1) ends [0, 1)
+            if u.alpha is INF or end != (1, 1):  # (1, 1) ends [0, 1)
                 return False, _frac(*end)
             break
         last, a, b = end, (un, ud), (vn, vd)
     else:
-        if u.alpha != INF or u.tail <= v.tail:
+        if u.alpha is not INF or u.tail <= v.tail:
             return True, None
     # past the last cut D is linear with slope m = u.tail - v.tail and
     # D(last) <= 0, so a rise above 0 starts at root = last - D(last)/m
     lo = _frac(*last)
     root = lo - (_frac(*a) - _frac(*b)) / (u.tail - v.tail)
-    if u.alpha == INF:
+    if u.alpha is INF:
         return False, root + 1
     return False, next(t for t in ((2 * lo + 1) / 3, (lo + 2) / 3, (root + 1) / 2) if t > root)
 
@@ -273,10 +273,10 @@ def _section(x: StepFunction, tau, eps, role: str):
     """(tau, eps, Phi_x, Phi_x(tau)) once the preconditions shared by the
     construction and the sampler hold (see majorant_pair)."""
     tau, eps = rat(tau), rat(eps)
-    if x.alpha != INF:
+    if x.alpha is not INF:
         raise PreconditionError(f"{role} requires the domain [0, inf)")
     rr = _require_star(x, "x")
-    if rr.star_at_infinity != 0:
+    if rr.star_at_infinity:
         raise PreconditionError(f"{role} requires x*(inf) = 0")
     if tau <= 0 or eps <= 0:
         raise PreconditionError(f"need tau > 0 and eps > 0, got tau={tau}, eps={eps}")
@@ -400,7 +400,7 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
 def _integral_product(f: StepFunction, g: StepFunction) -> Ext:
     """int_0^alpha f*g exactly; INF when the product has a positive tail on [0,inf)."""
     h = f * g
-    if h.alpha == INF and h.tail != 0:
+    if h.alpha is INF and h.tail:
         if h.tail < 0:
             raise InfiniteIntegralError("product integral diverges to -inf")
         return INF
@@ -431,8 +431,8 @@ def hardy_check(u: StepFunction, v: StepFunction, w: StepFunction) -> bool:
         )
     lhs = _integral_product(u, w)
     rhs = _integral_product(v, w)
-    if rhs == INF:
+    if rhs is INF:
         return True
-    if lhs == INF:
+    if lhs is INF:
         return False
     return lhs <= rhs

@@ -78,7 +78,7 @@ def _sorted_star(x: StepFunction):
     groups = {}
     pn, pd = 0, 1
     ends = list(map(_ratio, x.cuts))
-    if x.alpha != INF:
+    if x.alpha is not INF:
         ends.append((1, 1))
     for (cn, cd), (p, q) in zip(ends, map(_ratio, (*x.values, x.tail))):
         if cd == pd:
@@ -93,12 +93,13 @@ def _sorted_star(x: StepFunction):
             sn, sd = sn * (d // g), sd // g * d
         groups[key] = sn + n * (sd // d), sd
     # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
-    k = 2 * max([x.tail.denominator, *(q for _, q in groups)]).bit_length()
+    tn, td = _ratio(x.tail)
+    k = 2 * max([td, *(q for _, q in groups)]).bit_length()
     ratio_of = {(p << k) // q: (p, q) for p, q in groups}
     keys = sorted(ratio_of, reverse=True)
-    if x.alpha == INF:
-        tail = abs(x.tail)
-        top = (tail.numerator << k) // tail.denominator
+    if x.alpha is INF:
+        tail = x.tail if tn >= 0 else _frac(-tn, td)
+        top = (abs(tn) << k) // td
         keys = [key for key in keys if key > top]  # |tail| absorbs the rest
     else:  # the smallest value is the tail of the rearrangement
         tail = _frac(*ratio_of[keys.pop()])
@@ -141,7 +142,7 @@ def level_integral(x: StepFunction) -> PiecewiseLinearConcave:
 
 def _phi_saturated(phi: PiecewiseLinearConcave, t: Fraction) -> Fraction:
     """Phi evaluated with the alpha=1 convention Phi(t) = Phi(1-) for t >= 1."""
-    if phi.alpha != INF and t >= phi.alpha:
+    if phi.alpha is not INF and t >= phi.alpha:
         return phi.value_at(phi.alpha)
     return phi.value_at(t)
 

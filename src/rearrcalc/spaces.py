@@ -36,6 +36,9 @@ from .stepfn import (
     Ext,
     PiecewiseLinearConcave,
     StepFunction,
+    _ONE,
+    _ZERO,
+    _coerce_alpha,
     _frac,
     _largest,
     _lengths,
@@ -49,9 +52,6 @@ from .stepfn import (
     rat,
     rat_str,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @_record
@@ -81,7 +81,7 @@ FundamentalFunction = Union[PiecewiseLinearConcave, Hyperbolic]
 def phi_limit(phi: FundamentalFunction, alpha: Ext) -> Ext:
     """lim of phi at the right end of [0, alpha)."""
     if isinstance(phi, Hyperbolic):
-        return phi.value_at(alpha) if alpha != INF else _ONE
+        return phi.value_at(alpha) if alpha is not INF else _ONE
     return phi.limit_value()
 
 
@@ -90,7 +90,7 @@ def _validate_fundamental(phi: FundamentalFunction, alpha: Ext) -> None:
         return
     if not isinstance(phi, PiecewiseLinearConcave):
         raise PreconditionError(f"not a fundamental function: {phi!r}")
-    if phi.alpha != alpha:
+    if phi.alpha is not alpha:
         raise PreconditionError(
             f"fundamental function lives on [0,{alpha_str(phi.alpha)}), "
             f"space on [0,{alpha_str(alpha)})"
@@ -127,9 +127,10 @@ class SpaceSpec:
             raise PreconditionError(
                 f"unknown space kind {self.kind!r}; expected one of {', '.join(_KINDS)}"
             )
-        object.__setattr__(self, "alpha", rat(1) if self.alpha == 1 else self.alpha)
-        if self.alpha != INF and self.alpha != 1:
-            raise PreconditionError("space domain endpoint must be 1 or inf")
+        try:
+            object.__setattr__(self, "alpha", _coerce_alpha(self.alpha))
+        except PreconditionError:
+            raise PreconditionError("space domain endpoint must be 1 or inf") from None
         if self.kind in _PHI_KINDS:
             if self.phi is None:
                 raise PreconditionError(f"kind {self.kind} needs a fundamental function")
@@ -195,9 +196,9 @@ def _norm_marcinkiewicz_star(phi: FundamentalFunction, x: StepFunction) -> Ext:
         cands = ((vn * (jn * pd + pn * jd), vd * jd * pd)
                  for (vn, vd), (pn, pd) in zip(values, at_phi))
     best: Ext = _largest(cands)
-    if star.tail != 0:
+    if star.tail:
         top = phi_limit(phi, x.alpha)
-        if top == INF:
+        if top is INF:
             return INF
         best = max(best, star.tail * top)
     return best
@@ -239,20 +240,20 @@ def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
     # the objective x*(0+) * phi(t) is nondecreasing, and with no merged cut
     # the alpha = 1 or t -> inf candidate is at least as large
     best = _largest(cands)
-    if x.alpha != INF:  # with a PLC phi, the walk's last end was already 1
+    if x.alpha is not INF:  # with a PLC phi, the walk's last end was already 1
         return max(best, big.value_at(x.alpha) * phi.value_at(x.alpha))
     at_inf = _limits(phi, rr)[1]
-    return INF if at_inf == INF else max(best, at_inf)
+    return INF if at_inf is INF else max(best, at_inf)
 
 
 def norm(space: SpaceSpec, x: StepFunction) -> Ext:
     """||x|| in the given space, exactly (INF when x is not in the space)."""
-    if x.alpha != space.alpha:
+    if x.alpha is not space.alpha:
         raise PreconditionError(
             f"x lives on [0,{alpha_str(x.alpha)}), space on [0,{alpha_str(space.alpha)})"
         )
     if space.kind == "L1":
-        if x.alpha == INF and x.tail != 0:
+        if x.alpha is INF and x.tail:
             return INF
         pieces = zip(map(_ratio, (*x.values, x.tail)), _lengths(map(_ratio, x.cuts), x.alpha))
         return _total((abs(vn) * n, vd * d) for (vn, vd), (n, d) in pieces)
@@ -273,7 +274,8 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
 def fundamental_eval(space: SpaceSpec, t) -> Fraction:
     """phi_E(t) = ||indicator of [0,t)|| for 0 < t < alpha."""
     t = rat(t)
-    if t.numerator <= 0 or (space.alpha != INF and t >= space.alpha):
+    tn, td = _ratio(t)
+    if tn <= 0 or (space.alpha is not INF and tn >= td):
         raise PreconditionError(f"need 0 < t < {alpha_str(space.alpha)}, got {t}")
     return space.fundamental_function().value_at(t)
 
@@ -281,7 +283,7 @@ def fundamental_eval(space: SpaceSpec, t) -> Fraction:
 def embeds_in_l1(space: SpaceSpec) -> bool:
     """Whether the space embeds in L1[0, b] for every finite b, i.e. whether
     lim_{t->inf} phi_E(t)/t > 0.  Defined for alpha = inf only."""
-    if space.alpha != INF:
+    if space.alpha is not INF:
         raise PreconditionError("the embedding criterion is about [0, inf) spaces")
     # lim phi(t)/t is the final slope of a PLC phi, and 0 for the hyperbola
     phi = space.fundamental_function()
@@ -291,7 +293,7 @@ def embeds_in_l1(space: SpaceSpec) -> bool:
 def mphi_a_member(phi: FundamentalFunction, x: StepFunction) -> bool:
     """Membership of x in the order-continuous part of the Marcinkiewicz
     space: x**(t)*phi(t) -> 0 both as t -> 0+ and t -> inf."""
-    if x.alpha != INF:
+    if x.alpha is not INF:
         raise PreconditionError("membership test is about [0, inf) spaces")
     _validate_fundamental(phi, INF)
     return _limits(phi, rearrangement(x)) == (0, 0)

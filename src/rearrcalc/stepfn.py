@@ -22,12 +22,25 @@ call it, and none of them rearranges to find out.
 
 Binary kernels walk the common refinement once: :func:`refine` merges
 two cut lists in one pass and reads both operands' values on each merged
-piece; it is the only walk over two cut lists.  It, ``+``, ``-`` and the
-merge of equal neighbours (:func:`_kept`) read cuts and values as int
-pairs once, ``map(Fraction.as_integer_ratio, ...)``, and compare or add
-ints.  A reduced pair becomes a Fraction through :func:`_frac`, which skips
-the gcd of ``Fraction.__new__``; it is the only code that sets Fraction's
-internal slots, and the result is a plain Fraction.
+piece; it is the only walk over two cut lists.  It, ``+``, ``-``, ``*``,
+``abs`` and the merge of equal neighbours (:func:`_kept`) read cuts and
+values as int pairs once, ``map(Fraction.as_integer_ratio, ...)``, and
+compare, add or multiply ints.  The per-call paths do the same with their
+scalars: the cut check of every constructor, the bounds of ``window`` and
+:func:`integrate`, the level of :func:`exceedance_measure` (|v| > lam as
+|vn| ld > ln vd) and :meth:`PiecewiseLinearConcave.value_at` (one pair,
+one gcd); only a bisection of a cut list compares Fractions.  A reduced
+pair becomes a Fraction through :func:`_frac`, which skips the gcd of
+``Fraction.__new__``; it is the only code that sets Fraction's internal
+slots, and the result is a plain Fraction.
+
+A domain endpoint is one of two singletons, ``INF`` or ``_ONE``: the
+constructors normalize a caller's endpoint with :func:`_coerce_alpha`, and
+every other object copies an operand's.  So a field is tested by identity
+(``x.alpha is INF``, ``f.alpha is not g.alpha``), which never asks a
+Fraction to compare itself with the float infinity, while a caller's
+argument (``_coerce_alpha``'s input, ``alpha_str``, the end ``b`` of
+``window`` and ``integrate``) is still compared by ``==``.
 
 Every integral and measure is one int-pair sum.  A length is an int pair,
 reduced by gcd unless its cut shares the previous cut's denominator d,
@@ -98,10 +111,12 @@ _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 def rat(x) -> Fraction:
     """Coerce x to an exact Fraction; floats are rejected, by design."""
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:  # before isinstance(x, Fraction), which asks the ABC
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, str):
         return parse_rat(x)
     raise ParseError(f"not an exact rational: {x!r} (floats are not accepted)")
@@ -159,6 +174,9 @@ def alpha_str(alpha: Ext) -> str:
 
 
 def _coerce_alpha(alpha) -> Ext:
+    """The singleton INF or _ONE equal to a caller's endpoint (compared by ==)."""
+    if alpha is INF or alpha is _ONE:
+        return alpha
     if alpha == INF:
         return INF
     if alpha == 1:
@@ -166,14 +184,21 @@ def _coerce_alpha(alpha) -> Ext:
     raise PreconditionError(f"domain endpoint must be 1 or inf, got {alpha!r}")
 
 
+def _end(b) -> Ext:
+    """A caller's interval end: INF when it equals infinity (by ==, though
+    never asking a Fraction, which is finite), else rat(b)."""
+    return INF if type(b) is not Fraction and b == INF else rat(b)
+
+
 def _check_cuts(cuts, alpha) -> None:
-    """Cuts must increase strictly inside (0, alpha)."""
-    prev = _ZERO
-    for c in cuts:
-        if c <= prev:
+    """Fraction cuts must increase strictly inside (0, alpha), compared as
+    int pairs; alpha is INF or _ONE."""
+    pn, pd = 0, 1
+    for c, (cn, cd) in zip(cuts, map(_ratio, cuts)):
+        if cn * pd <= pn * cd:
             raise PreconditionError(f"cuts not strictly increasing at {c}")
-        prev = c
-    if alpha != INF and cuts and cuts[-1] >= alpha:
+        pn, pd = cn, cd
+    if alpha is not INF and pn >= pd:  # cuts[-1] >= 1; 0 >= 1 without cuts
         raise PreconditionError(f"cut {cuts[-1]} outside [0,{alpha_str(alpha)})")
 
 
@@ -231,7 +256,7 @@ def _record(cls):
 
 
 def _require_same_domain(f, g) -> None:
-    if f.alpha != g.alpha:
+    if f.alpha is not g.alpha:
         raise DomainMismatchError(
             f"operands live on different domains: [0,{alpha_str(f.alpha)}) "
             f"vs [0,{alpha_str(g.alpha)})"
@@ -305,13 +330,14 @@ class StepFunction:
 
     def __call__(self, t) -> Fraction:
         t = rat(t)
-        if t < 0 or t >= self.alpha:
+        tn, td = _ratio(t)
+        if tn < 0 or (self.alpha is not INF and tn >= td):
             raise PreconditionError(f"t={t} outside [0,{alpha_str(self.alpha)})")
         i = bisect_right(self.cuts, t)
         return self.values[i] if i < len(self.cuts) else self.tail
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.values) and self.tail >= 0
+        return all(n >= 0 for n, _ in map(_ratio, (*self.values, self.tail)))
 
     # -- pointwise algebra -------------------------------------------------
 
@@ -319,13 +345,12 @@ class StepFunction:
         cs, fv, gv = refine(self, other)
         return _merged(self.alpha, cs, list(map(op, fv, gv)))
 
-    def _map(self, op) -> "StepFunction":
-        return _merged(self.alpha, self.cuts, [op(v) for v in (*self.values, self.tail)])
-
     def _map_injective(self, op) -> "StepFunction":
-        """_map for an injective op: neighbours stay distinct, nothing merges."""
+        """Every value's int pair (n, d) mapped by op(n, d), an injective map
+        to reduced pairs: neighbours stay distinct, nothing merges."""
         return _trusted(StepFunction, alpha=self.alpha, cuts=self.cuts,
-                        values=tuple(map(op, self.values)), tail=op(self.tail))
+                        values=tuple(_frac(*op(*p)) for p in map(_ratio, self.values)),
+                        tail=_frac(*op(*_ratio(self.tail))))
 
     def __add__(self, other):
         if not isinstance(other, StepFunction):
@@ -338,17 +363,24 @@ class StepFunction:
         return _pair_sum(self, other, -1)
 
     def __neg__(self):
-        return self._map_injective(lambda v: -v)
+        return self._map_injective(lambda n, d: (-n, d))
 
     def __abs__(self):
-        return self._map(abs)
+        vals = (*self.values, self.tail)
+        return _merged(self.alpha, self.cuts, [v if n >= 0 else _frac(-n, d)
+                                               for v, (n, d) in zip(vals, map(_ratio, vals))])
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
-            return self._zip_with(other, lambda a, b: a * b)
-        c = rat(other)
-        # v * c is injective unless c = 0, where all pieces merge into one
-        return (self._map_injective if c else self._map)(lambda v: v * c)
+            cs, fv, gv = refine(self, other)
+            return _from_pairs(self.alpha, cs, [
+                _reduced(an * bn, ad * bd)
+                for (an, ad), (bn, bd) in zip(map(_ratio, fv), map(_ratio, gv))])
+        cn, cd = _ratio(rat(other))
+        if not cn:  # every piece is 0 and merges into the tail
+            return _trusted(StepFunction, alpha=self.alpha, cuts=(), values=(), tail=_ZERO)
+        # v * c is injective for c != 0: nothing merges
+        return self._map_injective(lambda n, d: _reduced(n * cn, d * cd))
 
     __rmul__ = __mul__
 
@@ -356,25 +388,30 @@ class StepFunction:
         return self * rat(c)
 
     def positive_part(self) -> "StepFunction":
-        return self._map(lambda v: max(v, _ZERO))
+        vals = (*self.values, self.tail)
+        return _merged(self.alpha, self.cuts, [v if n > 0 else _ZERO
+                                               for v, (n, _) in zip(vals, map(_ratio, vals))])
 
     def window(self, a, b=None) -> "StepFunction":
         """Return f * indicator of [a, b); b=None means b=alpha."""
-        a = rat(a)
-        if a < 0:
+        a, alpha = rat(a), self.alpha
+        an, ad = _ratio(a)
+        if an < 0:
             raise PreconditionError(f"window start {a} < 0")
-        hi: Ext = self.alpha if b is None else (INF if b == INF else rat(b))
-        if hi != INF and hi > self.alpha:
+        hi: Ext = alpha if b is None else _end(b)
+        if hi is INF:
+            hi = alpha
+        hn, hd = (1, 0) if hi is INF else _ratio(hi)  # INF as 1/0
+        if alpha is not INF and hn > hd:
             raise PreconditionError("window end beyond the domain")
-        hi = self.alpha if hi == INF else hi
-        if hi != INF and hi <= a:
-            return constant(0, self.alpha)
-        if hi == self.alpha:
+        if hn * ad <= an * hd:  # hi <= a
+            return constant(0, alpha)
+        if hi is INF or (alpha is not INF and hn == hd):  # hi = alpha
             k, end, tail = len(self.cuts), [], self.tail
         else:
             k, end, tail = bisect_left(self.cuts, hi), [hi], _ZERO
         i = bisect_right(self.cuts, a)  # pieces i..k of f meet [a, hi)
-        head = [a] if a > 0 else []
+        head = [a] if an > 0 else []
         vals = (*self.values, self.tail)[i:k + len(end)]
         return _merged(self.alpha, head + list(self.cuts[i:k]) + end,
                        [_ZERO] * len(head) + [*vals, tail])
@@ -452,7 +489,7 @@ def _walk(u: StepFunction, v: StepFunction):
     one their tails), and iterators of int_0^end u and int_0^end v."""
     ends, uv, vv = refine(u, v, pairs=True)
     lengths = _lengths(ends, u.alpha)
-    if u.alpha != INF:
+    if u.alpha is not INF:
         ends.append((1, 1))
     return ends, lengths, uv, vv, _sums(_products(uv, lengths)), _sums(_products(vv, lengths))
 
@@ -496,8 +533,14 @@ def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
         n, d = an * bd + sign * bn * ad, ad * bd
         c = gcd(n, d)
         pairs.append((n // c, d // c))
+    return _from_pairs(f.alpha, cs, pairs)
+
+
+def _from_pairs(alpha, cuts, pairs) -> StepFunction:
+    """The trusted StepFunction of Fraction cuts and reduced value pairs, one
+    per piece, the last being the tail; equal neighbours merge by pair."""
     keep = _kept(pairs)
-    return _trusted(StepFunction, alpha=f.alpha, cuts=(*compress(cs, keep),),
+    return _trusted(StepFunction, alpha=alpha, cuts=(*compress(cuts, keep),),
                     values=(*starmap(_frac, compress(pairs, keep)),),
                     tail=_frac(*pairs[-1]))
 
@@ -565,13 +608,13 @@ def integrate(f: StepFunction, a, b) -> Fraction:
     b may be INF (alpha=INF only); diverging integrals raise
     InfiniteIntegralError rather than returning a signed infinity.
     """
-    a = rat(a)
-    hi: Ext = INF if b == INF else rat(b)
-    if a < 0 or hi < a:
+    a, hi = rat(a), _end(b)
+    (an, ad), (hn, hd) = _ratio(a), (1, 0) if hi is INF else _ratio(hi)  # INF as 1/0
+    if an < 0 or hn * ad < an * hd:
         raise PreconditionError(f"bad integration bounds [{a}, {ext_str(hi)}]")
-    if hi > f.alpha:
+    if f.alpha is not INF and hn > hd:
         raise PreconditionError("integration beyond the domain")
-    if hi == INF and f.tail != 0:
+    if hi is INF and f.tail:
         raise InfiniteIntegralError(
             f"integral diverges: tail value {rat_str(f.tail)} on an infinite interval"
         )
@@ -583,12 +626,17 @@ def integrate(f: StepFunction, a, b) -> Fraction:
 def exceedance_measure(f: StepFunction, lam) -> Ext:
     """mu{ t in [0, alpha) : |f(t)| > lam }, exactly; may be INF."""
     lam = rat(lam)
-    if lam < 0:
+    ln, ld = _ratio(lam)
+    if ln < 0:
         raise PreconditionError(f"level must be nonnegative, got {lam}")
-    if f.alpha == INF and abs(f.tail) > lam:
-        return INF
+    # |v| > lam as |vn| ld > ln vd
+    if f.alpha is INF:
+        tn, td = _ratio(f.tail)
+        if abs(tn) * ld > ln * td:
+            return INF
+    values = map(_ratio, (*f.values, f.tail))
     lengths = _lengths(map(_ratio, f.cuts), f.alpha)  # none for the tail on [0, inf)
-    return _total(l for v, l in zip((*f.values, f.tail), lengths) if abs(v) > lam)
+    return _total(l for (vn, vd), l in zip(values, lengths) if abs(vn) * ld > ln * vd)
 
 
 # -- the int-pair summation kernel --------------------------------------------
@@ -608,7 +656,7 @@ def _lengths(cuts, alpha) -> list[tuple[int, int]]:
             g = gcd(n, d)
             out.append((n // g, d // g))
         pn, pd = cn, cd
-    if alpha != INF:
+    if alpha is not INF:
         out.append((pd - pn, pd))  # 1 - pn/pd, reduced as pn/pd is
     return out
 
@@ -635,6 +683,12 @@ def _frac(n: int, d: int, _new=object.__new__) -> Fraction:
     q = _new(Fraction)
     q._numerator, q._denominator = n, d
     return q
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """The pair n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def _running_sums(pairs) -> list[Fraction]:
@@ -701,16 +755,24 @@ class PiecewiseLinearConcave:
     def value_at(self, t) -> Fraction:
         """Exact value at t; t=alpha allowed for alpha=1 (the left limit)."""
         t = rat(t)
-        if t.numerator < 0 or (self.alpha != INF and t > self.alpha):
+        tn, td = _ratio(t)
+        if tn < 0 or (self.alpha is not INF and tn > td):
             raise PreconditionError(f"t={t} outside [0,{alpha_str(self.alpha)}]")
-        if not t:
+        if not tn:
             return _ZERO
-        i = bisect_right(self.cuts, t)
-        if i > 0 and self.cuts[i - 1] == t:
-            return self.node_values[i - 1]
-        bs, bv = (_ZERO, self.jump0) if i == 0 else (self.cuts[i - 1], self.node_values[i - 1])
-        slope = self.slope.values[i] if i < len(self.cuts) else self.final_slope
-        return bv + slope * (t - bs) if slope else bv
+        cuts = self.cuts
+        i = bisect_right(cuts, t)
+        if i:
+            (sn, sd), bv = _ratio(cuts[i - 1]), self.node_values[i - 1]
+        else:
+            (sn, sd), bv = (0, 1), self.jump0
+        mn, md = _ratio(self.slope.values[i] if i < len(cuts) else self.final_slope)
+        if not mn or (sn == tn and sd == td):  # flat, or t is the node
+            return bv
+        # bv + m (t - s) as one pair: (bvn md td sd + bvd mn (tn sd - sn td)) / (bvd md td sd)
+        bvn, bvd = _ratio(bv)
+        d = md * td * sd
+        return _frac(*_reduced(bvn * d + bvd * mn * (tn * sd - sn * td), bvd * d))
 
     def final_branch(self) -> tuple[Fraction, Fraction]:
         """(intercept, slope) of the affine branch valid from the last cut on."""
@@ -721,7 +783,7 @@ class PiecewiseLinearConcave:
 
     def limit_value(self) -> Ext:
         """Value as t -> alpha-; INF when the final slope is positive on [0,inf)."""
-        if self.alpha != INF:
+        if self.alpha is not INF:
             return self.value_at(self.alpha)
         if self.final_slope > 0:
             return INF

@@ -142,6 +142,28 @@ def test_integration():
         integrate(f, 2, 1)
 
 
+def test_window_and_integration_bounds_on_both_domains():
+    f = canonicalize([1, 3], [2, 1], 0, INF)
+    g = canonicalize([F(1, 2)], [2], 1, 1)
+    assert f.window(0, F(1)) == canonicalize([1], [2], 0, INF)
+    assert f.window(0, float("inf")) == f.window(0, INF) == f
+    # on [0, 1) an infinite end means the domain's end
+    assert g.window(0, INF) == g.window(0, float("inf")) == g.window(0, F(1)) == g
+    assert g.window(F(1, 4), 1) == canonicalize([F(1, 4), F(1, 2)], [0, 2], 1, 1)
+    assert g.window(1) == g.window(F(1, 2), F(1, 2)) == constant(0, 1)
+    assert integrate(g, 0, 1) == integrate(g, 0, F(1)) == F(3, 2)
+    assert integrate(f, 1, float("inf")) == 2
+    for end in (INF, float("inf"), F(3, 2)):
+        with pytest.raises(PreconditionError, match="integration beyond the domain"):
+            integrate(g, 0, end)
+    with pytest.raises(PreconditionError, match="window end beyond the domain"):
+        g.window(0, F(3, 2))
+    with pytest.raises(PreconditionError, match=r"bad integration bounds \[-1, 1/1\]"):
+        integrate(g, -1, 1)
+    with pytest.raises(PreconditionError, match=r"bad integration bounds \[1, 1/2\]"):
+        integrate(f, 1, F(1, 2))
+
+
 def test_exceedance_measure():
     f = canonicalize([1, 3], [2, 1], 0, INF)
     assert exceedance_measure(f, 1) == 1

@@ -1,12 +1,15 @@
 """No Fraction operator runs per piece in the int-pair kernels.
 
-``refine``, ``+`` and ``-``, the merge pass behind ``window``,
-``integrate``, ``abs`` and ``canonicalize``, the L-infinity norm, the
-rearrangement's grouping and the star-pair consumers on ``stepfn``'s walk
-(``hlp_compare``, ``maximal_distance`` and both Marcinkiewicz norms) read
-cuts and values as (numerator, denominator) int pairs once and compare or
-add ints.  The tests here count the Fraction operator calls they make on
-2,000-piece operands: a constant number, plus O(log n) for a bisection.
+``refine``, ``+`` and ``-``, ``x * c``, ``x * y``, ``abs``, the merge pass
+behind ``window``, ``integrate`` and ``canonicalize``, the cut check of
+every constructor, ``exceedance_measure``, the L-infinity norm, the
+rearrangement's grouping, ``value_at`` and the star-pair consumers on
+``stepfn``'s walk (``hlp_compare``, ``maximal_distance`` and both
+Marcinkiewicz norms) read cuts and values as (numerator, denominator) int
+pairs once and compare, add or multiply ints.  The tests here count the
+Fraction operator calls they make on 2,000-piece operands: a constant
+number, plus O(log n) for a bisection.  A domain endpoint is one of two
+singletons, so no Fraction is compared with the float infinity either.
 They also count the gcd calls of a cold rearrangement, which groups the
 lengths of equal |values| over the lcm of their denominators.  Results are
 compared with Fraction-operator references in ``test_walks`` and with
@@ -22,13 +25,14 @@ import pytest
 
 from rearrcalc import INF, PiecewiseLinearConcave, canonicalize, experiments, rearrange, stepfn
 from rearrcalc.majorize import hlp_compare
-from rearrcalc.spaces import Hyperbolic, SpaceSpec, norm
-from rearrcalc.stepfn import integrate
+from rearrcalc.spaces import _KINDS, Hyperbolic, SpaceSpec, norm
+from rearrcalc.stepfn import exceedance_measure, integrate
 
 PIECES = 2000
-#: the Fraction methods counted: comparisons, the four arithmetic operators
-#: and the ``numerator`` and ``denominator`` properties
-COUNTED = ("__eq__", "_richcmp", "__add__", "__sub__", "__mul__", "__truediv__")
+#: the Fraction methods counted: comparisons, the four arithmetic operators,
+#: abs and negation, and the ``numerator`` and ``denominator`` properties
+COUNTED = ("__eq__", "_richcmp", "__add__", "__sub__", "__mul__", "__truediv__",
+           "__abs__", "__neg__")
 
 
 @pytest.fixture
@@ -62,6 +66,22 @@ def large_operand(rng, alpha):
     return canonicalize(cuts, values, 0, alpha)
 
 
+def raw_pieces(rng, alpha):
+    """Breakpoints, values and tail for ``canonicalize``, as large_operand
+    draws them, with runs of equal neighbours to merge."""
+    x = large_operand(rng, alpha)
+    values = [v for v in x.values for _ in (0, 1)][:len(x.cuts)]
+    return list(x.cuts), values, x.tail
+
+
+def long_star(alpha):
+    """A star with PIECES strictly decreasing values and a positive tail, so
+    its level integral has PIECES nodes and a positive final slope."""
+    den = 1 if alpha == INF else PIECES + 1
+    cuts = [F(k, den) for k in range(1, PIECES + 1)]
+    return canonicalize(cuts, [F(PIECES + 1 - k, 3) for k in range(PIECES)], F(1, 7), alpha)
+
+
 def plc_phi(alpha):
     """A concave polyline with a jump at 0, three cuts and a positive final slope."""
     cuts = (F(1, 3), F(1, 2), F(3, 4)) if alpha != INF else (F(3), F(40), F(900))
@@ -93,8 +113,18 @@ def test_kernels_make_no_fraction_operator_call_per_piece(alpha, fraction_calls)
     # bisect_left and bisect_right; each compare reads the other operand's
     # numerator and denominator too
     bisect_calls = 3 * 2 * PIECES.bit_length()
+    lam = F(7, 3)
+    cuts, values, tail = raw_pieces(rng, alpha)
+    phi = rearrange.level_integral(long_star(alpha))
+    at = [phi.cuts[PIECES // 3], (phi.cuts[PIECES // 2] + phi.cuts[PIECES // 2 + 1]) / 2,
+          phi.cuts[-1] + F(1, 3) if alpha == INF else F(1)]
     ops = [("x + y", lambda: x + y, 16),
            ("x - y", lambda: x - y, 16),
+           ("x * c", lambda: x * F(-5, 6), 16),
+           ("x * y", lambda: x * y, 16),
+           ("abs", lambda: abs(x), 16),
+           ("canonicalize", lambda: canonicalize(cuts, values, tail, alpha), 16),
+           ("exceedance_measure", lambda: exceedance_measure(x, lam), 16),
            ("window", lambda: x.window(a, b), 32 + bisect_calls),
            ("integrate", lambda: integrate(x, a, b), 32 + bisect_calls),
            ("norm Linf", lambda: norm(linf, x), 16),
@@ -103,12 +133,41 @@ def test_kernels_make_no_fraction_operator_call_per_piece(alpha, fraction_calls)
            ("maximal_distance", cold(lambda: experiments.maximal_distance(x, y, F(3, 2))), 64)]
     ops += [(f"norm {s.kind} {type(s.phi).__name__}", cold(lambda s=s: norm(s, x)),
              64 + bisect_calls) for s in spaces]
+    # one bisection of phi's cuts, three counted calls per compare
+    ops += [(f"value_at {t}", lambda t=t: phi.value_at(t), bisect_calls // 2) for t in at]
     for name, op, bound in ops:
         fraction_calls.clear()
         op()
         calls = sum(fraction_calls.values())
         assert calls <= bound, (name, dict(fraction_calls))
     assert 64 + bisect_calls < min(len(x.cuts), len(y.cuts)) // 10  # far below n
+    assert len(phi.cuts) == PIECES
+
+
+def test_no_fraction_is_compared_with_a_float_on_the_unit_interval(monkeypatch):
+    """On [0, 1) every operand's alpha is the singleton 1, tested by
+    identity, so no Fraction.__eq__ meets the float infinity."""
+    rng = random.Random(2001)
+    x = large_operand(rng, F(1))
+    a, b = x.cuts[PIECES // 5], x.cuts[4 * PIECES // 5]
+    spaces = [SpaceSpec(kind, None, F(1)) for kind in _KINDS[:3]]
+    spaces += [SpaceSpec(kind, phi, F(1)) for kind in _KINDS[3:]
+               for phi in (plc_phi(F(1)), Hyperbolic(F(7, 2)))]
+    float_args = []
+    eq = F.__eq__
+
+    def recording(self, other):
+        if isinstance(other, float):
+            float_args.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(F, "__eq__", recording)
+    ops = [lambda: x.window(a, b), lambda: x.window(a), lambda: integrate(x, a, b),
+           lambda: integrate(x, 0, 1), lambda: exceedance_measure(x, F(1, 2))]
+    ops += [cold(lambda s=s: norm(s, x)) for s in spaces]
+    for op in ops:
+        op()
+    assert float_args == []
 
 
 @pytest.mark.parametrize("alpha", [INF, F(1)])
