@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import starmap
 from math import gcd
 
 from .errors import PreconditionError
@@ -48,7 +49,7 @@ from .stepfn import (
     _ratio,
     _record,
     _require_same_domain,
-    _running_sums,
+    _sums,
     _trusted,
     is_decreasing_rearrangement,
     rat,
@@ -105,7 +106,7 @@ def _sorted_star(x: StepFunction):
         tail = _frac(*ratio_of[keys.pop()])
     ratios = [ratio_of[key] for key in keys]
     lengths = [groups[r] for r in ratios]
-    star = _trusted(StepFunction, alpha=x.alpha, cuts=tuple(_running_sums(lengths)),
+    star = _trusted(StepFunction, alpha=x.alpha, cuts=(*starmap(_frac, _sums(lengths)),),
                     values=tuple(_frac(p, q) for p, q in ratios), tail=tail, _is_star=True)
     return star, ratios, lengths
 
@@ -117,12 +118,11 @@ def _rearrange(x: StepFunction) -> RearrangementResult:
     else:
         star, values, lengths = _sorted_star(x)
     # running integral of the star: one node per cut, then slope = tail
-    nodes = _running_sums(_products(values, lengths))
     phi = _trusted(
         PiecewiseLinearConcave,
         alpha=x.alpha,
         cuts=star.cuts,
-        node_values=tuple(nodes),
+        node_values=(*starmap(_frac, _sums(_products(values, lengths))),),
         final_slope=star.tail,
         jump0=_ZERO,
         slope=star,

@@ -39,7 +39,6 @@ from .stepfn import (
     _ONE,
     _ZERO,
     _coerce_alpha,
-    _frac,
     _largest,
     _lengths,
     _ratio,
@@ -258,11 +257,7 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
         pieces = zip(map(_ratio, (*x.values, x.tail)), _lengths(map(_ratio, x.cuts), x.alpha))
         return _total((abs(vn) * n, vd * d) for (vn, vd), (n, d) in pieces)
     if space.kind == "Linf":
-        bn, bd = 0, 1
-        for n, d in map(_ratio, (*x.values, x.tail)):
-            if abs(n) * bd > bn * d:
-                bn, bd = abs(n), d
-        return _frac(bn, bd)
+        return _largest((abs(n), d) for n, d in map(_ratio, (*x.values, x.tail)))
     if space.kind == "L1plusLinf":
         # int_0^1 x*; value_at(1) is the left limit when alpha = 1
         return rearrangement(x).level_integral.value_at(_ONE)

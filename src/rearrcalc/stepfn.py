@@ -21,11 +21,13 @@ rearrangement's pass-through and the preconditions of ``majorize`` all
 call it, and none of them rearranges to find out.
 
 Binary kernels walk the common refinement once: :func:`refine` merges
-two cut lists in one pass and reads both operands' values on each merged
-piece; it is the only walk over two cut lists.  It, ``+``, ``-``, ``*``,
-``abs`` and the merge of equal neighbours (:func:`_kept`) read cuts and
-values as int pairs once, ``map(Fraction.as_integer_ratio, ...)``, and
-compare, add or multiply ints.  The per-call paths do the same with their
+two cut lists in one pass, the only walk over two cut lists, and returns
+the merged cuts as Fractions and as int pairs and both operands' values
+on each merged piece as int pairs; ``+``, ``-``, ``*`` and :func:`_walk`
+read the lists they need.  It, ``abs``, ``positive_part`` and the merge of
+equal neighbours (:func:`_kept`) read cuts and values as int pairs once,
+``map(Fraction.as_integer_ratio, ...)``, and compare, add or multiply
+ints.  The per-call paths do the same with their
 scalars: the cut check of every constructor, the bounds of ``window`` and
 :func:`integrate`, the level of :func:`exceedance_measure` (|v| > lam as
 |vn| ld > ln vd) and :meth:`PiecewiseLinearConcave.value_at` (one pair,
@@ -58,16 +60,19 @@ cross-multiplication (:func:`_largest`) and build one Fraction per result.
 Pairs beat one common denominator, which grows to thousands of bits on
 coprime denominators.
 
-Validated at the boundary, trusted inside.  The public constructors
-(``StepFunction(...)``, ``PiecewiseLinearConcave(...)``, :func:`canonicalize`,
-:func:`plc_from_nodes`, :func:`constant`, :func:`box`, :func:`block` and both
-``from_json``) coerce every scalar and check every canonical-form condition.
-Objects that are canonical by construction skip that second pass: the
-output of ``canonicalize``'s merge, the results of ``+ - *``, ``abs``, ``-``,
-``scale``, ``positive_part`` and ``window`` on canonical operands, the
-flattenings of ``majorize`` and the rearrangement's star and level integral
-(``rearrange``) are built by :func:`_trusted`, which sets the fields without
-running ``__post_init__``.  The value types are frozen records
+Canonical form is decided once per type, by a merging builder:
+:func:`canonicalize` and :func:`plc_from_nodes` coerce every scalar, check
+the cuts (a PLC also its jump at 0, then that its merged slopes are a
+star), merge equal neighbours or collinear nodes and build the result with
+:func:`_trusted`, which sets the fields without running ``__post_init__``.
+The public constructors ``StepFunction(...)`` and
+``PiecewiseLinearConcave(...)`` run their builder and check only that
+nothing merged; :func:`box`, :func:`block` and both ``from_json`` go
+through a builder, and :func:`constant`, which has no cuts, is trusted.  So
+are the results of ``+ - *``, ``abs``, ``-``, ``scale``, ``positive_part``
+and ``window`` on canonical operands, the flattenings of ``majorize`` and
+the rearrangement's star and level integral (``rearrange``), which are
+canonical by construction.  The value types are frozen records
 (:func:`_record`), built without importing ``dataclasses``, whose import
 alone took about 10 ms of each CLI command's start.  A StepFunction keeps
 in its instance dict its hash, from the numerators and denominators of its
@@ -280,25 +285,11 @@ class StepFunction:
     tail: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _coerce_alpha(self.alpha))
-        object.__setattr__(self, "cuts", tuple(rat(c) for c in self.cuts))
-        object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
-        object.__setattr__(self, "tail", rat(self.tail))
-        if len(self.cuts) != len(self.values):
-            raise PreconditionError(
-                f"{len(self.cuts)} cuts need {len(self.cuts)} values, "
-                f"got {len(self.values)}"
-            )
-        _check_cuts(self.cuts, self.alpha)
-        for a, b in zip(self.values, self.values[1:]):
-            if a == b:
-                raise PreconditionError(
-                    f"not canonical: equal neighbouring values {a} (use canonicalize)"
-                )
-        if self.values and self.values[-1] == self.tail:
-            raise PreconditionError(
-                f"not canonical: last value equals tail {self.tail} (use canonicalize)"
-            )
+        f = canonicalize(self.cuts, self.values, self.tail, self.alpha)
+        if len(f.cuts) != len(self.cuts):
+            raise PreconditionError("not canonical: a value equals the next value or the "
+                                    "tail (use canonicalize)")
+        vars(self).update(vars(f))
 
     def __hash__(self) -> int:
         # Kept in the instance dict.  From the (numerator, denominator) pairs
@@ -341,10 +332,6 @@ class StepFunction:
 
     # -- pointwise algebra -------------------------------------------------
 
-    def _zip_with(self, other: "StepFunction", op) -> "StepFunction":
-        cs, fv, gv = refine(self, other)
-        return _merged(self.alpha, cs, list(map(op, fv, gv)))
-
     def _map_injective(self, op) -> "StepFunction":
         """Every value's int pair (n, d) mapped by op(n, d), an injective map
         to reduced pairs: neighbours stay distinct, nothing merges."""
@@ -366,16 +353,14 @@ class StepFunction:
         return self._map_injective(lambda n, d: (-n, d))
 
     def __abs__(self):
-        vals = (*self.values, self.tail)
-        return _merged(self.alpha, self.cuts, [v if n >= 0 else _frac(-n, d)
-                                               for v, (n, d) in zip(vals, map(_ratio, vals))])
+        return _from_pairs(self.alpha, self.cuts, [
+            (abs(n), d) for n, d in map(_ratio, (*self.values, self.tail))])
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
-            cs, fv, gv = refine(self, other)
+            cs, _, fv, gv = refine(self, other)
             return _from_pairs(self.alpha, cs, [
-                _reduced(an * bn, ad * bd)
-                for (an, ad), (bn, bd) in zip(map(_ratio, fv), map(_ratio, gv))])
+                _reduced(an * bn, ad * bd) for (an, ad), (bn, bd) in zip(fv, gv)])
         cn, cd = _ratio(rat(other))
         if not cn:  # every piece is 0 and merges into the tail
             return _trusted(StepFunction, alpha=self.alpha, cuts=(), values=(), tail=_ZERO)
@@ -388,9 +373,8 @@ class StepFunction:
         return self * rat(c)
 
     def positive_part(self) -> "StepFunction":
-        vals = (*self.values, self.tail)
-        return _merged(self.alpha, self.cuts, [v if n > 0 else _ZERO
-                                               for v, (n, _) in zip(vals, map(_ratio, vals))])
+        return _from_pairs(self.alpha, self.cuts, [
+            p if p[0] > 0 else (0, 1) for p in map(_ratio, (*self.values, self.tail))])
 
     def window(self, a, b=None) -> "StepFunction":
         """Return f * indicator of [a, b); b=None means b=alpha."""
@@ -445,29 +429,33 @@ class StepFunction:
             raise ParseError(f"invalid step function: {e}") from None
 
 
-def refine(f: StepFunction, g: StepFunction, pairs: bool = False):
-    """Common refinement of two step functions: ``(cuts, fv, gv)``, where
-    fv[k], gv[k] are f and g on merged piece k (the last one ends at alpha);
-    with ``pairs``, all three lists hold (numerator, denominator) int pairs.
+def refine(f: StepFunction, g: StepFunction):
+    """Common refinement of two step functions: ``(cuts, ends, fv, gv)``,
+    the merged cuts as Fractions and as (numerator, denominator) int pairs,
+    and fv[k], gv[k], the int pairs of f and g on merged piece k (the last
+    one ends at alpha).
 
     One linear walk over both cut lists, read as int pairs once up front;
     each step is one cross-multiplied int compare, and equal cuts advance
     both sides.
     """
     _require_same_domain(f, g)
-    fp, gp = list(map(_ratio, f.cuts)), list(map(_ratio, g.cuts))
-    fvals, gvals = (*f.values, f.tail), (*g.values, g.tail)
-    if pairs:
-        fc, gc, fvals, gvals = fp, gp, [*map(_ratio, fvals)], [*map(_ratio, gvals)]
-    else:
-        fc, gc = f.cuts, g.cuts
+    fc, gc = f.cuts, g.cuts
+    fp, gp = list(map(_ratio, fc)), list(map(_ratio, gc))
+    fvals = list(map(_ratio, (*f.values, f.tail)))
+    gvals = list(map(_ratio, (*g.values, g.tail)))
     n, m = len(fc), len(gc)
-    cuts, fv, gv = [], [], []
+    cuts, ends, fv, gv = [], [], [], []
     i = j = 0
     while i < n and j < m:
         (an, ad), (bn, bd) = fp[i], gp[j]
         d = an * bd - bn * ad
-        cuts.append(fc[i] if d <= 0 else gc[j])
+        if d <= 0:
+            cuts.append(fc[i])
+            ends.append(fp[i])
+        else:
+            cuts.append(gc[j])
+            ends.append(gp[j])
         fv.append(fvals[i])
         gv.append(gvals[j])
         i += d <= 0
@@ -475,19 +463,21 @@ def refine(f: StepFunction, g: StepFunction, pairs: bool = False):
     # one side is on its last piece (the tail): the other side's remaining
     # cuts and values follow, each paired with that last value
     cuts += fc[i:]
+    ends += fp[i:]
     fv += fvals[i:]
     gv += [gvals[j]] * (n - i)
     cuts += gc[j:]
+    ends += gp[j:]
     gv += gvals[j:]
     fv += [fvals[n]] * (m - j)
-    return cuts, fv, gv
+    return cuts, ends, fv, gv
 
 
 def _walk(u: StepFunction, v: StepFunction):
     """refine(u, v) as int pairs: the right ends of the finite pieces (then 1
     when alpha = 1), their lengths, u and v on every merged piece (the last
     one their tails), and iterators of int_0^end u and int_0^end v."""
-    ends, uv, vv = refine(u, v, pairs=True)
+    _, ends, uv, vv = refine(u, v)
     lengths = _lengths(ends, u.alpha)
     if u.alpha is not INF:
         ends.append((1, 1))
@@ -527,9 +517,9 @@ def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
     refine(f, g) the value is the gcd-reduced int pair
     (an*bd + sign*bn*ad, ad*bd); equal neighbours merge by pair, and only
     the output gets Fractions."""
-    cs, fv, gv = refine(f, g)
+    cs, _, fv, gv = refine(f, g)
     pairs = []
-    for (an, ad), (bn, bd) in zip(map(_ratio, fv), map(_ratio, gv)):
+    for (an, ad), (bn, bd) in zip(fv, gv):
         n, d = an * bd + sign * bn * ad, ad * bd
         c = gcd(n, d)
         pairs.append((n // c, d // c))
@@ -581,7 +571,7 @@ def _kept(pairs) -> list[bool]:
 
 
 def constant(c, alpha=INF) -> StepFunction:
-    return StepFunction(alpha, (), (), rat(c))
+    return _trusted(StepFunction, alpha=_coerce_alpha(alpha), cuts=(), values=(), tail=rat(c))
 
 
 def box(height, width, alpha=INF) -> StepFunction:
@@ -691,10 +681,6 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _running_sums(pairs) -> list[Fraction]:
-    return [_frac(n, d) for n, d in _sums(pairs)]
-
-
 def _total(pairs) -> Fraction:
     """The sum of int pairs (n, d), d > 0: numerators added as ints per
     denominator, then those sums with a gcd per step, as ``_sums`` adds."""
@@ -710,6 +696,9 @@ def _total(pairs) -> Fraction:
 
 
 # -- increasing concave piecewise-linear functions --------------------------
+
+_NOT_CONCAVE = ("slopes not nonnegative and strictly decreasing: not a "
+                "nondecreasing concave function in canonical form")
 
 
 @_record
@@ -730,27 +719,11 @@ class PiecewiseLinearConcave:
     jump0: Fraction = _ZERO
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _coerce_alpha(self.alpha))
-        object.__setattr__(self, "cuts", tuple(rat(c) for c in self.cuts))
-        object.__setattr__(self, "node_values", tuple(rat(v) for v in self.node_values))
-        object.__setattr__(self, "final_slope", rat(self.final_slope))
-        object.__setattr__(self, "jump0", rat(self.jump0))
-        if len(self.cuts) != len(self.node_values):
-            raise PreconditionError("cuts and node_values must have equal length")
-        if self.jump0 < 0:
-            raise PreconditionError(f"jump at 0 must be nonnegative, got {self.jump0}")
-        _check_cuts(self.cuts, self.alpha)
-        cuts, nodes = self.cuts, self.node_values
-        segments = tuple((v - pv) / (s - ps) for s, v, ps, pv
-                         in zip(cuts, nodes, (_ZERO, *cuts), (self.jump0, *nodes)))
-        slope = _trusted(StepFunction, alpha=self.alpha, cuts=cuts, values=segments,
-                         tail=self.final_slope)
-        if not is_decreasing_rearrangement(slope):
-            raise PreconditionError(
-                "slopes not nonnegative and strictly decreasing: not a "
-                "nondecreasing concave function in canonical form"
-            )
-        object.__setattr__(self, "slope", slope)
+        phi = plc_from_nodes(self.cuts, self.node_values, self.final_slope, self.jump0,
+                             self.alpha)
+        if len(phi.cuts) != len(self.cuts):  # a collinear node merged away
+            raise PreconditionError(_NOT_CONCAVE)
+        vars(self).update(vars(phi))
 
     def value_at(self, t) -> Fraction:
         """Exact value at t; t=alpha allowed for alpha=1 (the left limit)."""
@@ -826,10 +799,15 @@ def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> Piecew
     if len(cuts) != len(node_values):
         raise PreconditionError("cuts and node_values must have equal length")
     _check_cuts(cuts, alpha)  # also a cut that merges away; before any division
+    if jump0 < 0:
+        raise PreconditionError(f"jump at 0 must be nonnegative, got {jump0}")
     # a collinear node is a cut between equal neighbouring slopes
     slopes = [(v - pv) / (s - ps)
               for s, v, ps, pv in zip(cuts, node_values, [_ZERO, *cuts], [jump0, *node_values])]
-    kept = _merged(alpha, cuts, [*slopes, final_slope]).cuts
+    slope = _merged(alpha, cuts, [*slopes, final_slope])
+    if not is_decreasing_rearrangement(slope):
+        raise PreconditionError(_NOT_CONCAVE)
     value_of = dict(zip(cuts, node_values))
-    return PiecewiseLinearConcave(alpha, kept, tuple(map(value_of.get, kept)),
-                                  final_slope, jump0)
+    return _trusted(PiecewiseLinearConcave, alpha=alpha, cuts=slope.cuts,
+                    node_values=(*map(value_of.get, slope.cuts),), final_slope=final_slope,
+                    jump0=jump0, slope=slope)

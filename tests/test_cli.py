@@ -91,15 +91,31 @@ def test_fundamental_command(capsys):
 
 
 def test_fundamental_command_rejects_a_phi_cut_outside_the_domain(capsys):
-    # on [0, 1): a node at 2 collinear with the rest (it would merge away)
-    # and one that is not are the same parse error
-    for node in ("2", "3/2"):
-        phi = {"kind": "piecewise_linear_concave", "alpha": "1", "breakpoints": ["1/2", "2"],
-               "node_values": ["1/2", node], "final_slope": "1"}
+    # on [0, 1): a node at 2 collinear with the rest (it would merge away),
+    # one that is not, and one after a negative jump at 0 (the cut is
+    # reported first) are the same parse error
+    for cuts, nodes, jump0 in ((["1/2", "2"], ["1/2", "2"], "0"),
+                               (["1/2", "2"], ["1/2", "3/2"], "0"),
+                               (["2"], ["1"], "-1")):
+        phi = {"kind": "piecewise_linear_concave", "alpha": "1", "breakpoints": cuts,
+               "node_values": nodes, "final_slope": "1", "jump0": jump0}
         space = json.dumps({"kind": "Marcinkiewicz", "alpha": "1", "phi": phi})
         code, out, err = run_cli(capsys, "fundamental", "--space", space, "--t", "1/2")
         assert (code, out) == (2, "")
         assert err == "error: invalid piecewise-linear function: cut 2 outside [0,1)\n"
+
+
+@pytest.mark.parametrize("phi_alpha, space_alpha, final, message", [
+    ("inf", "1", "1", "fundamental function lives on [0,inf), space on [0,1)"),
+    ("inf", "inf", "0", "fundamental function must be positive for t > 0"),  # phi = 0
+])
+def test_a_phi_that_is_not_a_fundamental_function_of_the_space(capsys, phi_alpha, space_alpha,
+                                                                final, message):
+    phi = {"kind": "piecewise_linear_concave", "alpha": phi_alpha, "breakpoints": [],
+           "node_values": [], "final_slope": final}
+    space = json.dumps({"kind": "Marcinkiewicz", "alpha": space_alpha, "phi": phi})
+    code, out, err = run_cli(capsys, "fundamental", "--space", space, "--t", "1/2")
+    assert (code, out, err) == (2, "", f"error: invalid space: {message}\n")
 
 
 def test_majorant_pair_command_with_flag_overrides(capsys):

@@ -232,6 +232,9 @@ def test_hardy_examples():
     assert hardy_check(u, v, w)
     # equality case: u = v
     assert hardy_check(v, v, box(2, 3))
+    # int v*w = inf: with int u*w finite, and with int u*w = inf as well
+    assert hardy_check(box(1, 1), constant(1, INF), constant(1, INF))
+    assert hardy_check(constant(1, INF), constant(1, INF), constant(1, INF))
 
 
 def test_hardy_rejects_bad_hypothesis_with_witness():

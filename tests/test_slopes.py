@@ -10,7 +10,7 @@ The flattenings of the two-majorant construction and of the sampler's
 endpoints are known to have.  They are compared with flattenings whose
 averages are read off Phi_x, and with the level integral of the flattened
 function itself.  ``plc_from_nodes`` checks every cut against the domain,
-also a cut that merges away.
+also a cut that merges away, and computes each segment slope once.
 """
 
 import random
@@ -116,6 +116,18 @@ def test_plc_from_nodes_rejects_a_cut_outside_the_domain():
             plc_from_nodes([F(1, 2), F(2)], [F(1, 2), node], 1, 0, 1)
     assert plc_from_nodes([F(1, 2), F(2)], [F(1, 2), F(2)], 1, 0, INF) == \
         PiecewiseLinearConcave(INF, (), (), 1)
+
+
+def test_plc_from_nodes_computes_each_segment_slope_once(monkeypatch):
+    # four nodes: one difference of cuts, one of values and one quotient each
+    calls = {"__sub__": 0, "__truediv__": 0}
+    for name in calls:
+        def counted(a, b, op=getattr(F, name), name=name):
+            calls[name] += 1
+            return op(a, b)
+        monkeypatch.setattr(F, name, counted)
+    plc_from_nodes([1, 3, 4, 6], [3, 7, 8, 9], 0)
+    assert calls == {"__sub__": 8, "__truediv__": 4}
 
 
 def test_a_non_concave_function_is_one_error():

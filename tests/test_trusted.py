@@ -5,7 +5,8 @@ canonical operands, ``window``, the rearrangement's star and level integral)
 skip ``__post_init__``, and so does the flattening that splices a cut
 list.  Each one is rebuilt here through the public constructor, which
 coerces and validates everything, and must come back equal, with the same
-exact types.  The Fractions the int-pair sums build from reduced pairs
+exact types.  That constructor runs the same merge, so the canonical form
+is also checked with Fraction comparisons of the test's own.  The Fractions the int-pair sums build from reduced pairs
 must equal, and hash like, Fractions built the usual way.  The stored
 slope function of a concave function is checked against the quotients of
 its nodes.  A StepFunction's hash reads every field below 16 cuts and a
@@ -34,17 +35,28 @@ from rearrcalc import (
 from rearrcalc.gen import _sorted_oracle_star
 from rearrcalc.majorize import _flatten, _require_star
 from rearrcalc.rearrange import _rearrange
-from rearrcalc.stepfn import _running_sums, _total
+from rearrcalc.stepfn import _frac, _sums, _total
 from test_walks import rationals, sorted_star, step_functions, window_ends
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
 
+def assert_cuts_inside(cuts, alpha) -> None:
+    """Cuts strictly increasing inside (0, alpha), by Fraction comparisons."""
+    ends = (F(0), *cuts)
+    assert all(a < b for a, b in zip(ends, ends[1:]))
+    assert alpha == INF or not cuts or cuts[-1] < alpha
+
+
 def revalidated(f: StepFunction) -> StepFunction:
-    """f rebuilt through the validating constructor, with its field types checked."""
+    """f rebuilt through the validating constructor, with its field types
+    and, independently of the constructor's merge, its canonical form checked."""
     assert f.alpha == INF or (type(f.alpha) is F and f.alpha == 1)
     assert type(f.cuts) is tuple and type(f.values) is tuple
     assert all(type(q) is F for q in (*f.cuts, *f.values, f.tail))
+    assert_cuts_inside(f.cuts, f.alpha)
+    assert all(a != b for a, b in zip(f.values, f.values[1:]))  # neighbours distinct
+    assert not f.values or f.values[-1] != f.tail
     g = StepFunction(f.alpha, f.cuts, f.values, f.tail)
     assert g == f and hash(g) == hash(f)
     return g
@@ -61,6 +73,12 @@ def revalidated_plc(phi: PiecewiseLinearConcave) -> None:
         ps, pv = s, v
     assert list(phi.slope.values) == quotients
     assert (phi.slope.cuts, phi.slope.tail) == (phi.cuts, phi.final_slope)
+    # canonical, independently of the constructor's merge: cuts inside the
+    # domain, slopes nonnegative and strictly decreasing, no negative jump
+    assert_cuts_inside(phi.cuts, phi.alpha)
+    slopes = [*quotients, phi.final_slope]
+    assert slopes[-1] >= 0 and all(a > b for a, b in zip(slopes, slopes[1:]))
+    assert phi.jump0 >= 0
 
 
 @st.composite
@@ -201,7 +219,7 @@ def test_flatten_output_is_canonical(x, data):
 @given(st.lists(st.tuples(st.integers(-10**20, 10**20), st.integers(1, 10**12)),
                 max_size=12))
 def test_int_pair_sums_are_exact_fractions(pairs):
-    running = _running_sums(pairs)
+    running = [_frac(n, d) for n, d in _sums(pairs)]
     expected, acc = [], F(0)
     for n, d in pairs:
         acc += F(n, d)
