@@ -10,15 +10,16 @@ Five space kinds over a base interval [0, alpha):
 
 phi is a fundamental function: either an increasing concave piecewise-linear
 function positive on (0, alpha), or the rational hyperbola t/(c + t), c > 0.
-Everything is exact: suprema of x**(t)*phi(t) are computed per refined
-segment, where the objective has the form A/t + B + C*t with A, C >= 0
-(convex, so the supremum sits at segment endpoints or at the limits t -> 0+
-and t -> alpha-); +inf is returned when the far limit diverges.  The
-candidates of both Marcinkiewicz norms are int pairs, read off ``stepfn``'s
-walk for a piecewise-linear phi, and compared by cross-multiplication; only
-the largest becomes a Fraction.  L1 and Linf need no rearrangement: L1 is
-the int-pair total of |value| times length, Linf the largest |value|, found
-the same way.  L1 + Linf is Phi_x(1), read off the level integral.
+Everything is exact.  Both Marcinkiewicz norms, for both kinds of phi, are
+one pass (``_marcinkiewicz``): one int-pair candidate per merged end of x*
+and phi (``stepfn``'s walk for a piecewise-linear phi, x*'s own cuts for the
+hyperbola), then the end 1 on [0, 1), compared by cross-multiplication in
+one ``_largest``; only the largest becomes a Fraction.  On [0, inf) one
+helper, ``_at_infinity``, gives the limit at inf (+inf when it diverges);
+the limit at 0+ never exceeds the first end.  L1 and Linf need no
+rearrangement: L1 is the int-pair total of |value| times length, Linf the
+largest |value|, found the same way.  L1 + Linf is Phi_x(1), read off the
+level integral.
 The fundamental function of every kind is the exact data of
 :meth:`SpaceSpec.fundamental_function` (built once per kind and domain for
 the classical kinds), which ``fundamental_eval`` and ``embeds_in_l1`` read.
@@ -27,6 +28,7 @@ the classical kinds), which ``fundamental_eval`` and ``embeds_in_l1`` read.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Union
 
 from .errors import ParseError, PreconditionError
@@ -75,13 +77,6 @@ class Hyperbolic:
 
 
 FundamentalFunction = Union[PiecewiseLinearConcave, Hyperbolic]
-
-
-def phi_limit(phi: FundamentalFunction, alpha: Ext) -> Ext:
-    """lim of phi at the right end of [0, alpha)."""
-    if isinstance(phi, Hyperbolic):
-        return phi.value_at(alpha) if alpha is not INF else _ONE
-    return phi.limit_value()
 
 
 def _validate_fundamental(phi: FundamentalFunction, alpha: Ext) -> None:
@@ -181,67 +176,56 @@ class SpaceSpec:
             raise ParseError(f"invalid space: {e}") from None
 
 
-def _norm_marcinkiewicz_star(phi: FundamentalFunction, x: StepFunction) -> Ext:
-    star = rearrangement(x).star
-    # phi increases, so sup over a piece [s, e) of the star is v*phi(e); a
-    # PLC phi's cut inside a piece never beats the piece's end
+def _at_infinity(phi: FundamentalFunction, rr: RearrangementResult, star: bool) -> Ext:
+    """lim of x*(t)*phi(t) (star) or x**(t)*phi(t) as t -> inf, for x with
+    rearrangement rr on [0, inf).  Past the last cuts Phi_x(t) = a + tail*t
+    and phi(t) = b + m*t, so the limit is tail*phi(inf) (INF when tail > 0
+    and m > 0), plus a*m for x**; the hyperbola has phi(inf) = 1 and m = 0."""
+    tail = rr.star_at_infinity
     if isinstance(phi, Hyperbolic):
-        cn, cd = _ratio(phi.c)
-        cands = ((vn * en * cd, vd * (cn * ed + en * cd))  # v e / (c + e)
-                 for (en, ed), (vn, vd) in zip(map(_ratio, star.cuts), map(_ratio, star.values)))
-    else:
-        _, _, values, _, _, at_phi = _walk(star, phi.slope)
-        jn, jd = _ratio(phi.jump0)
-        cands = ((vn * (jn * pd + pn * jd), vd * jd * pd)
-                 for (vn, vd), (pn, pd) in zip(values, at_phi))
-    best: Ext = _largest(cands)
-    if star.tail:
-        top = phi_limit(phi, x.alpha)
-        if top is INF:
-            return INF
-        best = max(best, star.tail * top)
-    return best
+        return tail
+    b, m = phi.final_branch()
+    if tail and m:
+        return INF
+    return tail * b if star else tail * b + rr.level_integral.final_branch()[0] * m
 
 
-def _limits(phi: FundamentalFunction, rr: RearrangementResult) -> tuple[Fraction, Ext]:
-    """Limits of x**(t)*phi(t) as t -> 0+ and as t -> inf, for x with
-    rearrangement rr on [0, inf)."""
-    if isinstance(phi, Hyperbolic):
-        # Phi(t)/(c+t): 0 at 0+, the final slope of Phi = x*(inf) at infinity
-        return _ZERO, rr.star_at_infinity
-    at_zero = phi.jump0 * rr.star(0)
-    a_big, b_big = rr.level_integral.final_branch()
-    a_phi, b_phi = phi.final_branch()
-    if b_big > 0 and b_phi > 0:
-        return at_zero, INF
-    return at_zero, a_big * b_phi + b_big * a_phi
+def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext:
+    """sup_t x*(t)*phi(t) (star) or sup_t x**(t)*phi(t) over [0, alpha).
 
-
-def _norm_marcinkiewicz(phi: FundamentalFunction, x: StepFunction) -> Ext:
+    One int-pair candidate per merged end e of x* and phi (then 1 when
+    alpha = 1): v*phi(e), v the value of x* on the piece ending at e, or
+    Phi_x(e)*phi(e)/e.  On a merged piece the first objective is
+    nondecreasing; the second is A/t + B + C*t with A, C >= 0 for a PLC phi
+    (convex) and a Moebius transform of an affine function for the hyperbola
+    (monotone).  So the ends and the limit at inf suffice: at 0+ the
+    objective is x*(0+)*phi(t), nondecreasing up to the first end or inf."""
     rr = rearrangement(x)
-    big = rr.level_integral
     if isinstance(phi, Hyperbolic):
-        # Phi(t)/(c+t) is a Moebius transform of an affine function on each
-        # segment, hence monotone there: endpoints suffice.
+        # the merged ends are x*'s cuts, where Phi_x has its nodes;
+        # phi(e) = e / (c + e) = en cd / (cn ed + en cd)
+        big = rr.level_integral
+        ends = list(map(_ratio, rr.star.cuts))
+        factors = [*rr.star.values] if star else [*big.node_values]
+        if x.alpha is not INF:
+            ends.append((1, 1))
+            factors.append(rr.star.tail if star else big.value_at(_ONE))
         cn, cd = _ratio(phi.c)
-        nodes = zip(map(_ratio, big.cuts), map(_ratio, big.node_values))
-        cands = ((vn * cd * sd, vd * (cn * sd + sn * cd)) for (sn, sd), (vn, vd) in nodes)
+        phis = ((en * cd, cn * ed + en * cd) for en, ed in ends)
+        factors = map(_ratio, factors)
     else:
-        # piecewise-linear phi: on each refined segment the objective is
-        # A/t + B + C*t with A, C >= 0: convex, so endpoints and limits suffice.
-        # Phi_x and phi - jump0 are the walk's integrals of x* and phi's slope.
-        ends, _, _, _, at_big, at_phi = _walk(rr.star, phi.slope)
+        # phi - jump0 and Phi_x are the walk's running integrals of phi's
+        # slope function and of x*
+        ends, _, values, _, at_big, at_phi = _walk(rr.star, phi.slope)
+        factors = values if star else at_big
         jn, jd = _ratio(phi.jump0)
-        cands = ((bn * (jn * pd + pn * jd) * sd, bd * jd * pd * sn)  # b (jump0 + p) / s
-                 for (sn, sd), (bn, bd), (pn, pd) in zip(ends, at_big, at_phi))
-    # candidates are int pairs, compared by cross-multiplication.  The limit
-    # at 0+ (jump0 * x*(0+), or 0) is never larger: on the first merged piece
-    # the objective x*(0+) * phi(t) is nondecreasing, and with no merged cut
-    # the alpha = 1 or t -> inf candidate is at least as large
-    best = _largest(cands)
-    if x.alpha is not INF:  # with a PLC phi, the walk's last end was already 1
-        return max(best, big.value_at(x.alpha) * phi.value_at(x.alpha))
-    at_inf = _limits(phi, rr)[1]
+        phis = ((jn * pd + pn * jd, jd * pd) for pn, pd in at_phi)
+    divisors = repeat((1, 1)) if star else ends  # x**(e) = Phi_x(e) / e
+    best = _largest((fn * pn * ed, fd * pd * en)
+                    for (en, ed), (fn, fd), (pn, pd) in zip(divisors, factors, phis))
+    if x.alpha is not INF:
+        return best
+    at_inf = _at_infinity(phi, rr, star)
     return INF if at_inf is INF else max(best, at_inf)
 
 
@@ -261,9 +245,7 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
     if space.kind == "L1plusLinf":
         # int_0^1 x*; value_at(1) is the left limit when alpha = 1
         return rearrangement(x).level_integral.value_at(_ONE)
-    if space.kind == "Marcinkiewicz":
-        return _norm_marcinkiewicz(space.phi, x)
-    return _norm_marcinkiewicz_star(space.phi, x)
+    return _marcinkiewicz(space.phi, x, space.kind == "MarcinkiewiczStar")
 
 
 def fundamental_eval(space: SpaceSpec, t) -> Fraction:
@@ -291,4 +273,7 @@ def mphi_a_member(phi: FundamentalFunction, x: StepFunction) -> bool:
     if x.alpha is not INF:
         raise PreconditionError("membership test is about [0, inf) spaces")
     _validate_fundamental(phi, INF)
-    return _limits(phi, rearrangement(x)) == (0, 0)
+    rr = rearrangement(x)
+    if isinstance(phi, PiecewiseLinearConcave) and phi.jump0 and rr.star(0):
+        return False  # the limit at 0+ is jump0 * x*(0+)
+    return _at_infinity(phi, rr, False) == 0

@@ -754,14 +754,6 @@ class PiecewiseLinearConcave:
             return self.jump0, m
         return self.node_values[-1] - m * self.cuts[-1], m
 
-    def limit_value(self) -> Ext:
-        """Value as t -> alpha-; INF when the final slope is positive on [0,inf)."""
-        if self.alpha is not INF:
-            return self.value_at(self.alpha)
-        if self.final_slope > 0:
-            return INF
-        return self.node_values[-1] if self.cuts else self.jump0
-
     def to_json(self) -> dict:
         return {
             "alpha": alpha_str(self.alpha),

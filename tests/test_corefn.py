@@ -251,7 +251,6 @@ def test_plc_jump_at_zero():
     assert phi.value_at(0) == 0  # the value at 0; jump0 holds the right limit
     assert phi.jump0 == 1
     assert phi.value_at(1) == 2
-    assert phi.limit_value() == 3
 
 
 def test_alpha_one_domain():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rearrcalc import (
     INF,
@@ -23,6 +24,7 @@ from rearrcalc import (
 )
 from rearrcalc import gen
 from rearrcalc.gen import rand_phi, rand_step
+from rearrcalc.spaces import _at_infinity, _marcinkiewicz
 
 L1 = SpaceSpec("L1", None, INF)
 HYP = Hyperbolic(1)
@@ -171,6 +173,72 @@ def test_mphi_a_member_examples():
     steep = PiecewiseLinearConcave(INF, (), (), F(1))
     assert not mphi_a_member(steep, constant(1, INF))
     assert mphi_a_member(steep, box(1, 1)) is False  # limit is Phi(inf) * 1 = 1
+
+
+T_ON_ONE = PiecewiseLinearConcave(F(1), (), (), F(1))  # phi(t) = t on [0, 1)
+
+
+def test_the_end_at_one_carries_the_tail():
+    # x* = 1/2 on [0, 1/2), then 1/3: Phi_x(1/2) = 1/4, Phi_x(1) = 5/12, and
+    # with phi(t) = t/(1+t) the end at 1 gives (5/12)/2 = 5/24 > (1/4)/(3/2)
+    x = canonicalize([F(1, 2)], [F(1, 3)], F(1, 2), 1)
+    assert norm(SpaceSpec("Marcinkiewicz", HYP, 1), x) == F(5, 24)
+    # x* = 1 on [0, 1/2), then 3/4: Phi_x(1/2) = 1/2, Phi_x(1) = 7/8.  At the
+    # cut 1/2 both objectives read 1/3 (hyperbola) and 1/2 (t); the end at 1
+    # reads (7/8)/2 and (3/4)/2, then 7/8 and 3/4
+    x = canonicalize([F(1, 2)], [1], F(3, 4), 1)
+    for phi, m, mstar in ((HYP, F(7, 16), F(3, 8)), (T_ON_ONE, F(7, 8), F(3, 4))):
+        assert norm(SpaceSpec("Marcinkiewicz", phi, 1), x) == m
+        assert norm(SpaceSpec("MarcinkiewiczStar", phi, 1), x) == mstar
+
+
+def test_the_limit_at_infinity_by_hand():
+    five_then_three = canonicalize([1], [5], 3, INF)  # Phi_x(t) = 2 + 3t past 1
+    # a positive tail and a positive final slope: both norms diverge
+    rising = PiecewiseLinearConcave(INF, (F(1),), (F(2),), F(1, 2))
+    for star in (False, True):
+        assert _at_infinity(rising, rearrangement(five_then_three), star) is INF
+        kind = "MarcinkiewiczStar" if star else "Marcinkiewicz"
+        assert norm(SpaceSpec(kind, rising, INF), five_then_three) == INF
+    # a positive tail and a flat phi: tail * phi(inf), for x* and x**
+    min_one_t = PiecewiseLinearConcave(INF, (F(1),), (F(1),), F(0))
+    for star in (False, True):
+        assert _at_infinity(min_one_t, rearrangement(five_then_three), star) == 3
+    indicator = PiecewiseLinearConcave(INF, (), (), F(0), jump0=F(1))
+    for kind in ("Marcinkiewicz", "MarcinkiewiczStar"):  # no merged end: the limit alone
+        assert norm(SpaceSpec(kind, indicator, INF), constant(2, INF)) == 2
+    # tail 0 and a positive final slope: x** * phi tends to Phi_x(inf) * 1/2
+    # (the intercept of Phi_x times the slope), x* * phi to 0
+    boxed = rearrangement(box(2, 3))
+    assert _at_infinity(rising, boxed, False) == 3
+    assert _at_infinity(rising, boxed, True) == 0
+    # the hyperbola: the tail, above the end at 1 (5/2 for both norms)
+    assert _at_infinity(HYP, rearrangement(five_then_three), False) == 3
+    for kind in ("Marcinkiewicz", "MarcinkiewiczStar"):
+        assert norm(SpaceSpec(kind, HYP, INF), five_then_three) == 3
+
+
+@st.composite
+def _steps(draw, alpha):
+    """Step functions on [0, alpha), nonzero tails included on both domains."""
+    top = 1 if alpha is not INF else 10
+    cuts = sorted({F(k, q) for k, q in draw(st.lists(st.tuples(st.integers(1, 60),
+                                                               st.integers(1, 6)), max_size=8))
+                   if F(k, q) < top})
+    values = draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                           min_size=len(cuts), max_size=len(cuts)))
+    return canonicalize(cuts, values, draw(st.fractions(-3, 3, max_denominator=4)), alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_classical_norms_are_marcinkiewicz_norms_of_their_fundamental_functions(data):
+    # L1 = M_t, Linf = M_1 (phi the indicator of (0, alpha)), L1 + Linf = M_min(1,t)
+    alpha = data.draw(st.sampled_from((INF, F(1))))
+    x = data.draw(_steps(alpha))
+    for kind in ("L1", "Linf", "L1plusLinf"):
+        space = SpaceSpec(kind, None, alpha)
+        assert norm(space, x) == _marcinkiewicz(space.fundamental_function(), x, False), kind
 
 
 def test_space_spec_validation_and_json():
