@@ -642,7 +642,9 @@ def test_benchmark_hooks_resolve():
         assert callable(getattr(cli, name, None)), f"cli.{name} is gone"
     rearrange = importlib.import_module("rearrcalc.rearrange")
     assert callable(rearrange._rearrange.cache_clear)
+    assert callable(rearrange._rearrange.__wrapped__)  # the tests' uncached rearrangement
     info = rearrange._rearrange.cache_info()  # the bench reads hits and misses
     assert isinstance(info.hits, int) and isinstance(info.misses, int)
+    assert isinstance(info.maxsize, int) and isinstance(info.currsize, int)
     assert set(importlib.import_module("rearrcalc.gen").SUITES) == {
         "rearrange", "hlp", "prop32", "spaces", "hardy"}
