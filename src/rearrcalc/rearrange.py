@@ -33,24 +33,20 @@ division.
 Every rearrangement goes through one cache, ``_rearrange``, keyed by the
 step function: its sampled hash (see ``stepfn``) plus ``==``, so an equal
 but distinct object hits too, and a hit returns the very result object
-stored.  The cache evicts the least recently used entries while the cost it
-holds is over a budget of 2^17: an entry costs the pieces of x and of x*
-plus a fixed 256.  On small inputs the fixed charge rules, and the budget
-keeps about 500 entries of functions of at most 12 pieces; on large inputs
-the pieces rule, so it keeps 55 entries of 2,000 pieces, or two of 3 * 10^4,
-instead of growing with every fresh operand.  Recency is enough because
-hits are short-range: over 1,000 calls of the five property suites (seed
-71) it makes 43,315 hits with 498 entries held against 44,791 with 8,192,
-and about nine hits in ten look up the very same object again.
+stored.  It is ``lru_cache(maxsize=512)``: hits are short-range, so recency
+is enough.  Over 1,000 calls of the five property suites (seed 71) it makes
+43,320 hits against 44,791 with 8,192 entries, and about nine hits in ten
+look up the very same object again.  The count bounds entries, not bytes:
+fresh operands of 2,000 pieces hold about 0.36 MB an entry, so 512 of them
+hold about 190 MB, and only a bound on the size of an input caps that.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
+from functools import lru_cache
 from itertools import starmap
 from math import gcd
-from types import SimpleNamespace
 
 from .errors import PreconditionError
 from .stepfn import (
@@ -70,8 +66,6 @@ from .stepfn import (
 )
 
 _ZERO = Fraction(0)
-_ENTRY_COST = 256  # per cache entry, on top of its pieces
-_BUDGET = 1 << 17  # the cost the cache may hold
 
 
 @_record
@@ -127,42 +121,7 @@ def _sorted_star(x: StepFunction):
     return star, ratios, lengths
 
 
-class _RecentCache:
-    """``lru_cache``'s surface (``cache_info``, ``cache_clear``,
-    ``__wrapped__``) over a cost budget instead of an entry count;
-    ``maxsize`` and ``currsize`` are in cost units."""
-
-    def __init__(self, func, budget=_BUDGET):
-        self.__wrapped__, self._budget = func, budget
-        self.cache_clear()
-
-    def cache_clear(self):
-        self._entries, self._held, self._hits, self._misses = OrderedDict(), 0, 0, 0
-
-    def cache_info(self):
-        return SimpleNamespace(hits=self._hits, misses=self._misses, maxsize=self._budget,
-                               currsize=self._held)
-
-    @staticmethod
-    def _cost(x, rr):
-        return len(x.cuts) + len(rr.star.cuts) + _ENTRY_COST
-
-    def __call__(self, x):
-        entries = self._entries
-        rr = entries.get(x)
-        if rr is not None:
-            entries.move_to_end(x)
-            self._hits += 1
-            return rr
-        self._misses += 1
-        rr = entries[x] = self.__wrapped__(x)
-        self._held += self._cost(x, rr)
-        while self._held > self._budget:
-            self._held -= self._cost(*entries.popitem(last=False))
-        return rr
-
-
-@_RecentCache
+@lru_cache(maxsize=512)
 def _rearrange(x: StepFunction) -> RearrangementResult:
     if is_decreasing_rearrangement(x):
         star, values, lengths = x, map(_ratio, x.values), _lengths(map(_ratio, x.cuts), x.alpha)

@@ -20,7 +20,7 @@ from rearrcalc import (
 )
 from rearrcalc.experiments import builtin_family, probe_koc
 from rearrcalc.gen import _distribution_oracle, _sorted_oracle_star, rand_step
-from rearrcalc.rearrange import _BUDGET, _RecentCache, _rearrange
+from rearrcalc.rearrange import _rearrange
 from rearrcalc.spaces import SpaceSpec
 
 
@@ -188,67 +188,36 @@ def test_rearrangement_against_fraction_sort_oracle(x):
     assert list(rr.level_integral.node_values) == nodes
 
 
-# -- the rearrangement cache: least recently used out, over a cost budget ------
+# -- the rearrangement cache: an entry count, least recently used out ---------
 
 
-def _fresh(rng, pieces, distinct=True):
-    """A positive step function of ``pieces`` pieces on [0, inf); with
-    ``distinct`` its values differ, so its star has as many pieces."""
-    values = rng.sample(range(1, 10 * pieces), pieces) if distinct else [
-        k % 7 + 1 for k in range(pieces)]
-    return canonicalize(range(1, pieces + 1), values, 0, INF)
-
-
-def _cost(x, rr):
-    return len(x.cuts) + len(rr.star.cuts) + 256
-
-
-@pytest.mark.parametrize("pieces", [500, 1000])
-def test_the_cache_holds_no_more_than_its_budget(pieces):
-    rng = random.Random(pieces)
+def test_the_cache_holds_at_most_its_entry_count():
+    size = _rearrange.cache_info().maxsize
+    xs = [box(v, 1) for v in range(1, size + 2)]
     _rearrange.cache_clear()
-    for _ in range(100):
-        rearrangement(_fresh(rng, pieces))
-    info, held = _rearrange.cache_info(), list(_rearrange._entries.items())
-    assert (info.hits, info.misses) == (0, 100)
-    assert info.currsize == sum(_cost(x, rr) for x, rr in held) <= info.maxsize == _BUDGET
-    # all 100 entries of cost 1,256 fit; of cost 2,256 only 58 do
-    assert len(held) == (100 if pieces == 500 else _BUDGET // (2 * pieces + 256))
+    for x in xs[:size]:
+        rearrangement(x)
+    first = rearrangement(xs[0])  # now the most recent; xs[1] is the least
+    rearrangement(xs[size])  # one fresh operand past the count evicts xs[1]
+    assert _rearrange.cache_info().currsize == size
+    misses = _rearrange.cache_info().misses
+    assert rearrangement(box(1, 1)) is first
+    rearrangement(xs[1])
+    assert _rearrange.cache_info().misses == misses + 1 == size + 2
     _rearrange.cache_clear()
 
 
-def test_the_cache_evicts_the_least_recently_used_entry_first():
-    a, b, c, d = (box(v, 1) for v in (1, 2, 3, 4))
-    cache = _RecentCache(_rearrange.__wrapped__, budget=3 * 258)  # three one-piece entries
-
-    def hit(x):
-        before = cache.cache_info().hits
-        rr = cache(x)
-        assert rr.star == _sorted_oracle_star(x)
-        return cache.cache_info().hits == before + 1
-
-    assert not any(map(hit, (a, b, c)))
-    first = cache(a)  # a is now the most recent, b the least
-    assert cache(a) is first
-    assert not hit(d)  # evicts b
-    assert cache.cache_info().currsize == 3 * 258
-    assert [hit(x) for x in (a, d, c, b, a)] == [True, True, True, False, False]
-    # an entry over the whole budget is returned, not held
-    small = _RecentCache(_rearrange.__wrapped__, budget=257)
-    assert [small(a) == small(a), small.cache_info().misses, small.cache_info().currsize] == [
-        True, 2, 0]
-
-
-def test_one_probe_rearranges_its_base_function_once(monkeypatch):
+def test_one_probe_rearranges_its_base_function_once():
     # lemma43_x looks x up for maximal_eval(x, n) and for hlp_compare(x_n, x)
     # at every n, between the rearrangements of the members x_n
-    x = _fresh(random.Random(0), 10**4, distinct=False)
-    calls = []
-    wrapped = _rearrange.__wrapped__
-    monkeypatch.setattr(_rearrange, "__wrapped__", lambda f: calls.append(f) or wrapped(f))
+    x = canonicalize(range(1, 10**4 + 1), [k % 7 + 1 for k in range(10**4)], 0, INF)
     _rearrange.cache_clear()
+    for t in (1, 2, 5, 10**4, 10**5):
+        maximal_eval(x, t)
+    assert _rearrange.cache_info().misses == 1
     n_list = range(1, 25)
     report = probe_koc(x, builtin_family("lemma43_x", x), SpaceSpec("L1"), n_list, 1)
     assert len(report.records) == len(n_list)
-    assert sum(f == x for f in calls) == 1 and len(calls) > len(n_list)
+    # the members box(x**(n), n) differ, and each is rearranged once
+    assert _rearrange.cache_info().misses == 1 + len(n_list)
     _rearrange.cache_clear()
