@@ -28,7 +28,7 @@ the classical kinds), which ``fundamental_eval`` and ``embeds_in_l1`` read.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional, Union
 
 from .errors import ParseError, PreconditionError
@@ -41,11 +41,13 @@ from .stepfn import (
     _ONE,
     _ZERO,
     _coerce_alpha,
+    _cut_pairs,
     _largest,
     _lengths,
     _ratio,
     _record,
     _total,
+    _value_pairs,
     _walk,
     alpha_str,
     parse_alpha,
@@ -205,14 +207,15 @@ def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext
         # the merged ends are x*'s cuts, where Phi_x has its nodes;
         # phi(e) = e / (c + e) = en cd / (cn ed + en cd)
         big = rr.level_integral
-        ends = list(map(_ratio, rr.star.cuts))
-        factors = [*rr.star.values] if star else [*big.node_values]
+        ends = list(_cut_pairs(rr.star))
+        # x*'s values end with its tail, x*(1-) at the end 1
+        factors = _value_pairs(rr.star) if star else map(_ratio, big.node_values)
         if x.alpha is not INF:
             ends.append((1, 1))
-            factors.append(rr.star.tail if star else big.value_at(_ONE))
+            if not star:
+                factors = chain(factors, [_ratio(big.value_at(_ONE))])
         cn, cd = _ratio(phi.c)
         phis = ((en * cd, cn * ed + en * cd) for en, ed in ends)
-        factors = map(_ratio, factors)
     else:
         # phi - jump0 and Phi_x are the walk's running integrals of phi's
         # slope function and of x*
@@ -238,10 +241,10 @@ def norm(space: SpaceSpec, x: StepFunction) -> Ext:
     if space.kind == "L1":
         if x.alpha is INF and x.tail:
             return INF
-        pieces = zip(map(_ratio, (*x.values, x.tail)), _lengths(map(_ratio, x.cuts), x.alpha))
+        pieces = zip(_value_pairs(x), _lengths(_cut_pairs(x), x.alpha))
         return _total((abs(vn) * n, vd * d) for (vn, vd), (n, d) in pieces)
     if space.kind == "Linf":
-        return _largest((abs(n), d) for n, d in map(_ratio, (*x.values, x.tail)))
+        return _largest((abs(n), d) for n, d in _value_pairs(x))
     if space.kind == "L1plusLinf":
         # int_0^1 x*; value_at(1) is the left limit when alpha = 1
         return rearrangement(x).level_integral.value_at(_ONE)

@@ -24,10 +24,13 @@ Binary kernels walk the common refinement once: :func:`refine` merges
 two cut lists in one pass, the only walk over two cut lists, and returns
 the merged cuts as Fractions and as int pairs and both operands' values
 on each merged piece as int pairs; ``+``, ``-``, ``*`` and :func:`_walk`
-read the lists they need.  It, ``abs``, ``positive_part`` and the merge of
-equal neighbours (:func:`_kept`) read cuts and values as int pairs once,
-``map(Fraction.as_integer_ratio, ...)``, and compare, add or multiply
-ints.  The per-call paths do the same with their
+read the lists they need.  Every kernel reads an operand's cuts and values
+as int pairs once, through :func:`_cut_pairs` and :func:`_value_pairs`, and
+compares, adds or multiplies ints.  ``canonicalize`` (so also
+``StepFunction(...)``, :func:`box`, both ``from_json`` and a PLC's
+``slope``) keeps the pairs it has read as two flat int tuples (see
+:func:`_merged`), which the readers zip; other objects are read with
+``Fraction.as_integer_ratio``.  The per-call paths do the same with their
 scalars: the cut check of every constructor, the bounds of ``window`` and
 :func:`integrate`, the level of :func:`exceedance_measure` (|v| > lam as
 |vn| ld > ln vd) and :meth:`PiecewiseLinearConcave.value_at` (one pair,
@@ -88,7 +91,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from itertools import compress, islice, starmap
+from itertools import chain, compress, islice, starmap
 from math import gcd
 from operator import attrgetter, ne
 from typing import Iterator, Union
@@ -195,16 +198,20 @@ def _end(b) -> Ext:
     return INF if type(b) is not Fraction and b == INF else rat(b)
 
 
-def _check_cuts(cuts, alpha) -> None:
-    """Fraction cuts must increase strictly inside (0, alpha), compared as
-    int pairs; alpha is INF or _ONE."""
+def _check_cuts(cuts, alpha) -> list[int]:
+    """The int pairs of Fraction cuts, flat (n0, d0, n1, d1, ...); the cuts
+    must increase strictly inside (0, alpha), compared as int pairs; alpha
+    is INF or _ONE."""
+    ints = []
     pn, pd = 0, 1
     for c, (cn, cd) in zip(cuts, map(_ratio, cuts)):
         if cn * pd <= pn * cd:
             raise PreconditionError(f"cuts not strictly increasing at {c}")
         pn, pd = cn, cd
+        ints += pn, pd
     if alpha is not INF and pn >= pd:  # cuts[-1] >= 1; 0 >= 1 without cuts
         raise PreconditionError(f"cut {cuts[-1]} outside [0,{alpha_str(alpha)})")
+    return ints
 
 
 def _rat_list(obj: dict, key: str) -> list[Fraction]:
@@ -283,6 +290,9 @@ class StepFunction:
     cuts: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     tail: Fraction
+    # the flat int pairs of the cuts and of the values then the tail, as
+    # _merged keeps them in the instance dict; None where nothing was kept
+    _cut_ints = _value_ints = None
 
     def __post_init__(self):
         f = canonicalize(self.cuts, self.values, self.tail, self.alpha)
@@ -293,15 +303,15 @@ class StepFunction:
 
     def __hash__(self) -> int:
         # Kept in the instance dict.  From the (numerator, denominator) pairs
-        # of every s-th cut and value (all below 16 cuts, at most 16 above),
-        # so equal functions hash equal; functions that differ only off the
-        # sample collide, costing the cache one compare, never a wrong result.
+        # of every s-th cut and value and of the tail (all below 16 cuts, at
+        # most 16 above), so equal functions hash equal; functions that
+        # differ only off the sample collide, costing the cache one compare,
+        # never a wrong result.
         h = vars(self).get("_hash")
         if h is None:
-            cuts, values = self.cuts, self.values
-            s = len(cuts) // 16 + 1
-            pairs = map(Fraction.as_integer_ratio, (*cuts[::s], *values[::s], self.tail))
-            h = vars(self)["_hash"] = hash((self.alpha, len(cuts), *pairs))
+            s = len(self.cuts) // 16 + 1
+            pairs = (*_cut_pairs(self, s), *_value_pairs(self, s), _ratio(self.tail))
+            h = vars(self)["_hash"] = hash((self.alpha, len(self.cuts), *pairs))
         return h
 
     # -- basic queries ----------------------------------------------------
@@ -328,16 +338,16 @@ class StepFunction:
         return self.values[i] if i < len(self.cuts) else self.tail
 
     def is_nonnegative(self) -> bool:
-        return all(n >= 0 for n, _ in map(_ratio, (*self.values, self.tail)))
+        return all(n >= 0 for n, _ in _value_pairs(self))
 
     # -- pointwise algebra -------------------------------------------------
 
     def _map_injective(self, op) -> "StepFunction":
         """Every value's int pair (n, d) mapped by op(n, d), an injective map
         to reduced pairs: neighbours stay distinct, nothing merges."""
-        return _trusted(StepFunction, alpha=self.alpha, cuts=self.cuts,
-                        values=tuple(_frac(*op(*p)) for p in map(_ratio, self.values)),
-                        tail=_frac(*op(*_ratio(self.tail))))
+        *values, tail = (_frac(*op(n, d)) for n, d in _value_pairs(self))
+        return _trusted(StepFunction, alpha=self.alpha, cuts=self.cuts, values=tuple(values),
+                        tail=tail)
 
     def __add__(self, other):
         if not isinstance(other, StepFunction):
@@ -353,8 +363,7 @@ class StepFunction:
         return self._map_injective(lambda n, d: (-n, d))
 
     def __abs__(self):
-        return _from_pairs(self.alpha, self.cuts, [
-            (abs(n), d) for n, d in map(_ratio, (*self.values, self.tail))])
+        return _from_pairs(self.alpha, self.cuts, [(abs(n), d) for n, d in _value_pairs(self)])
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
@@ -374,7 +383,7 @@ class StepFunction:
 
     def positive_part(self) -> "StepFunction":
         return _from_pairs(self.alpha, self.cuts, [
-            p if p[0] > 0 else (0, 1) for p in map(_ratio, (*self.values, self.tail))])
+            p if p[0] > 0 else (0, 1) for p in _value_pairs(self)])
 
     def window(self, a, b=None) -> "StepFunction":
         """Return f * indicator of [a, b); b=None means b=alpha."""
@@ -395,10 +404,12 @@ class StepFunction:
         else:
             k, end, tail = bisect_left(self.cuts, hi), [hi], _ZERO
         i = bisect_right(self.cuts, a)  # pieces i..k of f meet [a, hi)
-        head = [a] if an > 0 else []
+        head = [a] if an > 0 else []  # a piece of 0 on [0, a)
         vals = (*self.values, self.tail)[i:k + len(end)]
+        pairs = islice(_value_pairs(self), i, k + len(end))
         return _merged(self.alpha, head + list(self.cuts[i:k]) + end,
-                       [_ZERO] * len(head) + [*vals, tail])
+                       [_ZERO] * len(head) + [*vals, tail],
+                       value_pairs=[(0, 1)] * len(head) + [*pairs, _ratio(tail)])
 
     # -- serialization ------------------------------------------------------
 
@@ -441,9 +452,8 @@ def refine(f: StepFunction, g: StepFunction):
     """
     _require_same_domain(f, g)
     fc, gc = f.cuts, g.cuts
-    fp, gp = list(map(_ratio, fc)), list(map(_ratio, gc))
-    fvals = list(map(_ratio, (*f.values, f.tail)))
-    gvals = list(map(_ratio, (*g.values, g.tail)))
+    fp, gp = list(_cut_pairs(f)), list(_cut_pairs(g))
+    fvals, gvals = list(_value_pairs(f)), list(_value_pairs(g))
     n, m = len(fc), len(gc)
     cuts, ends, fv, gv = [], [], [], []
     i = j = 0
@@ -500,14 +510,15 @@ def is_decreasing_rearrangement(f: StepFunction) -> bool:
     instance dict as ``_is_star``, which the constructors of stars set."""
     known = vars(f).get("_is_star")
     if known is None:
-        n, d = _ratio(f.tail)
-        known = n >= 0
-        if known:
-            for vn, vd in map(_ratio, reversed(f.values)):
-                if vn * d <= n * vd:
-                    known = False
-                    break
-                n, d = vn, vd
+        pairs = _value_pairs(f)
+        pn, pd = next(pairs)
+        known = False
+        for n, d in pairs:  # the tail last
+            if n * pd >= pn * d:
+                break
+            pn, pd = n, d
+        else:
+            known = pn >= 0
         vars(f)["_is_star"] = known
     return known
 
@@ -549,23 +560,64 @@ def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
         raise PreconditionError(
             f"{len(ts)} breakpoints need {len(ts)} values, got {len(vs) - 1}"
         )
-    _check_cuts(ts, alpha)
-    return _merged(alpha, ts, vs)
+    return _merged(alpha, ts, vs, _check_cuts(ts, alpha))
 
 
-def _merged(alpha, cuts, values) -> StepFunction:
+def _merged(alpha, cuts, values, cut_ints=None, value_pairs=None) -> StepFunction:
     """The canonical StepFunction of checked piece data, trusted: cuts are
     Fractions increasing strictly inside (0, alpha), values are Fractions,
-    one per piece, the last being the tail.  Equal neighbours, found by
-    their int pairs, are merged."""
-    keep = _kept(list(map(_ratio, values)))
-    return _trusted(StepFunction, alpha=alpha, cuts=(*compress(cuts, keep),),
-                    values=(*compress(values, keep),), tail=values[-1])
+    one per piece, the last being the tail, and value_pairs their int pairs
+    when the caller has them.  Equal neighbours, found by their int pairs,
+    are merged.  Given the cuts' int pairs, flat (n0, d0, n1, d1, ...) in
+    cut_ints, the result keeps the surviving pairs as the flat int tuples
+    ``_cut_ints`` and ``_value_ints`` (the tail last): 16 bytes a pair,
+    where a tuple of pair tuples takes 64.  Other builders keep none: for
+    ``+ - *``, ``abs``, ``window`` and the sorted star the tuples cost more
+    to build than the reads they save."""
+    if value_pairs is None:
+        value_pairs = list(map(_ratio, values))
+    keep = _kept(value_pairs)
+    if not all(keep):
+        cuts, values = [*compress(cuts, keep)], [*compress(values, keep), values[-1]]
+        if cut_ints is not None:
+            it = iter(cut_ints)
+            cut_ints = [*chain.from_iterable(compress(zip(it, it), keep))]
+            value_pairs = [*compress(value_pairs, keep), value_pairs[-1]]
+    f = _trusted(StepFunction, alpha=alpha, cuts=tuple(cuts), values=tuple(values[:-1]),
+                 tail=values[-1])
+    if cut_ints is not None:
+        kept = vars(f)
+        kept["_cut_ints"] = tuple(cut_ints)
+        kept["_value_ints"] = (*chain.from_iterable(value_pairs),)
+    return f
+
+
+def _cut_pairs(f: StepFunction, step: int = 1) -> Iterator[tuple[int, int]]:
+    """The int pairs of f.cuts[::step]: from the ints its builder kept, else
+    read from the Fractions."""
+    ints = f._cut_ints
+    if ints is None:
+        return map(_ratio, f.cuts[::step])
+    if step == 1:
+        ints = iter(ints)
+        return zip(ints, ints)
+    return zip(ints[::2 * step], ints[1::2 * step])
+
+
+def _value_pairs(f: StepFunction, step: int = 1) -> Iterator[tuple[int, int]]:
+    """The int pairs of (*f.values, f.tail)[::step] (see _cut_pairs)."""
+    ints = f._value_ints
+    if ints is None:
+        return map(_ratio, (*f.values, f.tail)[::step])
+    if step == 1:
+        ints = iter(ints)
+        return zip(ints, ints)
+    return zip(ints[::2 * step], ints[1::2 * step])
 
 
 def _kept(pairs) -> list[bool]:
     """keep[k]: piece k's reduced int pair differs from piece k+1's, so cut k
-    and value k survive the merge.  Build the kept tuples as
+    and value k survive the merge.  Build the kept tuples from lists or as
     ``(*compress(...),)``: ``tuple()`` of an iterator may keep spare slots."""
     return list(map(ne, pairs, islice(pairs, 1, None)))
 
@@ -608,9 +660,15 @@ def integrate(f: StepFunction, a, b) -> Fraction:
         raise InfiniteIntegralError(
             f"integral diverges: tail value {rat_str(f.tail)} on an infinite interval"
         )
-    w = f.window(a, hi)  # its tail is 0 on [0, inf): the finite pieces carry it all
-    lengths = _lengths(map(_ratio, w.cuts), w.alpha)
-    return _total(_products(map(_ratio, (*w.values, w.tail)), lengths))
+    # pieces i..k of f meet [a, hi), read without building f.window(a, hi);
+    # past the last cut on [0, inf) the tail is 0
+    i = bisect_right(f.cuts, a)
+    k = len(f.cuts) if hi is INF else bisect_left(f.cuts, hi)
+    ends = [(an, ad), *islice(_cut_pairs(f), i, k)]
+    if hi is not INF:
+        ends.append((hn, hd))
+    lengths = _lengths(ends, INF)[1:]  # from a on; INF: none past the last end
+    return _total(_products(islice(_value_pairs(f), i, k + 1), lengths))
 
 
 def exceedance_measure(f: StepFunction, lam) -> Ext:
@@ -624,9 +682,8 @@ def exceedance_measure(f: StepFunction, lam) -> Ext:
         tn, td = _ratio(f.tail)
         if abs(tn) * ld > ln * td:
             return INF
-    values = map(_ratio, (*f.values, f.tail))
-    lengths = _lengths(map(_ratio, f.cuts), f.alpha)  # none for the tail on [0, inf)
-    return _total(l for (vn, vd), l in zip(values, lengths) if abs(vn) * ld > ln * vd)
+    lengths = _lengths(_cut_pairs(f), f.alpha)  # none for the tail on [0, inf)
+    return _total(l for (vn, vd), l in zip(_value_pairs(f), lengths) if abs(vn) * ld > ln * vd)
 
 
 # -- the int-pair summation kernel --------------------------------------------
@@ -790,13 +847,13 @@ def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> Piecew
     jump0 = rat(jump0)
     if len(cuts) != len(node_values):
         raise PreconditionError("cuts and node_values must have equal length")
-    _check_cuts(cuts, alpha)  # also a cut that merges away; before any division
+    cut_ints = _check_cuts(cuts, alpha)  # also a cut that merges away; before any division
     if jump0 < 0:
         raise PreconditionError(f"jump at 0 must be nonnegative, got {jump0}")
     # a collinear node is a cut between equal neighbouring slopes
     slopes = [(v - pv) / (s - ps)
               for s, v, ps, pv in zip(cuts, node_values, [_ZERO, *cuts], [jump0, *node_values])]
-    slope = _merged(alpha, cuts, [*slopes, final_slope])
+    slope = _merged(alpha, cuts, [*slopes, final_slope], cut_ints)
     if not is_decreasing_rearrangement(slope):
         raise PreconditionError(_NOT_CONCAVE)
     value_of = dict(zip(cuts, node_values))

@@ -11,19 +11,32 @@ Fraction operator calls they make on 2,000-piece operands: a constant
 number, plus O(log n) for a bisection.  A domain endpoint is one of two
 singletons, so no Fraction is compared with the float infinity either.
 They also count the gcd calls of a cold rearrangement, which groups the
-lengths of equal |values| over the lcm of their denominators.  Results are
-compared with Fraction-operator references in ``test_walks`` and with
-``perfbench/reference.py`` in ``test_reference``.
+lengths of equal |values| over the lcm of their denominators.
+``canonicalize`` keeps the int pairs it reads, so the kernels on the
+operands it builds read none of their pieces through
+``Fraction.as_integer_ratio`` again, and the kept pairs are flat int
+tuples, 16 bytes a pair.  Results are compared with Fraction-operator
+references in ``test_walks`` and with ``perfbench/reference.py`` in
+``test_reference``.
 """
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from rearrcalc import INF, PiecewiseLinearConcave, canonicalize, experiments, rearrange, stepfn
+from rearrcalc import (
+    INF,
+    PiecewiseLinearConcave,
+    canonicalize,
+    experiments,
+    rearrange,
+    spaces,
+    stepfn,
+)
 from rearrcalc.majorize import hlp_compare
 from rearrcalc.spaces import _KINDS, Hyperbolic, SpaceSpec, norm
 from rearrcalc.stepfn import exceedance_measure, integrate
@@ -188,3 +201,54 @@ def test_a_cold_rearrangement_makes_fewer_gcd_calls_than_half_its_pieces(alpha, 
     rearrange.rearrangement(x)
     assert len(x.cuts) > 0.95 * PIECES
     assert calls["gcd"] < len(x.cuts) // 2
+
+
+@pytest.fixture
+def ratio_calls(monkeypatch):
+    """A count of the int-pair reads, ``_ratio``, through each module's binding."""
+    calls = Counter()
+    ratio = stepfn._ratio
+
+    def counting(q):
+        calls["_ratio"] += 1
+        return ratio(q)
+
+    for module in (stepfn, rearrange, spaces):
+        monkeypatch.setattr(module, "_ratio", counting)
+    return calls
+
+
+@pytest.mark.parametrize("alpha", [INF, F(1)])
+def test_kernels_read_no_piece_of_a_canonicalized_operand_again(alpha, ratio_calls):
+    rng = random.Random(2002)
+    x, y = large_operand(rng, alpha), large_operand(rng, alpha)
+    # the same operands in trusted copies that keep no pairs
+    bare = [stepfn._trusted(type(f), alpha=f.alpha, cuts=f.cuts, values=f.values, tail=f.tail)
+            for f in (x, y)]
+    a, b = x.cuts[PIECES // 5], x.cuts[4 * PIECES // 5]
+    ops = [("x + y", lambda x, y: x + y),
+           ("rearrangement", lambda x, y: cold(lambda: rearrange.rearrangement(x))()),
+           ("integrate", lambda x, y: integrate(x, a, b)),
+           ("integrate to alpha", lambda x, y: integrate(x, a, alpha)),
+           ("exceedance_measure", lambda x, y: exceedance_measure(x, F(7, 3))),
+           ("norm L1", lambda x, y: norm(SpaceSpec("L1", alpha=alpha), x)),
+           ("norm Linf", lambda x, y: norm(SpaceSpec("Linf", alpha=alpha), x))]
+    for name, op in ops:
+        ratio_calls.clear()
+        op(x, y)
+        assert ratio_calls["_ratio"] <= 8, name  # the scalars: bounds, tails, levels
+        ratio_calls.clear()  # the counter sees every read of a bare copy
+        op(*bare)
+        assert ratio_calls["_ratio"] > PIECES // 2, name
+
+
+@pytest.mark.parametrize("alpha", [INF, F(1)])
+def test_kept_pairs_are_two_flat_int_tuples(alpha):
+    """An n-cut function keeps 2n + 2(n + 1) ints, no spare slot and no
+    pair tuple: a tuple of pairs would take four times the bytes."""
+    x = large_operand(random.Random(2003), alpha)
+    kept = [vars(x)["_cut_ints"], vars(x)["_value_ints"]]
+    assert all(type(t) is tuple for t in kept)
+    assert all(type(i) is int for t in kept for i in t)
+    slots = sum(sys.getsizeof(t) - sys.getsizeof(()) for t in kept) // tuple.__itemsize__
+    assert slots == 2 * (2 * len(x.cuts) + 1)

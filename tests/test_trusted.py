@@ -14,11 +14,15 @@ strided sample above; functions that differ only off the sample collide
 and still get their own rearrangements.  The x = x* test runs once per instance, and on every
 construction route the flag it keeps agrees with the definition; the star
 of a rearrangement, a flattening and a concave function's slope are
-flagged when they are built.
+flagged when they are built.  ``canonicalize`` keeps the int pairs it
+reads as flat int tuples (cuts, then values with the tail last), and every
+consumer that reads them gives what it gives on a copy that keeps none.
 """
 
 import json
+import sys
 from fractions import Fraction as F
+from itertools import chain
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,15 +31,21 @@ from rearrcalc import (
     PiecewiseLinearConcave,
     StepFunction,
     block,
+    box,
     canonicalize,
     constant,
+    exceedance_measure,
+    integrate,
     is_decreasing_rearrangement,
     rearrangement,
+    stepfn,
 )
+from rearrcalc.errors import InfiniteIntegralError
 from rearrcalc.gen import _sorted_oracle_star
 from rearrcalc.majorize import _flatten, _require_star
 from rearrcalc.rearrange import _rearrange
-from rearrcalc.stepfn import _frac, _sums, _total
+from rearrcalc.spaces import SpaceSpec, norm
+from rearrcalc.stepfn import _frac, _sums, _total, _trusted, plc_from_nodes, refine
 from test_walks import rationals, sorted_star, step_functions, window_ends
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
@@ -281,28 +291,29 @@ def test_short_functions_hash_every_field():
             assert hash(canonicalize(x.cuts, x.values, 5, alpha)) != hash(x)
 
 
-def counting_star_tests(f: StepFunction, calls: list) -> StepFunction:
-    """f, whose values now append f to calls on every reversed walk: the
-    star test walks them from the tail, and no other code reverses them."""
+def counting_star_tests(monkeypatch, calls: list) -> None:
+    """Append f to calls each time the star test reads f's value pairs; no
+    other code reads them from inside ``is_decreasing_rearrangement``."""
+    read = stepfn._value_pairs
 
-    class Values(tuple):
-        def __reversed__(self):
+    def counting(f, *step):
+        if sys._getframe(1).f_code.co_name == "is_decreasing_rearrangement":
             calls.append(f)
-            return iter(self[::-1])
+        return read(f, *step)
 
-    object.__setattr__(f, "values", Values(f.values))
-    return f
+    monkeypatch.setattr(stepfn, "_value_pairs", counting)
 
 
-def test_star_test_runs_once_per_instance():
+def test_star_test_runs_once_per_instance(monkeypatch):
     calls = []
-    x = counting_star_tests(canonicalize([1, 2, 3], [5, 4, 2], 1, INF), calls)
+    counting_star_tests(monkeypatch, calls)
+    x = canonicalize([1, 2, 3], [5, 4, 2], 1, INF)
     _rearrange.cache_clear()
     assert _require_star(x, "x").star is x  # the star test, then the cache miss
     assert calls == [x]
     assert is_decreasing_rearrangement(x) and calls == [x]
     # not a star: the miss tests it, then sorts
-    y = counting_star_tests(long_function(40), calls)
+    y = long_function(40)
     assert rearrangement(y).star == _sorted_oracle_star(y)
     assert not is_decreasing_rearrangement(y)
     assert calls == [x, y]
@@ -348,3 +359,58 @@ def test_the_star_flag_agrees_with_the_definition_on_every_route(x, data):
         expected = is_star_by_definition(f)
         assert is_decreasing_rearrangement(f) == expected
         assert vars(f)["_is_star"] == expected
+
+
+# -- the int pairs the merging builders keep -----------------------------------
+
+
+def keeps_its_pairs(f: StepFunction) -> StepFunction:
+    """f keeps the int pairs of its cuts, and of its values with the tail
+    last, as flat int tuples equal to the pairs of its Fractions."""
+    def flat(qs):
+        return (*chain.from_iterable(q.as_integer_ratio() for q in qs),)
+
+    assert vars(f)["_cut_ints"] == flat(f.cuts)
+    assert vars(f)["_value_ints"] == flat((*f.values, f.tail))
+    return f
+
+
+def bare(f: StepFunction) -> StepFunction:
+    """f's fields in a trusted copy that keeps no int pairs."""
+    g = _trusted(StepFunction, alpha=f.alpha, cuts=f.cuts, values=f.values, tail=f.tail)
+    assert "_cut_ints" not in vars(g) and "_value_ints" not in vars(g)
+    return g
+
+
+def diverging_as_none(op, *args):
+    try:
+        return op(*args)
+    except InfiniteIntegralError:
+        return None
+
+
+@SETTINGS
+@given(raw=raw_pieces(), data=st.data())
+def test_kept_pairs_match_the_fields_and_every_reader_agrees_without_them(raw, data):
+    cuts, values, tail, alpha = raw
+    f = keeps_its_pairs(canonicalize(cuts, values, tail, alpha))
+    keeps_its_pairs(StepFunction(f.alpha, f.cuts, f.values, f.tail))
+    keeps_its_pairs(StepFunction.from_json(json.loads(json.dumps(f.to_json()))))
+    width = data.draw(st.sampled_from([F(1, 3), F(1, 2), F(5, 2)]) if alpha == INF
+                      else st.sampled_from([F(1, 3), F(1, 2)]))
+    keeps_its_pairs(box(data.draw(rationals()), width, alpha))
+    if cuts:
+        keeps_its_pairs(plc_from_nodes(cuts, [c * 2 for c in cuts], 1, 0, alpha).slope)
+    g = bare(f)
+    y = data.draw(step_functions(alpha=alpha))
+    a, b = window_ends(f, data.draw)
+    hi = alpha if b is None or b == INF else b
+    lam = data.draw(rationals(signed=False))
+    readers = [is_decreasing_rearrangement, hash, lambda x: refine(x, y),
+               lambda x: refine(y, x), _rearrange.__wrapped__, lambda x: x.window(a, b),
+               lambda x: diverging_as_none(integrate, x, a, hi),
+               lambda x: exceedance_measure(x, lam),
+               lambda x: norm(SpaceSpec("L1", alpha=alpha), x),
+               lambda x: norm(SpaceSpec("Linf", alpha=alpha), x)]
+    for read in readers:
+        assert read(f) == read(g)
