@@ -352,12 +352,9 @@ def _cmd_prop_test(args) -> int:
         f"suite={result.suite} cases={result.cases} seed={result.seed} "
         f"ok={_yes(result.ok)} failures={len(result.failures)}"
     )
-    if args.format == "table":
-        print(summary)
-        if not result.ok:
-            print(_render({"failures": payload["failures"]}, "table"))
-    else:
-        print(_render(payload, args.format))
+    if not result.ok:
+        summary += "\n" + _render({"failures": payload["failures"]}, "table")
+    _emit(args, payload, summary)
     return _EXIT_OK if result.ok else _EXIT_PROPERTY
 
 

@@ -192,11 +192,12 @@ class ConstructionTrace:
 def _crossing(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
               start: Fraction, end: Optional[Fraction] = None) -> Fraction:
     """Least t > start where d(t) = phi(t) - (a + b*t) reaches 0, given
-    d(start) != 0 and, when end is given, d(end) of the opposite sign.
+    d(start) != 0 and, when end is given, d(end) of the opposite sign or 0.
 
     d is linear between phi's nodes, so the crossing is interpolated on the
-    first node interval where d reaches 0; without an end, the search goes on
-    along the final branch (the line must cross it).
+    first node interval where d reaches 0; a node or end where d = 0 comes
+    back exactly.  Without an end, the search goes on along the final branch
+    (the line must cross it).
 
     d is concave, so {d >= 0} is an interval and the first such node is
     found by bisection.  Falling (d(start) > 0), d <= 0 holds from the
@@ -231,24 +232,6 @@ def _crossing(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
     if end is not None or not (bf > b if rising else bf < b):
         raise PreconditionError("line never meets the function again")
     return (af - a) / (b - bf)
-
-
-def _coincidence_left_end(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
-                          gamma: Fraction) -> Fraction:
-    """Least t with phi(t) = a + b*t, given coincidence at gamma.
-
-    phi is concave and agrees with the line on an interval of positive
-    length, so phi <= line everywhere and the coincidence set is a closed
-    interval whose left endpoint is a node of phi, or 0.  The smallest
-    coinciding candidate is therefore the endpoint itself; among the nodes
-    below gamma the coinciding ones come last, so bisection finds it.
-    """
-    if a == 0:  # the line passes through the origin, where phi(0) = 0
-        return _ZERO
-    cuts, nodes = phi.cuts, phi.node_values
-    m = bisect_left(cuts, gamma)
-    j = bisect_left(range(m), True, key=lambda i: nodes[i] == a + b * cuts[i])
-    return cuts[j] if j < m else gamma
 
 
 def _flatten(x: StepFunction, a, b, avg) -> StepFunction:
@@ -322,9 +305,10 @@ def majorant_pair(x: StepFunction, tau, eps) -> ConstructionTrace:
         gamma0 = gamma1 = beta1 = None
         case_tag = "affine_gap"
     else:
-        gamma0 = _coincidence_left_end(phi, chord_a, xi, gamma)
-        if gamma0 <= 0:
+        if chord_a <= 0:
             raise AssertionError("chord through the origin cannot be affine-coincident")
+        # phi lies below the chord and first meets it at gamma0, a node or gamma
+        gamma0 = _crossing(phi, chord_a, xi, _ZERO, gamma)
         low = chord_a - min(eps, chord_a / 2)  # the chord lowered by eps'
         gamma1 = _crossing(phi, low, xi, _ZERO, gamma0)
         beta1 = _crossing(phi, low, xi, beta)

@@ -66,22 +66,25 @@ coprime denominators.
 Canonical form is decided once per type, by a merging builder:
 :func:`canonicalize` and :func:`plc_from_nodes` coerce every scalar, check
 the cuts (a PLC also its jump at 0, then that its merged slopes are a
-star), merge equal neighbours or collinear nodes and build the result with
-:func:`_trusted`, which sets the fields without running ``__post_init__``.
-The public constructors ``StepFunction(...)`` and
+star) and merge equal neighbours or collinear nodes.  The one code that
+merges piece data into a StepFunction is :func:`_merged`, which takes the
+values as int pairs, Fractions or both and builds the result with
+:func:`_trusted`, which sets the fields without running ``__post_init__``;
+``canonicalize``, a PLC's ``slope`` and the results of ``+ - *``, ``abs``,
+``-``, ``scale``, ``positive_part`` and ``window`` on canonical operands
+call it.  The public constructors ``StepFunction(...)`` and
 ``PiecewiseLinearConcave(...)`` run their builder and check only that
 nothing merged; :func:`box`, :func:`block` and both ``from_json`` go
 through a builder, and :func:`constant`, which has no cuts, is trusted.  So
-are the results of ``+ - *``, ``abs``, ``-``, ``scale``, ``positive_part``
-and ``window`` on canonical operands, the flattenings of ``majorize`` and
-the rearrangement's star and level integral (``rearrange``), which are
-canonical by construction.  The value types are frozen records
-(:func:`_record`), built without importing ``dataclasses``, whose import
-alone took about 10 ms of each CLI command's start.  A StepFunction keeps
-in its instance dict its hash, from the numerators and denominators of its
-tail and of at most 16 evenly spaced cuts and values (all below 16 cuts),
-and ``_is_star``, its x = x* test, which the trusted stars (the sorted
-rearrangement, a flattening, a PLC's ``slope``) carry from birth.
+are the flattenings of ``majorize`` and the rearrangement's star and level
+integral (``rearrange``), which are canonical by construction.  The value
+types are frozen records (:func:`_record`), built without importing
+``dataclasses``, whose import alone took about 10 ms of each CLI command's
+start.  A StepFunction keeps in its instance dict its hash, from the
+numerators and denominators of its tail and of at most 16 evenly spaced
+cuts and values (all below 16 cuts), and ``_is_star``, its x = x* test,
+which the trusted stars (the sorted rearrangement, a flattening, a PLC's
+``slope``) carry from birth.
 """
 
 from __future__ import annotations
@@ -342,13 +345,6 @@ class StepFunction:
 
     # -- pointwise algebra -------------------------------------------------
 
-    def _map_injective(self, op) -> "StepFunction":
-        """Every value's int pair (n, d) mapped by op(n, d), an injective map
-        to reduced pairs: neighbours stay distinct, nothing merges."""
-        *values, tail = (_frac(*op(n, d)) for n, d in _value_pairs(self))
-        return _trusted(StepFunction, alpha=self.alpha, cuts=self.cuts, values=tuple(values),
-                        tail=tail)
-
     def __add__(self, other):
         if not isinstance(other, StepFunction):
             return NotImplemented
@@ -360,21 +356,20 @@ class StepFunction:
         return _pair_sum(self, other, -1)
 
     def __neg__(self):
-        return self._map_injective(lambda n, d: (-n, d))
+        return _merged(self.alpha, self.cuts, value_pairs=[(-n, d) for n, d in _value_pairs(self)])
 
     def __abs__(self):
-        return _from_pairs(self.alpha, self.cuts, [(abs(n), d) for n, d in _value_pairs(self)])
+        return _merged(self.alpha, self.cuts,
+                       value_pairs=[(abs(n), d) for n, d in _value_pairs(self)])
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
             cs, _, fv, gv = refine(self, other)
-            return _from_pairs(self.alpha, cs, [
+            return _merged(self.alpha, cs, value_pairs=[
                 _reduced(an * bn, ad * bd) for (an, ad), (bn, bd) in zip(fv, gv)])
-        cn, cd = _ratio(rat(other))
-        if not cn:  # every piece is 0 and merges into the tail
-            return _trusted(StepFunction, alpha=self.alpha, cuts=(), values=(), tail=_ZERO)
-        # v * c is injective for c != 0: nothing merges
-        return self._map_injective(lambda n, d: _reduced(n * cn, d * cd))
+        cn, cd = _ratio(rat(other))  # c = 0 makes every pair (0, 1): all merge into the tail
+        return _merged(self.alpha, self.cuts, value_pairs=[
+            _reduced(n * cn, d * cd) for n, d in _value_pairs(self)])
 
     __rmul__ = __mul__
 
@@ -382,7 +377,7 @@ class StepFunction:
         return self * rat(c)
 
     def positive_part(self) -> "StepFunction":
-        return _from_pairs(self.alpha, self.cuts, [
+        return _merged(self.alpha, self.cuts, value_pairs=[
             p if p[0] > 0 else (0, 1) for p in _value_pairs(self)])
 
     def window(self, a, b=None) -> "StepFunction":
@@ -534,16 +529,7 @@ def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
         n, d = an * bd + sign * bn * ad, ad * bd
         c = gcd(n, d)
         pairs.append((n // c, d // c))
-    return _from_pairs(f.alpha, cs, pairs)
-
-
-def _from_pairs(alpha, cuts, pairs) -> StepFunction:
-    """The trusted StepFunction of Fraction cuts and reduced value pairs, one
-    per piece, the last being the tail; equal neighbours merge by pair."""
-    keep = _kept(pairs)
-    return _trusted(StepFunction, alpha=alpha, cuts=(*compress(cuts, keep),),
-                    values=(*starmap(_frac, compress(pairs, keep)),),
-                    tail=_frac(*pairs[-1]))
+    return _merged(f.alpha, cs, value_pairs=pairs)
 
 
 def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
@@ -563,28 +549,32 @@ def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
     return _merged(alpha, ts, vs, _check_cuts(ts, alpha))
 
 
-def _merged(alpha, cuts, values, cut_ints=None, value_pairs=None) -> StepFunction:
-    """The canonical StepFunction of checked piece data, trusted: cuts are
-    Fractions increasing strictly inside (0, alpha), values are Fractions,
-    one per piece, the last being the tail, and value_pairs their int pairs
-    when the caller has them.  Equal neighbours, found by their int pairs,
-    are merged.  Given the cuts' int pairs, flat (n0, d0, n1, d1, ...) in
-    cut_ints, the result keeps the surviving pairs as the flat int tuples
+def _merged(alpha, cuts, values=None, cut_ints=None, value_pairs=None) -> StepFunction:
+    """The canonical StepFunction of checked piece data, trusted; the one
+    code that merges piece data into a StepFunction.  cuts are Fractions
+    increasing strictly inside (0, alpha); each piece has a value, the last
+    being the tail, given as Fractions in values, as reduced int pairs in
+    value_pairs, or both.  Equal neighbours, found by their int pairs, are
+    merged, and the Fractions of the surviving pairs are built when no
+    values are given.  Given the cuts' int pairs, flat (n0, d0, n1, d1, ...)
+    in cut_ints, the result keeps the surviving pairs as the flat int tuples
     ``_cut_ints`` and ``_value_ints`` (the tail last): 16 bytes a pair,
-    where a tuple of pair tuples takes 64.  Other builders keep none: for
-    ``+ - *``, ``abs``, ``window`` and the sorted star the tuples cost more
+    where a tuple of pair tuples takes 64.  The other callers (``+ - *``,
+    ``abs``, ``positive_part``, ``window``) keep none: the tuples cost more
     to build than the reads they save."""
     if value_pairs is None:
         value_pairs = list(map(_ratio, values))
     keep = _kept(value_pairs)
     if not all(keep):
-        cuts, values = [*compress(cuts, keep)], [*compress(values, keep), values[-1]]
+        cuts = [*compress(cuts, keep)]
+        value_pairs = [*compress(value_pairs, keep), value_pairs[-1]]
+        if values is not None:
+            values = [*compress(values, keep), values[-1]]
         if cut_ints is not None:
             it = iter(cut_ints)
             cut_ints = [*chain.from_iterable(compress(zip(it, it), keep))]
-            value_pairs = [*compress(value_pairs, keep), value_pairs[-1]]
-    f = _trusted(StepFunction, alpha=alpha, cuts=tuple(cuts), values=tuple(values[:-1]),
-                 tail=values[-1])
+    *values, tail = starmap(_frac, value_pairs) if values is None else values
+    f = _trusted(StepFunction, alpha=alpha, cuts=tuple(cuts), values=tuple(values), tail=tail)
     if cut_ints is not None:
         kept = vars(f)
         kept["_cut_ints"] = tuple(cut_ints)

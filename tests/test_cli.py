@@ -254,6 +254,17 @@ def test_prop_test_success_and_failure_exit_codes(capsys, monkeypatch):
                            "--cases", "1", "--seed", "1")
     assert code == 4
     assert json.loads(out)["failures"][0]["problems"] == ["synthetic"]
+    expected = {
+        "table": "suite=rearrange cases=1 seed=1 ok=no failures=1\n"
+                 "failures[0].case         0\n"
+                 "failures[0].problems[0]  synthetic\n",
+        "csv": "suite,rearrange\ncases,1\nseed,1\nok,false\n"
+               "failures[0].case,0\nfailures[0].problems[0],synthetic\n",
+    }
+    for fmt, text in expected.items():
+        code, out, _ = run_cli(capsys, "prop-test", "rearrange",
+                               "--cases", "1", "--seed", "1", "--format", fmt)
+        assert (code, out) == (4, text)
 
 
 

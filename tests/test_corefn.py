@@ -110,17 +110,23 @@ def test_pointwise_algebra():
 
 def test_operators_match_pointwise_values():
     rng = random.Random(5)
-    for _ in range(50):
-        cuts = sorted(rng.sample(range(1, 20), 3))
-        f = canonicalize(cuts, [rng.randint(-4, 4) for _ in cuts], 0, INF)
-        g = box(rng.randint(1, 3), rng.randint(1, 10))
-        for t in (F(k, 2) for k in range(45)):
-            assert (f + g)(t) == f(t) + g(t)
-            assert (f - g)(t) == f(t) - g(t)
-            assert (-f)(t) == -f(t)
-            assert abs(f)(t) == abs(f(t))
-            assert (f * 2)(t) == f.scale(F(2))(t) == 2 * f(t)
-            assert (f - (f - g).positive_part())(t) == min(f(t), g(t))
+    for alpha, unit, ts in ((INF, 1, [F(k, 2) for k in range(45)]),
+                            (1, F(1, 20), [F(k, 45) for k in range(45)])):
+        for _ in range(50):
+            cuts = [c * unit for c in sorted(rng.sample(range(1, 20), 3))]
+            values = [rng.randint(-4, 4) for _ in cuts]
+            f = canonicalize(cuts, values, 0 if alpha is INF else rng.randint(-4, 4), alpha)
+            g = box(rng.randint(1, 3), rng.randint(1, 10) * unit, alpha)
+            for t in ts:
+                assert (f + g)(t) == f(t) + g(t)
+                assert (f - g)(t) == f(t) - g(t)
+                assert (-f)(t) == -f(t)
+                assert abs(f)(t) == abs(f(t))
+                assert (f * 2)(t) == f.scale(F(2))(t) == 2 * f(t)
+                assert (f * g)(t) == f(t) * g(t)
+                assert (f - (f - g).positive_part())(t) == min(f(t), g(t))
+            # every piece of f * 0 merges into the tail
+            assert f * 0 == f.scale(0) == constant(0, alpha) and (f * 0).cuts == ()
 
 
 def test_window_restriction():

@@ -29,7 +29,7 @@ from rearrcalc import (
     sample_family_member,
 )
 from rearrcalc.gen import majorized_pair, rand_step, run_hlp_suite
-from rearrcalc.majorize import _coincidence_left_end, _crossing
+from rearrcalc.majorize import _crossing
 from rearrcalc.stepfn import PiecewiseLinearConcave, plc_from_nodes
 from test_walks import rationals
 
@@ -407,15 +407,20 @@ def test_crossing_never_meets():
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(level_integrals(), st.data())
-def test_coincidence_left_end_matches_a_scan(phi, data):
-    # the line through one segment of phi; gamma a point on that segment
+def test_gamma0_crossing_matches_a_scan(phi, data):
+    # the line through one segment of phi; gamma a point on that segment.
+    # gamma0, where phi first meets the line, is _crossing from 0 up to
+    # gamma; a = 0 (the first segment) is majorant_pair's assertion instead
     j = data.draw(st.integers(0, len(phi.cuts)))
     lo = F(0) if j == 0 else phi.cuts[j - 1]
     hi = phi.cuts[j] if j < len(phi.cuts) else lo + 1
     b = phi.slope.values[j] if j < len(phi.cuts) else phi.final_slope
     a = phi.value_at(lo) - b * lo
     gamma = lo + (hi - lo) * data.draw(st.builds(F, st.integers(1, 16), st.just(16)))
-    assert _coincidence_left_end(phi, a, b, gamma) == scan_coincidence(phi, a, b, gamma) == lo
+    assert scan_coincidence(phi, a, b, gamma) == lo
+    assert (a > 0) == (j > 0)
+    if a > 0:
+        assert _crossing(phi, a, b, F(0), gamma) == lo
 
 
 class CountingNodes(Sequence):

@@ -648,3 +648,22 @@ def test_benchmark_hooks_resolve():
     assert isinstance(info.maxsize, int) and isinstance(info.currsize, int)
     assert set(importlib.import_module("rearrcalc.gen").SUITES) == {
         "rearrange", "hlp", "prop32", "spaces", "hardy"}
+
+
+def test_readme_quickstart_values():
+    # run the README's library quickstart; each expression whose comment
+    # starts with a value's repr shows that value, and there are six
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines, scope, shown = block.splitlines(), {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = repr(eval(compile(ast.Expression(node.value), "README", "eval"), scope))
+            comment = lines[node.lineno - 1].partition("#")[2].strip()
+            if comment.startswith(value):
+                shown.append(value)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), scope)
+    assert shown == ["Fraction(3, 1)", "Fraction(3, 2)", "True", "(False, Fraction(1, 1))",
+                     "Fraction(1, 4)", "'affine_chord'"]
