@@ -37,6 +37,7 @@ from .stepfn import (
     INF,
     Ext,
     StepFunction,
+    _ZERO,
     _record,
     _require_same_domain,
     _total,
@@ -47,9 +48,6 @@ from .stepfn import (
     rat,
     rat_str,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_DELTAS = (Fraction(1), Fraction(1, 2), Fraction(1, 10))
 

@@ -51,8 +51,11 @@ from .stepfn import (
     Ext,
     PiecewiseLinearConcave,
     StepFunction,
+    _ONE,
+    _ZERO,
     _frac,
     _largest,
+    _ratio,
     _record,
     _require_same_domain,
     _trusted,
@@ -63,9 +66,6 @@ from .stepfn import (
     rat,
     rat_str,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @_record
@@ -237,19 +237,18 @@ def _crossing(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
 def _flatten(x: StepFunction, a, b, avg) -> StepFunction:
     """Replace x = x* on [a, b) by avg, its average there, which the caller
     knows (x**(b) when a = 0), for 0 <= a < b < alpha.  The result splices
-    x's cut list: x's cuts below a, then a (when a > 0) and b, then x's cuts
-    above b.  x is a star, so only the pieces of x that meet a and b can
-    equal avg; there a or b is dropped, and the splice is canonical and
-    again a star, built flagged as one."""
+    the int pairs of x's cut list: x's cuts below a, then a (when a > 0)
+    and b, then x's cuts above b.  x is a star, so only the pieces of x
+    that meet a and b can equal avg; there a or b is dropped, and the
+    splice is canonical and again a star, built flagged as one."""
     a, b = rat(a), rat(b)
-    cuts, values = x.cuts, (*x.values, x.tail)
-    i, j = bisect_left(cuts, a), bisect_right(cuts, b)
-    ka = int(a > 0 and values[i] != avg)  # 1: x's piece up to a stays
-    kb = int(values[j] != avg)  # 1: x's piece from b stays
-    spliced = [*values[:i + ka], avg, *values[j + 1 - kb:]]
+    cuts, ci, vi, v = x.cuts, x._cut_ints, x._value_ints, _ratio(avg)
+    i, j = 2 * bisect_left(cuts, a), 2 * bisect_right(cuts, b)
+    ka = 2 * (a > 0 and vi[i:i + 2] != v)  # 2: x's piece up to a stays
+    kb = 2 * (vi[j:j + 2] != v)  # 2: x's piece from b stays
     return _trusted(StepFunction, alpha=x.alpha,
-                    cuts=(*cuts[:i], *[a][:ka], *[b][:kb], *cuts[j:]),
-                    values=tuple(spliced[:-1]), tail=spliced[-1], _is_star=True)
+                    _cut_ints=ci[:i] + _ratio(a)[:ka] + _ratio(b)[:kb] + ci[j:],
+                    _value_ints=vi[:i + ka] + v + vi[j + 2 - kb:], _is_star=True)
 
 
 def _section(x: StepFunction, tau, eps, role: str):

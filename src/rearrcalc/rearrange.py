@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import starmap
+from itertools import chain, starmap
 from math import gcd
 
 from .errors import PreconditionError
@@ -55,11 +55,11 @@ from .stepfn import (
     INF,
     PiecewiseLinearConcave,
     StepFunction,
+    _ZERO,
     _cut_pairs,
     _frac,
     _lengths,
     _products,
-    _ratio,
     _record,
     _require_same_domain,
     _sums,
@@ -68,8 +68,6 @@ from .stepfn import (
     is_decreasing_rearrangement,
     rat,
 )
-
-_ZERO = Fraction(0)
 
 
 @_record
@@ -108,20 +106,20 @@ def _sorted_star(x: StepFunction):
             sn, sd = sn * (d // g), sd // g * d
         groups[key] = sn + n * (sd // d), sd
     # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
-    tn, td = _ratio(x.tail)
+    tn, td = x._value_ints[-2:]
     k = 2 * max([td, *(q for _, q in groups)]).bit_length()
     ratio_of = {(p << k) // q: (p, q) for p, q in groups}
     keys = sorted(ratio_of, reverse=True)
     if x.alpha is INF:
-        tail = x.tail if tn >= 0 else _frac(-tn, td)
-        top = (abs(tn) << k) // td
+        tail = abs(tn), td
+        top = (tail[0] << k) // td
         keys = [key for key in keys if key > top]  # |tail| absorbs the rest
     else:  # the smallest value is the tail of the rearrangement
-        tail = _frac(*ratio_of[keys.pop()])
+        tail = ratio_of[keys.pop()]
     ratios = [ratio_of[key] for key in keys]
     lengths = [groups[r] for r in ratios]
-    star = _trusted(StepFunction, alpha=x.alpha, cuts=(*starmap(_frac, _sums(lengths)),),
-                    values=tuple(_frac(p, q) for p, q in ratios), tail=tail, _is_star=True)
+    star = _trusted(StepFunction, alpha=x.alpha, _cut_ints=(*chain.from_iterable(_sums(lengths)),),
+                    _value_ints=(*chain.from_iterable(ratios), *tail), _is_star=True)
     return star, ratios, lengths
 
 

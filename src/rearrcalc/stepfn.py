@@ -20,24 +20,26 @@ a star (nonnegative, strictly decreasing).  The one test for x = x* is
 rearrangement's pass-through and the preconditions of ``majorize`` all
 call it, and none of them rearranges to find out.
 
-Binary kernels walk the common refinement once: :func:`refine` merges
-two cut lists in one pass, the only walk over two cut lists, and returns
-the merged cuts as Fractions and as int pairs and both operands' values
-on each merged piece as int pairs; ``+``, ``-``, ``*`` and :func:`_walk`
-read the lists they need.  Every kernel reads an operand's cuts and values
-as int pairs once, through :func:`_cut_pairs` and :func:`_value_pairs`, and
-compares, adds or multiplies ints.  ``canonicalize`` (so also
-``StepFunction(...)``, :func:`box`, both ``from_json`` and a PLC's
-``slope``) keeps the pairs it has read as two flat int tuples (see
-:func:`_merged`), which the readers zip; other objects are read with
-``Fraction.as_integer_ratio``.  The per-call paths do the same with their
-scalars: the cut check of every constructor, the bounds of ``window`` and
-:func:`integrate`, the level of :func:`exceedance_measure` (|v| > lam as
-|vn| ld > ln vd) and :meth:`PiecewiseLinearConcave.value_at` (one pair,
-one gcd); only a bisection of a cut list compares Fractions.  A reduced
-pair becomes a Fraction through :func:`_frac`, which skips the gcd of
-``Fraction.__new__``; it is the only code that sets Fraction's internal
-slots, and the result is a plain Fraction.
+A StepFunction is stored as the int pairs of its cuts and of its values,
+the tail last, in two flat int tuples (see :func:`_merged`); every builder
+sets them, and ``==`` and the hash read them.  Its Fraction fields are
+built from them on first read and kept, unless the builder held them
+(``canonicalize``, so ``StepFunction(...)``, :func:`box` and both
+``from_json``, and a PLC's ``slope``).  Binary kernels walk the common
+refinement once: :func:`refine` merges two cut lists in one pass, the only
+walk over two cut lists, and returns the merged cuts and both operands'
+values on each merged piece as int pairs; ``+``, ``-``, ``*`` and
+:func:`_walk` read the lists they need.  Every kernel reads an operand's
+pairs through :func:`_cut_pairs` and :func:`_value_pairs`, which zip the
+stored ints, and compares, adds or multiplies ints.  The per-call paths do
+the same with their scalars: the cut check of every constructor, the
+bounds of ``window`` and :func:`integrate`, their bisections and that of
+``f(t)`` (:func:`_bisect`), the level of :func:`exceedance_measure`
+(|v| > lam as |vn| ld > ln vd) and :meth:`PiecewiseLinearConcave.value_at`
+(one pair, one gcd); only the other bisections of a cut list compare
+Fractions.  A reduced pair becomes a Fraction through :func:`_frac`, which
+skips the gcd of ``Fraction.__new__``; it is the only code that sets
+Fraction's internal slots, and the result is a plain Fraction.
 
 A domain endpoint is one of two singletons, ``INF`` or ``_ONE``: the
 constructors normalize a caller's endpoint with :func:`_coerce_alpha`, and
@@ -67,17 +69,17 @@ Canonical form is decided once per type, by a merging builder:
 :func:`canonicalize` and :func:`plc_from_nodes` coerce every scalar, check
 the cuts (a PLC also its jump at 0, then that its merged slopes are a
 star) and merge equal neighbours or collinear nodes.  The one code that
-merges piece data into a StepFunction is :func:`_merged`, which takes the
-values as int pairs, Fractions or both and builds the result with
-:func:`_trusted`, which sets the fields without running ``__post_init__``;
-``canonicalize``, a PLC's ``slope`` and the results of ``+ - *``, ``abs``,
+merges piece data into a StepFunction is :func:`_merged`, which takes flat
+int pairs and builds the result with :func:`_trusted`, which sets the
+fields without running ``__post_init__``; ``canonicalize``,
+:func:`constant`, a PLC's ``slope`` and the results of ``+ - *``, ``abs``,
 ``-``, ``scale``, ``positive_part`` and ``window`` on canonical operands
 call it.  The public constructors ``StepFunction(...)`` and
 ``PiecewiseLinearConcave(...)`` run their builder and check only that
 nothing merged; :func:`box`, :func:`block` and both ``from_json`` go
-through a builder, and :func:`constant`, which has no cuts, is trusted.  So
-are the flattenings of ``majorize`` and the rearrangement's star and level
-integral (``rearrange``), which are canonical by construction.  The value
+through a builder.  The flattenings of ``majorize`` and the
+rearrangement's star and level integral (``rearrange``) are canonical by
+construction and trusted.  The value
 types are frozen records (:func:`_record`), built without importing
 ``dataclasses``, whose import alone took about 10 ms of each CLI command's
 start.  A StepFunction keeps in its instance dict its hash, from the
@@ -116,6 +118,9 @@ _ONE = Fraction(1)
 
 #: a Fraction's (numerator, denominator) pair, lowest terms, denominator > 0
 _ratio = Fraction.as_integer_ratio
+
+#: what ``StepFunction ==`` compares: the domain and the two flat int tuples
+_key = attrgetter("alpha", "_cut_ints", "_value_ints")
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -263,8 +268,10 @@ def _record(cls):
         pairs = ", ".join(f"{n}={v!r}" for n, v in zip(names, fields(self)))
         return f"{self.__class__.__qualname__}({pairs})"
 
-    cls.__eq__, cls.__repr__ = __eq__, __repr__
+    cls.__repr__ = __repr__
     cls.__setattr__ = cls.__delattr__ = _frozen
+    if "__eq__" not in vars(cls):
+        cls.__eq__ = __eq__
     if "__hash__" not in vars(cls):
         cls.__hash__ = lambda self: hash(fields(self))
     return cls
@@ -286,16 +293,14 @@ class StepFunction:
     and ``tail`` on [cuts[-1], alpha).  Canonical form: cuts strictly
     increasing inside (0, alpha), neighbouring values distinct, and the last
     listed value distinct from the tail.  Construct arbitrary raw piece data
-    through :func:`canonicalize`, which merges for you.
+    through :func:`canonicalize`, which merges for you.  Stored as flat int
+    pairs (see :func:`_merged`); the Fraction fields are built on first read.
     """
 
     alpha: Ext
     cuts: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
     tail: Fraction
-    # the flat int pairs of the cuts and of the values then the tail, as
-    # _merged keeps them in the instance dict; None where nothing was kept
-    _cut_ints = _value_ints = None
 
     def __post_init__(self):
         f = canonicalize(self.cuts, self.values, self.tail, self.alpha)
@@ -304,17 +309,23 @@ class StepFunction:
                                     "tail (use canonicalize)")
         vars(self).update(vars(f))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _key(self) == _key(other)
+        return NotImplemented
+
     def __hash__(self) -> int:
-        # Kept in the instance dict.  From the (numerator, denominator) pairs
-        # of every s-th cut and value and of the tail (all below 16 cuts, at
+        # Kept in the instance dict.  From the numerators and denominators of
+        # every s-th cut and value and of the tail (all below 16 cuts, at
         # most 16 above), so equal functions hash equal; functions that
         # differ only off the sample collide, costing the cache one compare,
         # never a wrong result.
         h = vars(self).get("_hash")
         if h is None:
-            s = len(self.cuts) // 16 + 1
-            pairs = (*_cut_pairs(self, s), *_value_pairs(self, s), _ratio(self.tail))
-            h = vars(self)["_hash"] = hash((self.alpha, len(self.cuts), *pairs))
+            c, v = self._cut_ints, self._value_ints
+            s = 2 * (len(c) // 32 + 1)
+            h = vars(self)["_hash"] = hash((self.alpha, len(c), c[::s], c[1::s], v[::s],
+                                            v[1::s], v[-2:]))
         return h
 
     # -- basic queries ----------------------------------------------------
@@ -337,8 +348,8 @@ class StepFunction:
         tn, td = _ratio(t)
         if tn < 0 or (self.alpha is not INF and tn >= td):
             raise PreconditionError(f"t={t} outside [0,{alpha_str(self.alpha)})")
-        i = bisect_right(self.cuts, t)
-        return self.values[i] if i < len(self.cuts) else self.tail
+        i = 2 * _bisect(bisect_right, self, tn, td)  # the tail's pair is the last
+        return _frac(*self._value_ints[i:i + 2])
 
     def is_nonnegative(self) -> bool:
         return all(n >= 0 for n, _ in _value_pairs(self))
@@ -356,20 +367,21 @@ class StepFunction:
         return _pair_sum(self, other, -1)
 
     def __neg__(self):
-        return _merged(self.alpha, self.cuts, value_pairs=[(-n, d) for n, d in _value_pairs(self)])
+        return _merged(self.alpha, self._cut_ints,
+                       [i for n, d in _value_pairs(self) for i in (-n, d)])
 
     def __abs__(self):
-        return _merged(self.alpha, self.cuts,
-                       value_pairs=[(abs(n), d) for n, d in _value_pairs(self)])
+        return _merged(self.alpha, self._cut_ints,
+                       [i for n, d in _value_pairs(self) for i in (abs(n), d)])
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
-            cs, _, fv, gv = refine(self, other)
-            return _merged(self.alpha, cs, value_pairs=[
-                _reduced(an * bn, ad * bd) for (an, ad), (bn, bd) in zip(fv, gv)])
+            ends, fv, gv = refine(self, other)
+            return _merged(self.alpha, [*chain.from_iterable(ends)], [*chain.from_iterable(
+                _reduced(an * bn, ad * bd) for (an, ad), (bn, bd) in zip(fv, gv))])
         cn, cd = _ratio(rat(other))  # c = 0 makes every pair (0, 1): all merge into the tail
-        return _merged(self.alpha, self.cuts, value_pairs=[
-            _reduced(n * cn, d * cd) for n, d in _value_pairs(self)])
+        return _merged(self.alpha, self._cut_ints, [*chain.from_iterable(
+            _reduced(n * cn, d * cd) for n, d in _value_pairs(self))])
 
     __rmul__ = __mul__
 
@@ -377,8 +389,8 @@ class StepFunction:
         return self * rat(c)
 
     def positive_part(self) -> "StepFunction":
-        return _merged(self.alpha, self.cuts, value_pairs=[
-            p if p[0] > 0 else (0, 1) for p in _value_pairs(self)])
+        return _merged(self.alpha, self._cut_ints, [*chain.from_iterable(
+            p if p[0] > 0 else (0, 1) for p in _value_pairs(self))])
 
     def window(self, a, b=None) -> "StepFunction":
         """Return f * indicator of [a, b); b=None means b=alpha."""
@@ -394,17 +406,15 @@ class StepFunction:
             raise PreconditionError("window end beyond the domain")
         if hn * ad <= an * hd:  # hi <= a
             return constant(0, alpha)
+        ci, vi = self._cut_ints, self._value_ints
         if hi is INF or (alpha is not INF and hn == hd):  # hi = alpha
-            k, end, tail = len(self.cuts), [], self.tail
+            k, end, tail = len(ci) // 2, (), vi[-2:]
         else:
-            k, end, tail = bisect_left(self.cuts, hi), [hi], _ZERO
-        i = bisect_right(self.cuts, a)  # pieces i..k of f meet [a, hi)
-        head = [a] if an > 0 else []  # a piece of 0 on [0, a)
-        vals = (*self.values, self.tail)[i:k + len(end)]
-        pairs = islice(_value_pairs(self), i, k + len(end))
-        return _merged(self.alpha, head + list(self.cuts[i:k]) + end,
-                       [_ZERO] * len(head) + [*vals, tail],
-                       value_pairs=[(0, 1)] * len(head) + [*pairs, _ratio(tail)])
+            k, end, tail = _bisect(bisect_left, self, hn, hd), (hn, hd), (0, 1)
+        i = _bisect(bisect_right, self, an, ad)  # pieces i..k of f meet [a, hi)
+        head, zero = ((an, ad), (0, 1)) if an > 0 else ((), ())  # a piece of 0 on [0, a)
+        return _merged(alpha, head + ci[2 * i:2 * k] + end,
+                       zero + vi[2 * i:2 * k + len(end)] + tail)
 
     # -- serialization ------------------------------------------------------
 
@@ -435,54 +445,71 @@ class StepFunction:
             raise ParseError(f"invalid step function: {e}") from None
 
 
+class _Field:
+    """A Fraction field of StepFunction, built from the int pairs on first
+    read and kept in the instance dict, where later reads find it first (a
+    non-data descriptor; ``__getattr__`` would slow every attribute read)."""
+
+    def __init__(self, name, build):
+        self.name, self.build = name, build
+
+    def __get__(self, f, cls=None):
+        if f is None:
+            return self
+        q = vars(f)[self.name] = self.build(f)
+        return q
+
+
+def _fractions(ints) -> tuple[Fraction, ...]:
+    it = iter(ints)
+    return (*starmap(_frac, zip(it, it)),)
+
+
+# set after @_record, which reads class attributes as __init__ defaults
+StepFunction.cuts = _Field("cuts", lambda f: _fractions(f._cut_ints))
+StepFunction.values = _Field("values", lambda f: _fractions(f._value_ints[:-2]))
+StepFunction.tail = _Field("tail", lambda f: _frac(*f._value_ints[-2:]))
+
+
 def refine(f: StepFunction, g: StepFunction):
-    """Common refinement of two step functions: ``(cuts, ends, fv, gv)``,
-    the merged cuts as Fractions and as (numerator, denominator) int pairs,
-    and fv[k], gv[k], the int pairs of f and g on merged piece k (the last
-    one ends at alpha).
+    """Common refinement of two step functions: ``(ends, fv, gv)``, the
+    merged cuts as (numerator, denominator) int pairs, and fv[k], gv[k], the
+    int pairs of f and g on merged piece k (the last one ends at alpha).
 
     One linear walk over both cut lists, read as int pairs once up front;
     each step is one cross-multiplied int compare, and equal cuts advance
     both sides.
     """
     _require_same_domain(f, g)
-    fc, gc = f.cuts, g.cuts
     fp, gp = list(_cut_pairs(f)), list(_cut_pairs(g))
     fvals, gvals = list(_value_pairs(f)), list(_value_pairs(g))
-    n, m = len(fc), len(gc)
-    cuts, ends, fv, gv = [], [], [], []
+    n, m = len(fp), len(gp)
+    ends, fv, gv = [], [], []
     i = j = 0
     while i < n and j < m:
         (an, ad), (bn, bd) = fp[i], gp[j]
         d = an * bd - bn * ad
-        if d <= 0:
-            cuts.append(fc[i])
-            ends.append(fp[i])
-        else:
-            cuts.append(gc[j])
-            ends.append(gp[j])
+        ends.append(fp[i] if d <= 0 else gp[j])
         fv.append(fvals[i])
         gv.append(gvals[j])
         i += d <= 0
         j += d >= 0
     # one side is on its last piece (the tail): the other side's remaining
     # cuts and values follow, each paired with that last value
-    cuts += fc[i:]
     ends += fp[i:]
     fv += fvals[i:]
     gv += [gvals[j]] * (n - i)
-    cuts += gc[j:]
     ends += gp[j:]
     gv += gvals[j:]
     fv += [fvals[n]] * (m - j)
-    return cuts, ends, fv, gv
+    return ends, fv, gv
 
 
 def _walk(u: StepFunction, v: StepFunction):
     """refine(u, v) as int pairs: the right ends of the finite pieces (then 1
     when alpha = 1), their lengths, u and v on every merged piece (the last
     one their tails), and iterators of int_0^end u and int_0^end v."""
-    _, ends, uv, vv = refine(u, v)
+    ends, uv, vv = refine(u, v)
     lengths = _lengths(ends, u.alpha)
     if u.alpha is not INF:
         ends.append((1, 1))
@@ -521,15 +548,14 @@ def is_decreasing_rearrangement(f: StepFunction) -> bool:
 def _pair_sum(f: StepFunction, g: StepFunction, sign: int) -> StepFunction:
     """f + sign * g (sign = 1 or -1), trusted.  On each piece of
     refine(f, g) the value is the gcd-reduced int pair
-    (an*bd + sign*bn*ad, ad*bd); equal neighbours merge by pair, and only
-    the output gets Fractions."""
-    cs, _, fv, gv = refine(f, g)
-    pairs = []
+    (an*bd + sign*bn*ad, ad*bd), and equal neighbours merge by pair."""
+    ends, fv, gv = refine(f, g)
+    ints = []
     for (an, ad), (bn, bd) in zip(fv, gv):
         n, d = an * bd + sign * bn * ad, ad * bd
         c = gcd(n, d)
-        pairs.append((n // c, d // c))
-    return _merged(f.alpha, cs, value_pairs=pairs)
+        ints += n // c, d // c
+    return _merged(f.alpha, [*chain.from_iterable(ends)], ints)
 
 
 def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
@@ -546,74 +572,54 @@ def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
         raise PreconditionError(
             f"{len(ts)} breakpoints need {len(ts)} values, got {len(vs) - 1}"
         )
-    return _merged(alpha, ts, vs, _check_cuts(ts, alpha))
+    return _merged(alpha, _check_cuts(ts, alpha), [*chain.from_iterable(map(_ratio, vs))], ts, vs)
 
 
-def _merged(alpha, cuts, values=None, cut_ints=None, value_pairs=None) -> StepFunction:
+def _merged(alpha, cut_ints, value_ints, cuts=None, values=None) -> StepFunction:
     """The canonical StepFunction of checked piece data, trusted; the one
-    code that merges piece data into a StepFunction.  cuts are Fractions
-    increasing strictly inside (0, alpha); each piece has a value, the last
-    being the tail, given as Fractions in values, as reduced int pairs in
-    value_pairs, or both.  Equal neighbours, found by their int pairs, are
-    merged, and the Fractions of the surviving pairs are built when no
-    values are given.  Given the cuts' int pairs, flat (n0, d0, n1, d1, ...)
-    in cut_ints, the result keeps the surviving pairs as the flat int tuples
-    ``_cut_ints`` and ``_value_ints`` (the tail last): 16 bytes a pair,
-    where a tuple of pair tuples takes 64.  The other callers (``+ - *``,
-    ``abs``, ``positive_part``, ``window``) keep none: the tuples cost more
-    to build than the reads they save."""
-    if value_pairs is None:
-        value_pairs = list(map(_ratio, values))
-    keep = _kept(value_pairs)
+    code that merges piece data into a StepFunction.  cut_ints and
+    value_ints are flat int pairs (n0, d0, n1, d1, ...): the cuts, strictly
+    increasing inside (0, alpha), and every piece's reduced value, the tail
+    last.  Equal neighbours merge by pair, and the survivors are stored as
+    the tuples ``_cut_ints`` and ``_value_ints``, 16 bytes a pair (a tuple of
+    pair tuples takes 64).  Fraction cuts and values that a caller holds
+    are kept as the fields; otherwise the fields are built on first read."""
+    n, d = value_ints[::2], value_ints[1::2]
+    keep = [*map(ne, zip(n, d), zip(n[1:], d[1:]))]  # pair k differs from pair k+1
     if not all(keep):
-        cuts = [*compress(cuts, keep)]
-        value_pairs = [*compress(value_pairs, keep), value_pairs[-1]]
-        if values is not None:
-            values = [*compress(values, keep), values[-1]]
-        if cut_ints is not None:
-            it = iter(cut_ints)
-            cut_ints = [*chain.from_iterable(compress(zip(it, it), keep))]
-    *values, tail = starmap(_frac, value_pairs) if values is None else values
-    f = _trusted(StepFunction, alpha=alpha, cuts=tuple(cuts), values=tuple(values), tail=tail)
-    if cut_ints is not None:
-        kept = vars(f)
-        kept["_cut_ints"] = tuple(cut_ints)
-        kept["_value_ints"] = (*chain.from_iterable(value_pairs),)
+        it = iter(cut_ints)
+        cut_ints = [*chain.from_iterable(compress(zip(it, it), keep))]
+        value_ints = [*chain.from_iterable(compress(zip(n, d), keep)), n[-1], d[-1]]
+        if cuts is not None:
+            cuts, values = [*compress(cuts, keep)], [*compress(values, keep), values[-1]]
+    f = _trusted(StepFunction, alpha=alpha, _cut_ints=tuple(cut_ints),
+                 _value_ints=tuple(value_ints))
+    if cuts is not None:
+        vars(f).update(cuts=tuple(cuts), values=tuple(values[:-1]), tail=values[-1])
     return f
 
 
-def _cut_pairs(f: StepFunction, step: int = 1) -> Iterator[tuple[int, int]]:
-    """The int pairs of f.cuts[::step]: from the ints its builder kept, else
-    read from the Fractions."""
+def _cut_pairs(f: StepFunction) -> Iterator[tuple[int, int]]:
+    """The int pairs of f.cuts."""
+    ints = iter(f._cut_ints)
+    return zip(ints, ints)
+
+
+def _value_pairs(f: StepFunction) -> Iterator[tuple[int, int]]:
+    """The int pairs of f.values, then of f.tail."""
+    ints = iter(f._value_ints)
+    return zip(ints, ints)
+
+
+def _bisect(bisect, f: StepFunction, n: int, d: int) -> int:
+    """bisect (``bisect_left`` or ``bisect_right``) of n/d in f.cuts by the
+    sign of cut - n/d, cn*d - n*cd; INF as 1/0 is past every cut."""
     ints = f._cut_ints
-    if ints is None:
-        return map(_ratio, f.cuts[::step])
-    if step == 1:
-        ints = iter(ints)
-        return zip(ints, ints)
-    return zip(ints[::2 * step], ints[1::2 * step])
-
-
-def _value_pairs(f: StepFunction, step: int = 1) -> Iterator[tuple[int, int]]:
-    """The int pairs of (*f.values, f.tail)[::step] (see _cut_pairs)."""
-    ints = f._value_ints
-    if ints is None:
-        return map(_ratio, (*f.values, f.tail)[::step])
-    if step == 1:
-        ints = iter(ints)
-        return zip(ints, ints)
-    return zip(ints[::2 * step], ints[1::2 * step])
-
-
-def _kept(pairs) -> list[bool]:
-    """keep[k]: piece k's reduced int pair differs from piece k+1's, so cut k
-    and value k survive the merge.  Build the kept tuples from lists or as
-    ``(*compress(...),)``: ``tuple()`` of an iterator may keep spare slots."""
-    return list(map(ne, pairs, islice(pairs, 1, None)))
+    return bisect(range(len(ints) // 2), 0, key=lambda i: ints[2 * i] * d - n * ints[2 * i + 1])
 
 
 def constant(c, alpha=INF) -> StepFunction:
-    return _trusted(StepFunction, alpha=_coerce_alpha(alpha), cuts=(), values=(), tail=rat(c))
+    return _merged(_coerce_alpha(alpha), (), _ratio(rat(c)))
 
 
 def box(height, width, alpha=INF) -> StepFunction:
@@ -652,8 +658,8 @@ def integrate(f: StepFunction, a, b) -> Fraction:
         )
     # pieces i..k of f meet [a, hi), read without building f.window(a, hi);
     # past the last cut on [0, inf) the tail is 0
-    i = bisect_right(f.cuts, a)
-    k = len(f.cuts) if hi is INF else bisect_left(f.cuts, hi)
+    i = _bisect(bisect_right, f, an, ad)
+    k = _bisect(bisect_left, f, hn, hd)  # all the cuts when hi is INF (1/0)
     ends = [(an, ad), *islice(_cut_pairs(f), i, k)]
     if hi is not INF:
         ends.append((hn, hd))
@@ -730,16 +736,14 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 
 def _total(pairs) -> Fraction:
     """The sum of int pairs (n, d), d > 0: numerators added as ints per
-    denominator, then those sums with a gcd per step, as ``_sums`` adds."""
+    denominator, then those sums through ``_sums``, a gcd per step."""
     sums = defaultdict(int)
     for n, d in pairs:
         sums[d] += n
-    sn, sd = 0, 1
-    for d, n in sums.items():
-        n, d = sn * d + n * sd, sd * d
-        g = gcd(n, d)
-        sn, sd = n // g, d // g
-    return _frac(sn, sd)
+    total = 0, 1
+    for total in _sums(zip(sums.values(), sums)):
+        pass
+    return _frac(*total)
 
 
 # -- increasing concave piecewise-linear functions --------------------------
@@ -786,7 +790,7 @@ class PiecewiseLinearConcave:
             (sn, sd), bv = _ratio(cuts[i - 1]), self.node_values[i - 1]
         else:
             (sn, sd), bv = (0, 1), self.jump0
-        mn, md = _ratio(self.slope.values[i] if i < len(cuts) else self.final_slope)
+        mn, md = self.slope._value_ints[2 * i:2 * i + 2]  # the final slope is its tail
         if not mn or (sn == tn and sd == td):  # flat, or t is the node
             return bv
         # bv + m (t - s) as one pair: (bvn md td sd + bvd mn (tn sd - sn td)) / (bvd md td sd)
@@ -841,9 +845,9 @@ def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> Piecew
     if jump0 < 0:
         raise PreconditionError(f"jump at 0 must be nonnegative, got {jump0}")
     # a collinear node is a cut between equal neighbouring slopes
-    slopes = [(v - pv) / (s - ps)
-              for s, v, ps, pv in zip(cuts, node_values, [_ZERO, *cuts], [jump0, *node_values])]
-    slope = _merged(alpha, cuts, [*slopes, final_slope], cut_ints)
+    slopes = [*((v - pv) / (s - ps) for s, v, ps, pv in
+                zip(cuts, node_values, [_ZERO, *cuts], [jump0, *node_values])), final_slope]
+    slope = _merged(alpha, cut_ints, [*chain.from_iterable(map(_ratio, slopes))], cuts, slopes)
     if not is_decreasing_rearrangement(slope):
         raise PreconditionError(_NOT_CONCAVE)
     value_of = dict(zip(cuts, node_values))

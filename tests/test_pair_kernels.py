@@ -12,10 +12,10 @@ number, plus O(log n) for a bisection.  A domain endpoint is one of two
 singletons, so no Fraction is compared with the float infinity either.
 They also count the gcd calls of a cold rearrangement, which groups the
 lengths of equal |values| over the lcm of their denominators.
-``canonicalize`` keeps the int pairs it reads, so the kernels on the
-operands it builds read none of their pieces through
-``Fraction.as_integer_ratio`` again, and the kept pairs are flat int
-tuples, 16 bytes a pair.  Results are compared with Fraction-operator
+Every builder stores a function as the flat int tuples of its pairs, 16
+bytes a pair, so the kernels read none of an operand's pieces through
+``Fraction.as_integer_ratio``, whichever builder made it, and ``==``
+makes no Fraction call.  Results are compared with Fraction-operator
 references in ``test_walks`` and with ``perfbench/reference.py`` in
 ``test_reference``.
 """
@@ -33,6 +33,7 @@ from rearrcalc import (
     PiecewiseLinearConcave,
     canonicalize,
     experiments,
+    majorize,
     rearrange,
     spaces,
     stepfn,
@@ -203,9 +204,27 @@ def test_a_cold_rearrangement_makes_fewer_gcd_calls_than_half_its_pieces(alpha, 
     assert calls["gcd"] < len(x.cuts) // 2
 
 
+@pytest.mark.parametrize("alpha", [INF, F(1)])
+def test_equality_of_step_functions_makes_no_fraction_call(alpha, fraction_calls):
+    """``==`` compares the domains and the stored int tuples."""
+    rng = random.Random(2004)
+    x, y = large_operand(rng, alpha), large_operand(rng, alpha)
+    pairs = [(x, canonicalize(x.cuts, x.values, x.tail, alpha)), (x + y, y + x),
+             (x, x.window(0)), (abs(x), abs(-x))]
+    values = list(x.values)
+    values[PIECES // 2] += 1
+    other = canonicalize(x.cuts, values, x.tail, alpha)
+    fraction_calls.clear()
+    for f, g in pairs:
+        assert f is not g and f == g and not f != g
+    assert x != other and x != y
+    assert not fraction_calls, dict(fraction_calls)
+
+
 @pytest.fixture
 def ratio_calls(monkeypatch):
-    """A count of the int-pair reads, ``_ratio``, through each module's binding."""
+    """A count of the int-pair reads, ``_ratio``, through the binding of every
+    module that reads pieces (``raising=False``: some bind none today)."""
     calls = Counter()
     ratio = stepfn._ratio
 
@@ -213,33 +232,39 @@ def ratio_calls(monkeypatch):
         calls["_ratio"] += 1
         return ratio(q)
 
-    for module in (stepfn, rearrange, spaces):
-        monkeypatch.setattr(module, "_ratio", counting)
+    for module in (stepfn, rearrange, majorize, spaces, experiments):
+        monkeypatch.setattr(module, "_ratio", counting, raising=False)
     return calls
 
 
 @pytest.mark.parametrize("alpha", [INF, F(1)])
 def test_kernels_read_no_piece_of_a_canonicalized_operand_again(alpha, ratio_calls):
+    """Nor of an operand built by ``+``, ``abs``, ``window`` or the sorted
+    rearrangement: every builder stores the int pairs."""
     rng = random.Random(2002)
     x, y = large_operand(rng, alpha), large_operand(rng, alpha)
-    # the same operands in trusted copies that keep no pairs
-    bare = [stepfn._trusted(type(f), alpha=f.alpha, cuts=f.cuts, values=f.values, tail=f.tail)
-            for f in (x, y)]
     a, b = x.cuts[PIECES // 5], x.cuts[4 * PIECES // 5]
-    ops = [("x + y", lambda x, y: x + y),
-           ("rearrangement", lambda x, y: cold(lambda: rearrange.rearrangement(x))()),
-           ("integrate", lambda x, y: integrate(x, a, b)),
-           ("integrate to alpha", lambda x, y: integrate(x, a, alpha)),
-           ("exceedance_measure", lambda x, y: exceedance_measure(x, F(7, 3))),
-           ("norm L1", lambda x, y: norm(SpaceSpec("L1", alpha=alpha), x)),
-           ("norm Linf", lambda x, y: norm(SpaceSpec("Linf", alpha=alpha), x))]
-    for name, op in ops:
-        ratio_calls.clear()
-        op(x, y)
-        assert ratio_calls["_ratio"] <= 8, name  # the scalars: bounds, tails, levels
-        ratio_calls.clear()  # the counter sees every read of a bare copy
-        op(*bare)
-        assert ratio_calls["_ratio"] > PIECES // 2, name
+    ratio_calls.clear()  # the counter sees every read: canonicalize reads each piece
+    canonicalize(x.cuts, x.values, x.tail, alpha)
+    assert ratio_calls["_ratio"] > PIECES
+    operands = [("canonicalize", x), ("x + y", x + y), ("abs", abs(x)),
+                ("window", x.window(x.cuts[10], x.cuts[-10])),
+                ("sorted star", cold(lambda: rearrange.rearrangement(x).star)())]
+    ops = [("+ y", lambda u: u + y),
+           ("rearrangement", lambda u: cold(lambda: rearrange.rearrangement(u))()),
+           ("window", lambda u: u.window(a, b)),
+           ("integrate", lambda u: integrate(u, a, b)),
+           ("integrate to alpha", lambda u: integrate(u, a, alpha)),
+           ("exceedance_measure", lambda u: exceedance_measure(u, F(7, 3))),
+           ("norm L1", lambda u: norm(SpaceSpec("L1", alpha=alpha), u)),
+           ("norm Linf", lambda u: norm(SpaceSpec("Linf", alpha=alpha), u)),
+           ("hash", hash)]
+    for built, u in operands:
+        assert len(u.cuts) > 100, built  # the sorted star has about 125 distinct values
+        for name, op in ops:
+            ratio_calls.clear()
+            op(u)
+            assert ratio_calls["_ratio"] <= 8, (built, name)  # the scalars: bounds, tails, levels
 
 
 @pytest.mark.parametrize("alpha", [INF, F(1)])

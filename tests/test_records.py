@@ -7,7 +7,9 @@ field order and defaults, ``repr`` byte for byte, ``==`` on every pair of
 samples (two samples per class, and each mix that differs from the first in
 one field only), ``hash`` (``StepFunction`` keeps its own), and
 AttributeError on assignment.  ``__post_init__`` runs on the public
-constructor, looked up on the class, and not on ``_trusted``.
+constructor, looked up on the class, and not on ``_trusted``.  A
+StepFunction is stored as int pairs, so its trusted samples hold only
+those, and their fields, ``repr`` and ``==`` come from them.
 """
 
 import dataclasses
@@ -129,6 +131,13 @@ def _samples(cls):
 
 
 def _trusted_from(cls, values):
+    """A trusted record of the field values; a StepFunction gets only its
+    stored form, the flat int pairs, and builds its Fractions when read."""
+    if cls is StepFunction:
+        alpha, cuts, vals, tail = values
+        flat = [n for q in (*cuts, *vals, tail) for n in q.as_integer_ratio()]
+        return _trusted(cls, alpha=alpha, _cut_ints=(*flat[:2 * len(cuts)],),
+                        _value_ints=(*flat[2 * len(cuts):],))
     return _trusted(cls, **dict(zip((n for n, _ in RECORDS[cls][0]), values)))
 
 

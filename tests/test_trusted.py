@@ -14,9 +14,11 @@ strided sample above; functions that differ only off the sample collide
 and still get their own rearrangements.  The x = x* test runs once per instance, and on every
 construction route the flag it keeps agrees with the definition; the star
 of a rearrangement, a flattening and a concave function's slope are
-flagged when they are built.  ``canonicalize`` keeps the int pairs it
-reads as flat int tuples (cuts, then values with the tail last), and every
-consumer that reads them gives what it gives on a copy that keeps none.
+flagged when they are built.  Every builder stores a function as the flat
+int tuples of its pairs (cuts, then values with the tail last), and the
+Fraction fields, stored by the builders that hold them or built on first
+read, are the Fractions of those pairs; every consumer gives the same on a
+copy that holds only the int tuples.
 """
 
 import json
@@ -46,7 +48,7 @@ from rearrcalc.majorize import _flatten, _require_star
 from rearrcalc.rearrange import _rearrange
 from rearrcalc.spaces import SpaceSpec, norm
 from rearrcalc.stepfn import _frac, _sums, _total, _trusted, plc_from_nodes, refine
-from test_walks import rationals, sorted_star, step_functions, window_ends
+from test_walks import at, rationals, sorted_star, step_functions, window_ends
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -361,24 +363,32 @@ def test_the_star_flag_agrees_with_the_definition_on_every_route(x, data):
         assert vars(f)["_is_star"] == expected
 
 
-# -- the int pairs the merging builders keep -----------------------------------
+# -- the stored form: flat int pairs, with the Fractions built on first read ---
+
+
+def flat(qs) -> tuple:
+    return (*chain.from_iterable(q.as_integer_ratio() for q in qs),)
 
 
 def keeps_its_pairs(f: StepFunction) -> StepFunction:
-    """f keeps the int pairs of its cuts, and of its values with the tail
-    last, as flat int tuples equal to the pairs of its Fractions."""
-    def flat(qs):
-        return (*chain.from_iterable(q.as_integer_ratio() for q in qs),)
-
-    assert vars(f)["_cut_ints"] == flat(f.cuts)
-    assert vars(f)["_value_ints"] == flat((*f.values, f.tail))
+    """f stores the int pairs of its cuts, and of its values with the tail
+    last, as flat int tuples; its Fraction fields, stored by its builder or
+    built on first read and then kept, are the Fractions of those pairs."""
+    kept = vars(f)
+    ints = kept["_cut_ints"], kept["_value_ints"]
+    assert all(type(t) is tuple and all(type(i) is int for i in t) for t in ints)
+    for name in ("cuts", "values", "tail"):
+        first = getattr(f, name)
+        assert kept[name] is first and getattr(f, name) is first
+    assert type(f.tail) is F and all(type(q) is F for q in (*f.cuts, *f.values))
+    assert ints == (flat(f.cuts), flat((*f.values, f.tail)))
     return f
 
 
-def bare(f: StepFunction) -> StepFunction:
-    """f's fields in a trusted copy that keeps no int pairs."""
-    g = _trusted(StepFunction, alpha=f.alpha, cuts=f.cuts, values=f.values, tail=f.tail)
-    assert "_cut_ints" not in vars(g) and "_value_ints" not in vars(g)
+def ints_only(f: StepFunction) -> StepFunction:
+    """f's stored form in a trusted copy that holds no Fraction field yet."""
+    g = _trusted(StepFunction, alpha=f.alpha, _cut_ints=f._cut_ints, _value_ints=f._value_ints)
+    assert not {"cuts", "values", "tail"} & set(vars(g))
     return g
 
 
@@ -391,26 +401,40 @@ def diverging_as_none(op, *args):
 
 @SETTINGS
 @given(raw=raw_pieces(), data=st.data())
-def test_kept_pairs_match_the_fields_and_every_reader_agrees_without_them(raw, data):
+def test_every_builder_keeps_int_pairs_its_fractions_equal_and_readers_agree(raw, data):
     cuts, values, tail, alpha = raw
     f = keeps_its_pairs(canonicalize(cuts, values, tail, alpha))
-    keeps_its_pairs(StepFunction(f.alpha, f.cuts, f.values, f.tail))
-    keeps_its_pairs(StepFunction.from_json(json.loads(json.dumps(f.to_json()))))
-    width = data.draw(st.sampled_from([F(1, 3), F(1, 2), F(5, 2)]) if alpha == INF
-                      else st.sampled_from([F(1, 3), F(1, 2)]))
-    keeps_its_pairs(box(data.draw(rationals()), width, alpha))
-    if cuts:
-        keeps_its_pairs(plc_from_nodes(cuts, [c * 2 for c in cuts], 1, 0, alpha).slope)
-    g = bare(f)
     y = data.draw(step_functions(alpha=alpha))
     a, b = window_ends(f, data.draw)
-    hi = alpha if b is None or b == INF else b
+    c = data.draw(rationals())
+    width = data.draw(st.sampled_from([F(1, 3), F(1, 2), F(5, 2)]) if alpha == INF
+                      else st.sampled_from([F(1, 3), F(1, 2)]))
+    star = uncached_rearrangement(f).star
+    end = star.alpha if star.alpha != INF else star.support_bound + 2
+    phi = uncached_rearrangement(star).level_integral
+    s0, s1 = end / 4, end / 2  # a flattening of the star over [s0, s1)
+    routes = [StepFunction(f.alpha, f.cuts, f.values, f.tail),
+              StepFunction.from_json(json.loads(json.dumps(f.to_json()))),
+              box(c, width, alpha), constant(c, alpha), block(c, a, b, alpha),
+              f + y, f - y, f * y, f * c, -f, abs(f), f.positive_part(), f.window(a, b),
+              star, uncached_rearrangement(-f).star,
+              _flatten(star, s0, s1, (phi.value_at(s1) - phi.value_at(s0)) / (s1 - s0))]
+    if cuts:
+        routes.append(plc_from_nodes(cuts, [c * 2 for c in cuts], 1, 0, alpha).slope)
+    for g in routes:
+        # fresh objects first, then read through the public constructor
+        revalidated(keeps_its_pairs(g))
+        # g(t) bisects the int pairs: at 0, at every cut and between cuts
+        points = [F(0), *g.cuts, *((p + q) / 2 for p, q in zip((F(0), *g.cuts), g.cuts))]
+        assert [g(t) for t in points] == [at(g, t) for t in points]
     lam = data.draw(rationals(signed=False))
+    hi = alpha if b is None or b == INF else b
     readers = [is_decreasing_rearrangement, hash, lambda x: refine(x, y),
                lambda x: refine(y, x), _rearrange.__wrapped__, lambda x: x.window(a, b),
                lambda x: diverging_as_none(integrate, x, a, hi),
                lambda x: exceedance_measure(x, lam),
                lambda x: norm(SpaceSpec("L1", alpha=alpha), x),
-               lambda x: norm(SpaceSpec("Linf", alpha=alpha), x)]
+               lambda x: norm(SpaceSpec("Linf", alpha=alpha), x),
+               lambda x: x, repr, StepFunction.to_json]
     for read in readers:
-        assert read(f) == read(g)
+        assert read(f) == read(ints_only(f))
