@@ -53,8 +53,10 @@ from .stepfn import (
     StepFunction,
     _ONE,
     _ZERO,
+    _bisect,
     _frac,
     _largest,
+    _plc_at,
     _ratio,
     _record,
     _require_same_domain,
@@ -207,27 +209,36 @@ def _crossing(phi: PiecewiseLinearConcave, a: Fraction, b: Fraction,
     found by the second clause alone means d falls before it reaches 0, and
     then the final slope is <= b as well.
     """
-    cuts, nodes, slopes = phi.cuts, phi.node_values, phi.slope.values
-    n = len(cuts)
-    d_start = phi.value_at(start) - (a + b * start)
-    rising = d_start < 0
+    slope, nodes = phi.slope, phi._node_ints  # node i + 1 is phi at cut i
+    ci, si = slope._cut_ints, slope._value_ints
+    (an, ad), (bn, bd) = _ratio(a), _ratio(b)
 
-    def d(i: int) -> Fraction:
-        return nodes[i] - (a + b * cuts[i])
+    def at(tn: int, td: int, pn: int, pd: int) -> tuple[int, int, int, int]:
+        """t = tn/td and d(t), for phi(t) = pn/pd, as int pairs (d unreduced)."""
+        return tn, td, (pn * ad - an * pd) * bd * td - bn * tn * pd * ad, pd * ad * bd * td
+
+    def node(i: int) -> tuple[int, int, int, int]:
+        return at(*ci[2 * i:2 * i + 2], *nodes[2 * i + 2:2 * i + 4])
+
+    def point(t: Fraction) -> tuple[int, int, int, int]:
+        return at(*_ratio(t), *_plc_at(phi, *_ratio(t)))
+
+    start = point(start)
+    rising = start[2] < 0
 
     def met(i: int) -> bool:
-        if not rising:
-            return d(i) <= 0
-        return d(i) >= 0 or (slopes[i + 1] if i + 1 < n else phi.final_slope) <= b
+        dn = node(i)[2]  # rising: d >= 0, or phi's next slope <= b
+        return dn >= 0 or si[2 * i + 2] * bd <= bn * si[2 * i + 3] if rising else dn <= 0
 
-    k = bisect_right(cuts, start)
-    stop = n if end is None else bisect_left(cuts, end, k)
+    n, k = len(ci) // 2, _bisect(bisect_right, slope, *start[:2])
+    stop = n if end is None else max(k, _bisect(bisect_left, slope, *_ratio(end)))
     j = k + bisect_left(range(k, stop), True, key=met)
     if j < stop or end is not None:
-        s, d_s = (cuts[j], d(j)) if j < stop else (end, phi.value_at(end) - (a + b * end))
-        if (d_s >= 0) if rising else (d_s <= 0):
-            t_prev, d_prev = (cuts[j - 1], d(j - 1)) if j > k else (start, d_start)
-            return t_prev + d_prev * (s - t_prev) / (d_prev - d_s)
+        sn, sd, en, ed = node(j) if j < stop else point(end)
+        if (en >= 0) if rising else (en <= 0):
+            pn, pd, fn, fd = node(j - 1) if j > k else start
+            w = fn * ed - en * fd  # t_prev + d_prev (s - t_prev) / (d_prev - d_s)
+            return Fraction(pn * sd * w + (sn * pd - pn * sd) * fn * ed, pd * sd * w)
     af, bf = phi.final_branch()
     if end is not None or not (bf > b if rising else bf < b):
         raise PreconditionError("line never meets the function again")

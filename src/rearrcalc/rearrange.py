@@ -12,23 +12,26 @@ x**(t) = Phi_x(t)/t, with Phi_x frozen at its limit for t >= 1 when
 alpha = 1.
 
 The arithmetic is on int pairs, not Fractions.  One pass reads each
-piece's cut and value as int pairs, works out its length and adds it to
-the group of its |value|, the ratio (|p|, q) of its value p/q (exact, as a
-Fraction is in lowest terms), over the lcm of the group's length
-denominators: a gcd only when that lcm grows.  Only the distinct values
-are sorted, by the int key (|p| << k) // q = floor(|p/q| 2^k), with
-k = 2 * D.bit_length() for D the largest value denominator: distinct
-values differ by at least 1/D^2 > 2^-k, so the keys order them exactly.
-The star's cuts and the level integral's nodes are running sums of pairs
-(``stepfn``'s kernel), one gcd and one Fraction per distinct value.
+piece's cut and value as four flat ints, zipped off the stored int tuples
+of x (``stepfn``), works out its length and adds it to the group of its
+|value|, the ratio (|p|, q) of its value p/q (exact, as a Fraction is in
+lowest terms), over the lcm of the group's length denominators: a gcd only
+when that lcm grows.  Only the distinct values are sorted, by the int key
+(|p| << k) // q = floor(|p/q| 2^k), with k = 2 * D.bit_length() for D the
+largest value denominator: distinct values differ by at least 1/D^2 >
+2^-k, so the keys order them exactly.  The star's cuts are running sums of
+the group lengths (``stepfn``'s kernel), one gcd per distinct value.
 
 A star passes through: when x is already x* (``stepfn``'s
 ``is_decreasing_rearrangement``), the rearrangement returns x itself as
-``star``, without sorting or merging.  The star and its level integral are
-built by the trusted constructor (see ``stepfn``): they are canonical by
-construction, a sorted star is flagged as a star when it is built, and the
-level integral's slope function is the star object itself, with no
-division.
+``star``, without sorting or merging.  A sorted star is built by the
+trusted constructor (see ``stepfn``), canonical by construction and
+flagged as a star.  The level integral is built on first read and kept:
+its nodes are int-pair running sums of the star's values times the lengths
+the sort kept (read off the cuts of a star that passed through), and its
+slope function is the star itself.  ``hlp_compare``, ``maximal_distance``,
+M*_phi and M_phi with a piecewise-linear phi never read it, and
+``value_at`` and ``majorize``'s crossings read its pairs, not its Fractions.
 
 Every rearrangement goes through one cache, ``_rearrange``, keyed by the
 step function: its sampled hash (see ``stepfn``) plus ``==``, so an equal
@@ -37,17 +40,17 @@ stored.  It is ``lru_cache(maxsize=512)``: hits are short-range, so recency
 is enough.  Over 1,000 calls of the five property suites (seed 71) it makes
 43,320 hits against 44,791 with 8,192 entries, and about nine hits in ten
 look up the very same object again.  The count bounds entries, not bytes:
-fresh ``canonicalize``-built operands of 2,000 pieces hold about 0.43 MB an
-entry (tracemalloc over 40 of them), 0.06 MB of it their kept int pairs,
-so 512 of them hold about 220 MB, and only a bound on the size of an input
-caps that.
+fresh ``canonicalize``-built operands of 2,000 pieces hold about 0.44 MB an
+entry (tracemalloc over 40 of them), 0.03 MB of it the result (0.04 MB once
+its level integral is read), so 512 of them hold about 225 MB, and only a
+bound on the size of an input caps that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, starmap
+from itertools import chain
 from math import gcd
 
 from .errors import PreconditionError
@@ -55,9 +58,8 @@ from .stepfn import (
     INF,
     PiecewiseLinearConcave,
     StepFunction,
-    _ZERO,
+    _Field,
     _cut_pairs,
-    _frac,
     _lengths,
     _products,
     _record,
@@ -84,16 +86,31 @@ class RearrangementResult:
     star_at_infinity: Fraction
 
 
+def _level_integral(rr: RearrangementResult) -> PiecewiseLinearConcave:
+    """Phi_x, trusted, from rr.star and the lengths the sort kept (None for
+    a star that passed through: one per cut, read off its cuts)."""
+    star, lengths = rr.star, rr._lengths
+    if lengths is None:
+        lengths = _lengths(_cut_pairs(star), INF)
+    nodes = chain.from_iterable(_sums(_products(_value_pairs(star), lengths)))
+    return _trusted(PiecewiseLinearConcave, alpha=star.alpha, slope=star,
+                    _node_ints=(0, 1, *nodes))
+
+
+# set after @_record, which reads class attributes as __init__ defaults
+RearrangementResult.level_integral = _Field("level_integral", _level_integral)
+
+
 def _sorted_star(x: StepFunction):
-    """x*, with the int pairs of its values and piece lengths."""
+    """x*, with the int pairs of its piece lengths."""
     # (|p|, q) -> the lengths of the pieces of value +-p/q, summed over the
     # lcm of their denominators: (cn - pn, d) when the ends share d
     groups = {}
     pn, pd = 0, 1
-    ends = list(_cut_pairs(x))
+    c, v = iter(x._cut_ints), iter(x._value_ints)
     if x.alpha is not INF:
-        ends.append((1, 1))
-    for (cn, cd), (p, q) in zip(ends, _value_pairs(x)):
+        c = chain(c, (1, 1))
+    for cn, cd, p, q in zip(c, c, v, v):
         if cd == pd:
             n, d = cn - pn, cd
         else:
@@ -120,27 +137,14 @@ def _sorted_star(x: StepFunction):
     lengths = [groups[r] for r in ratios]
     star = _trusted(StepFunction, alpha=x.alpha, _cut_ints=(*chain.from_iterable(_sums(lengths)),),
                     _value_ints=(*chain.from_iterable(ratios), *tail), _is_star=True)
-    return star, ratios, lengths
+    return star, lengths
 
 
 @lru_cache(maxsize=512)
 def _rearrange(x: StepFunction) -> RearrangementResult:
-    if is_decreasing_rearrangement(x):
-        # one length per cut: the tail's value pair, last, has no node
-        star, values, lengths = x, _value_pairs(x), _lengths(_cut_pairs(x), INF)
-    else:
-        star, values, lengths = _sorted_star(x)
-    # running integral of the star: one node per cut, then slope = tail
-    phi = _trusted(
-        PiecewiseLinearConcave,
-        alpha=x.alpha,
-        cuts=star.cuts,
-        node_values=(*starmap(_frac, _sums(_products(values, lengths))),),
-        final_slope=star.tail,
-        jump0=_ZERO,
-        slope=star,
-    )
-    return RearrangementResult(star, phi, star.tail)
+    star, lengths = (x, None) if is_decreasing_rearrangement(x) else _sorted_star(x)
+    return _trusted(RearrangementResult, star=star, star_at_infinity=star.tail,
+                    _lengths=lengths)
 
 
 def rearrangement(x: StepFunction) -> RearrangementResult:

@@ -42,8 +42,11 @@ from .stepfn import (
     _ZERO,
     _coerce_alpha,
     _cut_pairs,
+    _frac,
     _largest,
     _lengths,
+    _pairs,
+    _plc_at,
     _ratio,
     _record,
     _total,
@@ -178,18 +181,23 @@ class SpaceSpec:
             raise ParseError(f"invalid space: {e}") from None
 
 
-def _at_infinity(phi: FundamentalFunction, rr: RearrangementResult, star: bool) -> Ext:
+def _at_infinity(phi: FundamentalFunction, rr: RearrangementResult, star: bool,
+                 big=None) -> Ext:
     """lim of x*(t)*phi(t) (star) or x**(t)*phi(t) as t -> inf, for x with
     rearrangement rr on [0, inf).  Past the last cuts Phi_x(t) = a + tail*t
     and phi(t) = b + m*t, so the limit is tail*phi(inf) (INF when tail > 0
-    and m > 0), plus a*m for x**; the hyperbola has phi(inf) = 1 and m = 0."""
+    and m > 0), plus a*m for x**; the hyperbola has phi(inf) = 1 and m = 0.
+    a is read only when tail = 0, so it is Phi_x(inf): the pair big when the
+    caller has it, else the last node of rr's level integral."""
     tail = rr.star_at_infinity
     if isinstance(phi, Hyperbolic):
         return tail
     b, m = phi.final_branch()
     if tail and m:
         return INF
-    return tail * b if star else tail * b + rr.level_integral.final_branch()[0] * m
+    if star or not m:
+        return tail * b
+    return m * (rr.level_integral.final_branch()[0] if big is None else _frac(*big))
 
 
 def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext:
@@ -203,23 +211,26 @@ def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext
     (monotone).  So the ends and the limit at inf suffice: at 0+ the
     objective is x*(0+)*phi(t), nondecreasing up to the first end or inf."""
     rr = rearrangement(x)
+    big = None
     if isinstance(phi, Hyperbolic):
-        # the merged ends are x*'s cuts, where Phi_x has its nodes;
-        # phi(e) = e / (c + e) = en cd / (cn ed + en cd)
-        big = rr.level_integral
+        # the merged ends are x*'s cuts, where Phi_x has its nodes (the
+        # pairs after jump0's); phi(e) = e / (c + e) = en cd / (cn ed + en cd)
         ends = list(_cut_pairs(rr.star))
         # x*'s values end with its tail, x*(1-) at the end 1
-        factors = _value_pairs(rr.star) if star else map(_ratio, big.node_values)
+        factors = _value_pairs(rr.star) if star else _pairs(rr.level_integral._node_ints[2:])
         if x.alpha is not INF:
             ends.append((1, 1))
             if not star:
-                factors = chain(factors, [_ratio(big.value_at(_ONE))])
+                factors = chain(factors, [_plc_at(rr.level_integral, 1, 1)])
         cn, cd = _ratio(phi.c)
         phis = ((en * cd, cn * ed + en * cd) for en, ed in ends)
     else:
         # phi - jump0 and Phi_x are the walk's running integrals of phi's
-        # slope function and of x*
+        # slope function and of x*; the last is Phi_x(inf) when x*(inf) = 0
         ends, _, values, _, at_big, at_phi = _walk(rr.star, phi.slope)
+        if not star:
+            at_big = [*at_big]
+            big = at_big[-1] if at_big else (0, 1)
         factors = values if star else at_big
         jn, jd = _ratio(phi.jump0)
         phis = ((jn * pd + pn * jd, jd * pd) for pn, pd in at_phi)
@@ -228,7 +239,7 @@ def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext
                     for (en, ed), (fn, fd), (pn, pd) in zip(divisors, factors, phis))
     if x.alpha is not INF:
         return best
-    at_inf = _at_infinity(phi, rr, star)
+    at_inf = _at_infinity(phi, rr, star, big)
     return INF if at_inf is INF else max(best, at_inf)
 
 

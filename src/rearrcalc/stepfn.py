@@ -15,10 +15,13 @@ concave envelopes that arise as running integrals of decreasing step
 functions, with the same canonical-representative discipline.  Its slopes
 are one step function, ``slope`` (the segment slopes, then the final
 slope), stored when it is built; it is canonical exactly when ``slope`` is
-a star (nonnegative, strictly decreasing).  The one test for x = x* is
-:func:`is_decreasing_rearrangement`: the PLC constructor, the
-rearrangement's pass-through and the preconditions of ``majorize`` all
-call it, and none of them rearranges to find out.
+a star (nonnegative, strictly decreasing).  A PLC is stored as int pairs
+too: ``slope`` and the flat pairs of jump0 and its node values; its
+Fraction fields are built on first read, and ``value_at``, ``==``, the
+hash and the crossings of ``majorize`` read the pairs (:func:`_plc_at`).
+The one test for x = x* is :func:`is_decreasing_rearrangement`: the PLC
+constructor, the rearrangement's pass-through and the preconditions of
+``majorize`` all call it, and none of them rearranges to find out.
 
 A StepFunction is stored as the int pairs of its cuts and of its values,
 the tail last, in two flat int tuples (see :func:`_merged`); every builder
@@ -36,10 +39,11 @@ the same with their scalars: the cut check of every constructor, the
 bounds of ``window`` and :func:`integrate`, their bisections and that of
 ``f(t)`` (:func:`_bisect`), the level of :func:`exceedance_measure`
 (|v| > lam as |vn| ld > ln vd) and :meth:`PiecewiseLinearConcave.value_at`
-(one pair, one gcd); only the other bisections of a cut list compare
-Fractions.  A reduced pair becomes a Fraction through :func:`_frac`, which
-skips the gcd of ``Fraction.__new__``; it is the only code that sets
-Fraction's internal slots, and the result is a plain Fraction.
+(a bisection of the slope function's cuts, then one pair and one gcd);
+only the other bisections of a cut list compare Fractions.  A reduced pair
+becomes a Fraction through :func:`_frac`, which skips the gcd of
+``Fraction.__new__``; it is the only code that sets Fraction's internal
+slots, and the result is a plain Fraction.
 
 A domain endpoint is one of two singletons, ``INF`` or ``_ONE``: the
 constructors normalize a caller's endpoint with :func:`_coerce_alpha`, and
@@ -379,7 +383,9 @@ class StepFunction:
             ends, fv, gv = refine(self, other)
             return _merged(self.alpha, [*chain.from_iterable(ends)], [*chain.from_iterable(
                 _reduced(an * bn, ad * bd) for (an, ad), (bn, bd) in zip(fv, gv))])
-        cn, cd = _ratio(rat(other))  # c = 0 makes every pair (0, 1): all merge into the tail
+        cn, cd = _ratio(rat(other))
+        if not cn:
+            return constant(0, self.alpha)
         return _merged(self.alpha, self._cut_ints, [*chain.from_iterable(
             _reduced(n * cn, d * cd) for n, d in _value_pairs(self))])
 
@@ -446,9 +452,10 @@ class StepFunction:
 
 
 class _Field:
-    """A Fraction field of StepFunction, built from the int pairs on first
-    read and kept in the instance dict, where later reads find it first (a
-    non-data descriptor; ``__getattr__`` would slow every attribute read)."""
+    """A field built on first read (a StepFunction's or a PLC's Fractions, a
+    rearrangement's level integral) and kept in the instance dict, where
+    later reads find it first (a non-data descriptor; ``__getattr__`` would
+    slow every attribute read)."""
 
     def __init__(self, name, build):
         self.name, self.build = name, build
@@ -461,8 +468,7 @@ class _Field:
 
 
 def _fractions(ints) -> tuple[Fraction, ...]:
-    it = iter(ints)
-    return (*starmap(_frac, zip(it, it)),)
+    return (*starmap(_frac, _pairs(ints)),)
 
 
 # set after @_record, which reads class attributes as __init__ defaults
@@ -587,8 +593,7 @@ def _merged(alpha, cut_ints, value_ints, cuts=None, values=None) -> StepFunction
     n, d = value_ints[::2], value_ints[1::2]
     keep = [*map(ne, zip(n, d), zip(n[1:], d[1:]))]  # pair k differs from pair k+1
     if not all(keep):
-        it = iter(cut_ints)
-        cut_ints = [*chain.from_iterable(compress(zip(it, it), keep))]
+        cut_ints = [*chain.from_iterable(compress(_pairs(cut_ints), keep))]
         value_ints = [*chain.from_iterable(compress(zip(n, d), keep)), n[-1], d[-1]]
         if cuts is not None:
             cuts, values = [*compress(cuts, keep)], [*compress(values, keep), values[-1]]
@@ -599,16 +604,20 @@ def _merged(alpha, cut_ints, value_ints, cuts=None, values=None) -> StepFunction
     return f
 
 
+def _pairs(ints) -> Iterator[tuple[int, int]]:
+    """The pairs (n0, d0), (n1, d1), ... of flat ints n0, d0, n1, d1, ..."""
+    it = iter(ints)
+    return zip(it, it)
+
+
 def _cut_pairs(f: StepFunction) -> Iterator[tuple[int, int]]:
     """The int pairs of f.cuts."""
-    ints = iter(f._cut_ints)
-    return zip(ints, ints)
+    return _pairs(f._cut_ints)
 
 
 def _value_pairs(f: StepFunction) -> Iterator[tuple[int, int]]:
     """The int pairs of f.values, then of f.tail."""
-    ints = iter(f._value_ints)
-    return zip(ints, ints)
+    return _pairs(f._value_ints)
 
 
 def _bisect(bisect, f: StepFunction, n: int, d: int) -> int:
@@ -760,7 +769,9 @@ class PiecewiseLinearConcave:
     ``cuts`` with values ``node_values``, and slope ``final_slope`` from the
     last node on.  ``slope``, stored when it is built, is the slope function:
     the segment slopes, then final_slope.  Canonical form: ``slope`` is a
-    star.  Merge raw node data with :func:`plc_from_nodes`.
+    star.  Merge raw node data with :func:`plc_from_nodes`.  Stored as
+    ``slope`` and ``_node_ints``, the flat int pairs of jump0 and the node
+    values; the Fraction fields are built on first read.
     """
 
     alpha: Ext
@@ -776,34 +787,27 @@ class PiecewiseLinearConcave:
             raise PreconditionError(_NOT_CONCAVE)
         vars(self).update(vars(phi))
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._node_ints == other._node_ints and self.slope == other.slope
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.slope, self._node_ints[-2:]))
+
     def value_at(self, t) -> Fraction:
         """Exact value at t; t=alpha allowed for alpha=1 (the left limit)."""
         t = rat(t)
         tn, td = _ratio(t)
         if tn < 0 or (self.alpha is not INF and tn > td):
             raise PreconditionError(f"t={t} outside [0,{alpha_str(self.alpha)}]")
-        if not tn:
-            return _ZERO
-        cuts = self.cuts
-        i = bisect_right(cuts, t)
-        if i:
-            (sn, sd), bv = _ratio(cuts[i - 1]), self.node_values[i - 1]
-        else:
-            (sn, sd), bv = (0, 1), self.jump0
-        mn, md = self.slope._value_ints[2 * i:2 * i + 2]  # the final slope is its tail
-        if not mn or (sn == tn and sd == td):  # flat, or t is the node
-            return bv
-        # bv + m (t - s) as one pair: (bvn md td sd + bvd mn (tn sd - sn td)) / (bvd md td sd)
-        bvn, bvd = _ratio(bv)
-        d = md * td * sd
-        return _frac(*_reduced(bvn * d + bvd * mn * (tn * sd - sn * td), bvd * d))
+        return _frac(*_plc_at(self, tn, td))
 
     def final_branch(self) -> tuple[Fraction, Fraction]:
         """(intercept, slope) of the affine branch valid from the last cut on."""
-        m = self.final_slope
-        if not self.cuts:
-            return self.jump0, m
-        return self.node_values[-1] - m * self.cuts[-1], m
+        (bn, bd), (cn, cd) = self._node_ints[-2:], self.slope._cut_ints[-2:] or (0, 1)
+        mn, md = self.slope._value_ints[-2:]
+        return _frac(*_reduced(bn * md * cd - mn * cn * bd, bd * md * cd)), self.final_slope
 
     def to_json(self) -> dict:
         return {
@@ -851,6 +855,31 @@ def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> Piecew
     if not is_decreasing_rearrangement(slope):
         raise PreconditionError(_NOT_CONCAVE)
     value_of = dict(zip(cuts, node_values))
-    return _trusted(PiecewiseLinearConcave, alpha=alpha, cuts=slope.cuts,
-                    node_values=(*map(value_of.get, slope.cuts),), final_slope=final_slope,
-                    jump0=jump0, slope=slope)
+    nodes = (*map(value_of.get, slope.cuts),)
+    return _trusted(PiecewiseLinearConcave, alpha=alpha, cuts=slope.cuts, node_values=nodes,
+                    final_slope=final_slope, jump0=jump0, slope=slope,
+                    _node_ints=(*chain.from_iterable(map(_ratio, (jump0, *nodes))),))
+
+
+def _plc_at(phi: PiecewiseLinearConcave, tn: int, td: int) -> tuple[int, int]:
+    """phi(tn/td) as a reduced pair, for tn/td in [0, alpha]: the node at or
+    before t (jump0 at 0+) plus the slope there times the distance."""
+    if not tn:
+        return 0, 1
+    slope = phi.slope
+    i = _bisect(bisect_right, slope, tn, td)  # node i is phi at cut i - 1
+    sn, sd = slope._cut_ints[2 * i - 2:2 * i] if i else (0, 1)
+    bn, bd = phi._node_ints[2 * i:2 * i + 2]
+    mn, md = slope._value_ints[2 * i:2 * i + 2]  # the final slope is its tail
+    if not mn or (sn == tn and sd == td):  # flat, or t is the node
+        return bn, bd
+    # bn/bd + m (t - s) as one pair
+    d = md * td * sd
+    return _reduced(bn * d + bd * mn * (tn * sd - sn * td), bd * d)
+
+
+# set after @_record, as for StepFunction
+PiecewiseLinearConcave.cuts = _Field("cuts", lambda p: p.slope.cuts)
+PiecewiseLinearConcave.node_values = _Field("node_values", lambda p: _fractions(p._node_ints[2:]))
+PiecewiseLinearConcave.final_slope = _Field("final_slope", lambda p: p.slope.tail)
+PiecewiseLinearConcave.jump0 = _Field("jump0", lambda p: _frac(*p._node_ints[:2]))

@@ -424,7 +424,8 @@ def test_gamma0_crossing_matches_a_scan(phi, data):
 
 
 class CountingNodes(Sequence):
-    """A node-value sequence that counts the entries read."""
+    """A node sequence (the flat int pairs ``_node_ints``) that counts the
+    entries read."""
 
     def __init__(self, items):
         self.items, self.reads = tuple(items), 0
@@ -456,9 +457,9 @@ def test_crossing_reads_logarithmically_many_nodes():
              (F(1), chord, F(0), cuts[-2]),             # gamma1: rising up to an end
              (phi.value_at(mid) - chord * mid + 1, chord, mid, None)]  # rising from mid
     expected = [scan_crossing(phi, *args) for args in calls]
-    counted = CountingNodes(phi.node_values)
-    object.__setattr__(phi, "node_values", counted)
-    bound = 4 * math.log2(n) + 8
+    counted = CountingNodes(phi._node_ints)
+    object.__setattr__(phi, "_node_ints", counted)
+    bound = 2 * (4 * math.log2(n) + 8)  # two ints a node
     for args, want in zip(calls, expected):
         counted.reads = 0
         assert _crossing(phi, *args) == want

@@ -277,3 +277,61 @@ def test_kept_pairs_are_two_flat_int_tuples(alpha):
     assert all(type(i) is int for t in kept for i in t)
     slots = sum(sys.getsizeof(t) - sys.getsizeof(()) for t in kept) // tuple.__itemsize__
     assert slots == 2 * (2 * len(x.cuts) + 1)
+
+
+@pytest.mark.parametrize("alpha", [INF, F(1)])
+def test_times_zero_is_the_zero_constant_without_a_gcd(alpha, monkeypatch):
+    x = large_operand(random.Random(2005), alpha)
+    calls = Counter()
+    gcd = math.gcd
+
+    def counting(*args):
+        calls["gcd"] += 1
+        return gcd(*args)
+
+    for owner in (math, stepfn):
+        monkeypatch.setattr(owner, "gcd", counting)
+    zero = stepfn.constant(0, alpha)
+    for product in (x * 0, 0 * x, x * F(0), x.scale(0)):
+        assert product == zero and product.alpha is x.alpha
+        assert product._cut_ints == () and product._value_ints == (0, 1)
+    assert not calls, dict(calls)
+
+
+def cold_star(alpha, tail=0):
+    """A fresh star of PIECES pieces, so a rearrangement passes it through."""
+    den = 1 if alpha == INF else PIECES + 1
+    cuts = [F(k, den) for k in range(1, PIECES + 1)]
+    return canonicalize(cuts, [F(PIECES + 1 - k, 3) for k in range(PIECES)], tail, alpha)
+
+
+@pytest.mark.parametrize("alpha", [INF, F(1)])
+def test_kernels_that_read_no_node_leave_the_level_integral_unbuilt(alpha):
+    """The walk's consumers sum their own running integrals, so on fresh
+    operands the rearrangement result never builds its level integral, and
+    ``majorant_pair`` reads the pass-through level integral of its star as
+    int pairs: none of its node Fractions is built."""
+    rng = random.Random(2006)
+    plc = plc_phi(alpha)
+    ops = [("hlp_compare", lambda x, y: hlp_compare(y, x)),
+           ("maximal_distance", lambda x, y: experiments.maximal_distance(x, y, F(3, 2)))]
+    ops += [(f"norm {kind} {type(phi).__name__}", lambda x, y, s=SpaceSpec(kind, phi, alpha):
+             norm(s, x))
+            for kind, phi in (("Marcinkiewicz", plc), ("MarcinkiewiczStar", plc),
+                              ("MarcinkiewiczStar", Hyperbolic(F(7, 2))))]
+    for name, op in ops:
+        x, y = large_operand(rng, alpha), large_operand(rng, alpha)
+        cold(lambda: op(x, y))()
+        for u in (x, y):
+            assert "level_integral" not in vars(rearrange.rearrangement(u)), name
+    if alpha == INF:
+        x = cold_star(INF)
+        rearrange._rearrange.cache_clear()
+        tau = x.cuts[PIECES // 3]
+        eps = rearrange.level_integral(x).value_at(tau) / 5
+        for t in (tau, x.cuts[PIECES // 2] + F(1, 3)):
+            majorize.majorant_pair(x, t, eps)
+        phi = rearrange.rearrangement(x).level_integral
+        assert rearrange.rearrangement(x).star is x and len(phi._node_ints) == 2 * PIECES + 2
+        assert not {"cuts", "node_values", "jump0"} & set(vars(phi))
+

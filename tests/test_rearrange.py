@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from rearrcalc import (
     INF,
+    PiecewiseLinearConcave,
     PreconditionError,
     box,
     canonicalize,
     constant,
     equimeasurable,
     exceedance_measure,
+    is_decreasing_rearrangement,
     level_integral,
     maximal_eval,
     rearrangement,
@@ -22,6 +24,7 @@ from rearrcalc.experiments import builtin_family, probe_koc
 from rearrcalc.gen import _distribution_oracle, _sorted_oracle_star, rand_step
 from rearrcalc.rearrange import _rearrange
 from rearrcalc.spaces import SpaceSpec
+from rearrcalc.stepfn import plc_from_nodes
 
 
 def test_distribution_examples():
@@ -186,6 +189,66 @@ def test_rearrangement_against_fraction_sort_oracle(x):
         prev = cut
     assert rr.level_integral.cuts == star.cuts
     assert list(rr.level_integral.node_values) == nodes
+
+
+@st.composite
+def _routed_steps(draw):
+    """(route, x) for each way a level integral is built: a sorted star on
+    [0, inf), a star that passes through, a tail that absorbs pieces on
+    [0, inf), and alpha = 1 (where the smallest value becomes the tail)."""
+    route = draw(st.sampled_from(["sorted", "star", "absorbing tail", "alpha = 1"]))
+    alpha = F(1) if route == "alpha = 1" else INF
+    magnitudes = st.builds(F, st.integers(1, 30), st.integers(1, 6))
+    values = draw(st.lists(magnitudes, min_size=1, max_size=10))
+    tail = F(0)
+    if route == "star":
+        values = sorted(set(values), reverse=True)
+        tail = draw(st.sampled_from([F(0), values[-1] / 2]))
+    else:
+        values = [v * draw(st.sampled_from([1, -1])) for v in values]
+        if route == "absorbing tail":
+            tail = draw(st.sampled_from(values)) * draw(st.sampled_from([1, -1]))
+        elif route == "alpha = 1":
+            tail = draw(magnitudes)
+    if alpha == INF:
+        cuts, acc = [], F(0)
+        for _ in values:
+            acc += draw(st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 4, 3, 8])))
+            cuts.append(acc)
+    else:
+        ks = draw(st.sets(st.integers(1, 47), min_size=len(values), max_size=len(values)))
+        cuts = [F(k, 48) for k in sorted(ks)]
+    return route, canonicalize(cuts, values, tail, alpha)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_routed_steps())
+def test_the_lazy_level_integral_equals_the_oracle_plc_on_every_route(case):
+    route, x = case
+    _rearrange.cache_clear()
+    rr = rearrangement(x)
+    assert "level_integral" not in vars(rr)  # built on first read
+    assert (rr.star is x) == is_decreasing_rearrangement(x)
+    assert route != "star" or rr.star is x
+    phi = rr.level_integral
+    assert rr.level_integral is phi and not {"cuts", "node_values"} & set(vars(phi))
+    # the oracle: a raw sort of x's pieces and cumulative Fraction sums
+    star = _sorted_oracle_star(x)
+    nodes, acc, prev = [], F(0), F(0)
+    for cut, v in zip(star.cuts, star.values):
+        acc += v * (cut - prev)
+        nodes.append(acc)
+        prev = cut
+    oracle = plc_from_nodes(star.cuts, nodes, star.tail, 0, x.alpha)
+    public = PiecewiseLinearConcave(x.alpha, star.cuts, nodes, star.tail)
+    assert phi == oracle == public and hash(phi) == hash(oracle) == hash(public)
+    assert (phi.cuts, phi.node_values, phi.final_slope, phi.jump0) == (
+        tuple(star.cuts), tuple(nodes), star.tail, 0)
+    assert [phi.value_at(c) for c in star.cuts] == nodes
+    if nodes:  # scaled by 101/100: unequal, whichever way it was built
+        moved = plc_from_nodes(star.cuts, [v * F(101, 100) for v in nodes],
+                               star.tail * F(101, 100), 0, x.alpha)
+        assert phi != moved and moved != phi
 
 
 # -- the rearrangement cache: an entry count, least recently used out ---------

@@ -5,11 +5,12 @@ Each record class is checked against a twin that the standard library's
 below, which is written out here rather than read off the classes: the same
 field order and defaults, ``repr`` byte for byte, ``==`` on every pair of
 samples (two samples per class, and each mix that differs from the first in
-one field only), ``hash`` (``StepFunction`` keeps its own), and
-AttributeError on assignment.  ``__post_init__`` runs on the public
-constructor, looked up on the class, and not on ``_trusted``.  A
-StepFunction is stored as int pairs, so its trusted samples hold only
-those, and their fields, ``repr`` and ``==`` come from them.
+one field only), ``hash`` (``StepFunction`` and ``PiecewiseLinearConcave``
+keep their own), and AttributeError on assignment.  ``__post_init__`` runs
+on the public constructor, looked up on the class, and not on ``_trusted``.
+A StepFunction and a PiecewiseLinearConcave are stored as int pairs, so
+their trusted samples hold only those, and their fields, ``repr`` and
+``==`` come from them.
 """
 
 import dataclasses
@@ -130,14 +131,24 @@ def _samples(cls):
     return [a, b, *(a[:i] + (b[i],) + a[i + 1:] for i in range(len(a)))]
 
 
+def _flat(*qs):
+    return tuple(n for q in qs for n in q.as_integer_ratio())
+
+
 def _trusted_from(cls, values):
-    """A trusted record of the field values; a StepFunction gets only its
-    stored form, the flat int pairs, and builds its Fractions when read."""
+    """A trusted record of the field values; a StepFunction or a
+    PiecewiseLinearConcave gets only its stored form, the flat int pairs
+    (a PLC's slope function, then jump0 and its node values), and builds its
+    Fractions when read.  Nothing is validated: a mix need not be canonical."""
     if cls is StepFunction:
         alpha, cuts, vals, tail = values
-        flat = [n for q in (*cuts, *vals, tail) for n in q.as_integer_ratio()]
-        return _trusted(cls, alpha=alpha, _cut_ints=(*flat[:2 * len(cuts)],),
-                        _value_ints=(*flat[2 * len(cuts):],))
+        return _trusted(cls, alpha=alpha, _cut_ints=_flat(*cuts), _value_ints=_flat(*vals, tail))
+    if cls is PiecewiseLinearConcave:
+        alpha, cuts, nodes, final, jump0 = values
+        slopes = [(v - pv) / (c - pc) for c, v, pc, pv in
+                  zip(cuts, nodes, (0, *cuts), (jump0, *nodes))]
+        return _trusted(cls, alpha=alpha, _node_ints=_flat(jump0, *nodes),
+                        slope=_trusted_from(StepFunction, (alpha, cuts, slopes, final)))
     return _trusted(cls, **dict(zip((n for n, _ in RECORDS[cls][0]), values)))
 
 
@@ -149,7 +160,7 @@ def test_records_compare_hash_and_print_like_frozen_dataclasses(cls):
     twins = [twin(*v) for v in samples]
     for r, t in zip(recs, twins):
         assert repr(r) == repr(t)
-        assert cls is StepFunction or hash(r) == hash(t)
+        assert "__hash__" in vars(cls) or hash(r) == hash(t)
         assert r.__eq__(t) is NotImplemented and r != t
     for r1, t1 in zip(recs, twins):
         for r2, t2 in zip(recs, twins):
@@ -194,6 +205,13 @@ def test_step_function_keeps_its_own_hash():
     assert StepFunction.__hash__ is vars(StepFunction)["__hash__"]
     x = StepFunction(INF, (1,), (2,), 0)
     assert hash(x) == x._hash == hash(_trusted_from(StepFunction, RECORDS[StepFunction][1]))
+
+
+def test_piecewise_linear_concave_keeps_its_own_hash():
+    assert PiecewiseLinearConcave.__hash__ is vars(PiecewiseLinearConcave)["__hash__"]
+    for values in RECORDS[PiecewiseLinearConcave][1:]:
+        assert hash(PiecewiseLinearConcave(*values)) == hash(
+            _trusted_from(PiecewiseLinearConcave, values))
 
 
 @pytest.mark.parametrize("cls", [c for c in CLASSES if hasattr(c, "__post_init__")],
