@@ -29,9 +29,10 @@ trusted constructor (see ``stepfn``), canonical by construction and
 flagged as a star.  The level integral is built on first read and kept:
 its nodes are int-pair running sums of the star's values times the lengths
 the sort kept (read off the cuts of a star that passed through), and its
-slope function is the star itself.  ``hlp_compare``, ``maximal_distance``,
-M*_phi and M_phi with a piecewise-linear phi never read it, and
-``value_at`` and ``majorize``'s crossings read its pairs, not its Fractions.
+slope function is the star itself.  ``hlp_compare``, ``maximal_distance``
+and M*_phi never read it; M_phi with a piecewise-linear phi reads only its
+last node, on [0, inf), and ``value_at`` and ``majorize``'s crossings read
+its pairs, not its Fractions.
 
 Every rearrangement goes through one cache, ``_rearrange``, keyed by the
 step function: its sampled hash (see ``stepfn``) plus ``==``, so an equal

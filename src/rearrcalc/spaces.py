@@ -42,7 +42,6 @@ from .stepfn import (
     _ZERO,
     _coerce_alpha,
     _cut_pairs,
-    _frac,
     _largest,
     _lengths,
     _pairs,
@@ -181,23 +180,18 @@ class SpaceSpec:
             raise ParseError(f"invalid space: {e}") from None
 
 
-def _at_infinity(phi: FundamentalFunction, rr: RearrangementResult, star: bool,
-                 big=None) -> Ext:
+def _at_infinity(phi: FundamentalFunction, rr: RearrangementResult, star: bool) -> Ext:
     """lim of x*(t)*phi(t) (star) or x**(t)*phi(t) as t -> inf, for x with
     rearrangement rr on [0, inf).  Past the last cuts Phi_x(t) = a + tail*t
     and phi(t) = b + m*t, so the limit is tail*phi(inf) (INF when tail > 0
-    and m > 0), plus a*m for x**; the hyperbola has phi(inf) = 1 and m = 0.
-    a is read only when tail = 0, so it is Phi_x(inf): the pair big when the
-    caller has it, else the last node of rr's level integral."""
+    and m > 0), plus a*m for x**; the hyperbola has phi(inf) = 1 and m = 0."""
     tail = rr.star_at_infinity
     if isinstance(phi, Hyperbolic):
         return tail
     b, m = phi.final_branch()
     if tail and m:
         return INF
-    if star or not m:
-        return tail * b
-    return m * (rr.level_integral.final_branch()[0] if big is None else _frac(*big))
+    return tail * b if star else tail * b + rr.level_integral.final_branch()[0] * m
 
 
 def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext:
@@ -211,7 +205,6 @@ def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext
     (monotone).  So the ends and the limit at inf suffice: at 0+ the
     objective is x*(0+)*phi(t), nondecreasing up to the first end or inf."""
     rr = rearrangement(x)
-    big = None
     if isinstance(phi, Hyperbolic):
         # the merged ends are x*'s cuts, where Phi_x has its nodes (the
         # pairs after jump0's); phi(e) = e / (c + e) = en cd / (cn ed + en cd)
@@ -226,11 +219,8 @@ def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext
         phis = ((en * cd, cn * ed + en * cd) for en, ed in ends)
     else:
         # phi - jump0 and Phi_x are the walk's running integrals of phi's
-        # slope function and of x*; the last is Phi_x(inf) when x*(inf) = 0
+        # slope function and of x*
         ends, _, values, _, at_big, at_phi = _walk(rr.star, phi.slope)
-        if not star:
-            at_big = [*at_big]
-            big = at_big[-1] if at_big else (0, 1)
         factors = values if star else at_big
         jn, jd = _ratio(phi.jump0)
         phis = ((jn * pd + pn * jd, jd * pd) for pn, pd in at_phi)
@@ -239,7 +229,7 @@ def _marcinkiewicz(phi: FundamentalFunction, x: StepFunction, star: bool) -> Ext
                     for (en, ed), (fn, fd), (pn, pd) in zip(divisors, factors, phis))
     if x.alpha is not INF:
         return best
-    at_inf = _at_infinity(phi, rr, star, big)
+    at_inf = _at_infinity(phi, rr, star)
     return INF if at_inf is INF else max(best, at_inf)
 
 

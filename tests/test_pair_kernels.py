@@ -308,9 +308,11 @@ def cold_star(alpha, tail=0):
 @pytest.mark.parametrize("alpha", [INF, F(1)])
 def test_kernels_that_read_no_node_leave_the_level_integral_unbuilt(alpha):
     """The walk's consumers sum their own running integrals, so on fresh
-    operands the rearrangement result never builds its level integral, and
-    ``majorant_pair`` reads the pass-through level integral of its star as
-    int pairs: none of its node Fractions is built."""
+    operands the rearrangement result never builds its level integral.
+    M_phi with a piecewise-linear phi reads Phi_x(inf) off the level
+    integral's last pair on [0, inf), and ``majorant_pair`` reads the
+    pass-through level integral of its star as int pairs: neither builds a
+    node Fraction."""
     rng = random.Random(2006)
     plc = plc_phi(alpha)
     ops = [("hlp_compare", lambda x, y: hlp_compare(y, x)),
@@ -323,7 +325,11 @@ def test_kernels_that_read_no_node_leave_the_level_integral_unbuilt(alpha):
         x, y = large_operand(rng, alpha), large_operand(rng, alpha)
         cold(lambda: op(x, y))()
         for u in (x, y):
-            assert "level_integral" not in vars(rearrange.rearrangement(u)), name
+            built = vars(rearrange.rearrangement(u))
+            if name == "norm Marcinkiewicz PiecewiseLinearConcave" and "level_integral" in built:
+                assert not {"cuts", "node_values", "jump0"} & set(vars(built["level_integral"]))
+            else:
+                assert "level_integral" not in built, name
     if alpha == INF:
         x = cold_star(INF)
         rearrange._rearrange.cache_clear()

@@ -160,7 +160,7 @@ def test_records_compare_hash_and_print_like_frozen_dataclasses(cls):
     twins = [twin(*v) for v in samples]
     for r, t in zip(recs, twins):
         assert repr(r) == repr(t)
-        assert "__hash__" in vars(cls) or hash(r) == hash(t)
+        assert cls in (StepFunction, PiecewiseLinearConcave) or hash(r) == hash(t)
         assert r.__eq__(t) is NotImplemented and r != t
     for r1, t1 in zip(recs, twins):
         for r2, t2 in zip(recs, twins):
