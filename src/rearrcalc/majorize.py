@@ -252,13 +252,11 @@ def _flatten(x: StepFunction, a, b, avg) -> StepFunction:
     and b, then x's cuts above b.  x is a star, so only the pieces of x
     that meet a and b can equal avg; there a or b is dropped, and the
     splice is canonical and again a star, built flagged as one."""
-    a, b = rat(a), rat(b)
-    cuts, ci, vi, v = x.cuts, x._cut_ints, x._value_ints, _ratio(avg)
-    i, j = 2 * bisect_left(cuts, a), 2 * bisect_right(cuts, b)
-    ka = 2 * (a > 0 and vi[i:i + 2] != v)  # 2: x's piece up to a stays
+    a, b, v, ci, vi = _ratio(rat(a)), _ratio(rat(b)), _ratio(avg), x._cut_ints, x._value_ints
+    i, j = 2 * _bisect(bisect_left, x, *a), 2 * _bisect(bisect_right, x, *b)
+    ka = 2 * (a[0] > 0 and vi[i:i + 2] != v)  # 2: x's piece up to a stays
     kb = 2 * (vi[j:j + 2] != v)  # 2: x's piece from b stays
-    return _trusted(StepFunction, alpha=x.alpha,
-                    _cut_ints=ci[:i] + _ratio(a)[:ka] + _ratio(b)[:kb] + ci[j:],
+    return _trusted(StepFunction, alpha=x.alpha, _cut_ints=ci[:i] + a[:ka] + b[:kb] + ci[j:],
                     _value_ints=vi[:i + ka] + v + vi[j + 2 - kb:], _is_star=True)
 
 

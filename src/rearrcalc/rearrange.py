@@ -26,13 +26,13 @@ A star passes through: when x is already x* (``stepfn``'s
 ``is_decreasing_rearrangement``), the rearrangement returns x itself as
 ``star``, without sorting or merging.  A sorted star is built by the
 trusted constructor (see ``stepfn``), canonical by construction and
-flagged as a star.  The level integral is built on first read and kept:
-its nodes are int-pair running sums of the star's values times the lengths
-the sort kept (read off the cuts of a star that passed through), and its
-slope function is the star itself.  ``hlp_compare``, ``maximal_distance``
-and M*_phi never read it; M_phi with a piecewise-linear phi reads only its
-last node, on [0, inf), and ``value_at`` and ``majorize``'s crossings read
-its pairs, not its Fractions.
+flagged as a star.  The level integral is stored as every PLC is: its
+slope function, the star itself, and jump0 = 0, so it costs O(1) to build.
+Its nodes, int-pair running sums of the star's values times its piece
+lengths, are summed on first read.  ``hlp_compare``, ``maximal_distance``
+and M*_phi never read them; M_phi with a piecewise-linear phi reads only
+the last node, on [0, inf), and ``value_at`` and ``majorize``'s crossings
+read the pairs, not their Fractions.
 
 Every rearrangement goes through one cache, ``_rearrange``, keyed by the
 step function: its sampled hash (see ``stepfn``) plus ``==``, so an equal
@@ -41,10 +41,11 @@ stored.  It is ``lru_cache(maxsize=512)``: hits are short-range, so recency
 is enough.  Over 1,000 calls of the five property suites (seed 71) it makes
 43,320 hits against 44,791 with 8,192 entries, and about nine hits in ten
 look up the very same object again.  The count bounds entries, not bytes:
-fresh ``canonicalize``-built operands of 2,000 pieces hold about 0.44 MB an
-entry (tracemalloc over 40 of them), 0.03 MB of it the result (0.04 MB once
-its level integral is read), so 512 of them hold about 225 MB, and only a
-bound on the size of an input caps that.
+fresh ``canonicalize``-built operands of 2,000 pieces hold about 0.18 MB an
+entry (tracemalloc over 40 of them, whose Fractions are not yet built),
+0.01 MB of it the result (0.02 MB once its level integral's nodes are
+read), so 512 of them hold about 93 MB, more once their Fractions are
+read, and only a bound on the size of an input caps that.
 """
 
 from __future__ import annotations
@@ -59,15 +60,11 @@ from .stepfn import (
     INF,
     PiecewiseLinearConcave,
     StepFunction,
-    _Field,
-    _cut_pairs,
-    _lengths,
-    _products,
+    _ZERO,
     _record,
     _require_same_domain,
     _sums,
     _trusted,
-    _value_pairs,
     is_decreasing_rearrangement,
     rat,
 )
@@ -87,23 +84,8 @@ class RearrangementResult:
     star_at_infinity: Fraction
 
 
-def _level_integral(rr: RearrangementResult) -> PiecewiseLinearConcave:
-    """Phi_x, trusted, from rr.star and the lengths the sort kept (None for
-    a star that passed through: one per cut, read off its cuts)."""
-    star, lengths = rr.star, rr._lengths
-    if lengths is None:
-        lengths = _lengths(_cut_pairs(star), INF)
-    nodes = chain.from_iterable(_sums(_products(_value_pairs(star), lengths)))
-    return _trusted(PiecewiseLinearConcave, alpha=star.alpha, slope=star,
-                    _node_ints=(0, 1, *nodes))
-
-
-# set after @_record, which reads class attributes as __init__ defaults
-RearrangementResult.level_integral = _Field("level_integral", _level_integral)
-
-
-def _sorted_star(x: StepFunction):
-    """x*, with the int pairs of its piece lengths."""
+def _sorted_star(x: StepFunction) -> StepFunction:
+    """x*, trusted and flagged as a star."""
     # (|p|, q) -> the lengths of the pieces of value +-p/q, summed over the
     # lcm of their denominators: (cn - pn, d) when the ends share d
     groups = {}
@@ -135,17 +117,17 @@ def _sorted_star(x: StepFunction):
     else:  # the smallest value is the tail of the rearrangement
         tail = ratio_of[keys.pop()]
     ratios = [ratio_of[key] for key in keys]
-    lengths = [groups[r] for r in ratios]
-    star = _trusted(StepFunction, alpha=x.alpha, _cut_ints=(*chain.from_iterable(_sums(lengths)),),
+    return _trusted(StepFunction, alpha=x.alpha,
+                    _cut_ints=(*chain.from_iterable(_sums(groups[r] for r in ratios)),),
                     _value_ints=(*chain.from_iterable(ratios), *tail), _is_star=True)
-    return star, lengths
 
 
 @lru_cache(maxsize=512)
 def _rearrange(x: StepFunction) -> RearrangementResult:
-    star, lengths = (x, None) if is_decreasing_rearrangement(x) else _sorted_star(x)
-    return _trusted(RearrangementResult, star=star, star_at_infinity=star.tail,
-                    _lengths=lengths)
+    star = x if is_decreasing_rearrangement(x) else _sorted_star(x)
+    phi = _trusted(PiecewiseLinearConcave, alpha=star.alpha, slope=star, jump0=_ZERO)
+    return _trusted(RearrangementResult, star=star, level_integral=phi,
+                    star_at_infinity=star.tail)
 
 
 def rearrangement(x: StepFunction) -> RearrangementResult:

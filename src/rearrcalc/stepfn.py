@@ -15,32 +15,34 @@ concave envelopes that arise as running integrals of decreasing step
 functions, with the same canonical-representative discipline.  Its slopes
 are one step function, ``slope`` (the segment slopes, then the final
 slope), stored when it is built; it is canonical exactly when ``slope`` is
-a star (nonnegative, strictly decreasing).  A PLC is stored as int pairs
-too: ``slope`` and the flat pairs of jump0 and its node values; its
-Fraction fields are built on first read, and ``value_at``, ``==``, the
-hash and the crossings of ``majorize`` read the pairs (:func:`_plc_at`).
-The one test for x = x* is :func:`is_decreasing_rearrangement`: the PLC
-constructor, the rearrangement's pass-through and the preconditions of
-``majorize`` all call it, and none of them rearranges to find out.
+a star (nonnegative, strictly decreasing).  A PLC is stored as ``slope``
+and ``jump0`` only, which fix it, and ``==`` and the hash read them.  Its
+node values are summed from them on first read, as the flat int pairs
+``_node_ints`` (jump0 first) that ``value_at``, ``final_branch`` and the
+crossings of ``majorize`` read (:func:`_plc_at`); its other Fraction
+fields are built on first read too.  The one test for x = x* is
+:func:`is_decreasing_rearrangement`: the PLC constructor, the
+rearrangement's pass-through and the preconditions of ``majorize`` all
+call it, and none of them rearranges to find out.
 
 A StepFunction is stored as the int pairs of its cuts and of its values,
 the tail last, in two flat int tuples (see :func:`_merged`); every builder
 sets them, and ``==`` and the hash read them.  Its Fraction fields are
-built from them on first read and kept, unless the builder held them
-(``canonicalize``, so ``StepFunction(...)``, :func:`box` and both
-``from_json``, and a PLC's ``slope``).  Binary kernels walk the common
-refinement once: :func:`refine` merges two cut lists in one pass, the only
-walk over two cut lists, and returns the merged cuts and both operands'
-values on each merged piece as int pairs; ``+``, ``-``, ``*`` and
-:func:`_walk` read the lists they need.  Every kernel reads an operand's
-pairs through :func:`_cut_pairs` and :func:`_value_pairs`, which zip the
-stored ints, and compares, adds or multiplies ints.  The per-call paths do
-the same with their scalars: the cut check of every constructor, the
-bounds of ``window`` and :func:`integrate`, their bisections and that of
-``f(t)`` (:func:`_bisect`), the level of :func:`exceedance_measure`
-(|v| > lam as |vn| ld > ln vd) and :meth:`PiecewiseLinearConcave.value_at`
-(a bisection of the slope function's cuts, then one pair and one gcd);
-only the other bisections of a cut list compare Fractions.  A reduced pair
+built from them on first read and kept, whatever built it; only the
+public constructors store theirs at once, over the caller's raw fields.
+Binary kernels walk the common refinement once: :func:`refine` merges two
+cut lists in one pass, the only walk over two cut lists, and returns the
+merged cuts and both operands' values on each merged piece as int pairs;
+``+``, ``-``, ``*`` and :func:`_walk` read the lists they need.  Every
+kernel reads an operand's pairs through :func:`_cut_pairs` and
+:func:`_value_pairs`, which zip the stored ints, and compares, adds or
+multiplies ints.  The per-call paths do the same with their scalars: the
+cut check of every constructor, the bounds of ``window`` and
+:func:`integrate`, their bisections and those of ``f(t)`` and of
+``majorize``'s flattenings (:func:`_bisect`), the level of
+:func:`exceedance_measure` (|v| > lam as |vn| ld > ln vd) and
+:meth:`PiecewiseLinearConcave.value_at` (a bisection of the slope
+function's cuts, then one pair and one gcd).  A reduced pair
 becomes a Fraction through :func:`_frac`, which skips the gcd of
 ``Fraction.__new__``; it is the only code that sets Fraction's internal
 slots, and the result is a plain Fraction.
@@ -161,7 +163,7 @@ def parse_rat(s: str) -> Fraction:
 
 def _int_str(n: int) -> str:
     """Decimal digits of n, also past the interpreter's int-to-string limit."""
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before Python 3.10.7
     if not limit or n.bit_length() < 3 * limit:  # fewer than 3*limit bits: < limit digits
         return str(n)
     if n < 0:
@@ -311,7 +313,7 @@ class StepFunction:
         if len(f.cuts) != len(self.cuts):
             raise PreconditionError("not canonical: a value equals the next value or the "
                                     "tail (use canonicalize)")
-        vars(self).update(vars(f))
+        vars(self).update(vars(f), values=f.values, tail=f.tail)  # and f.cuts, read above
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -337,7 +339,7 @@ class StepFunction:
     @property
     def support_bound(self) -> Fraction:
         """Least T with f constant (== tail) on [T, alpha)."""
-        return self.cuts[-1] if self.cuts else _ZERO
+        return _frac(*self._cut_ints[-2:]) if self._cut_ints else _ZERO
 
     def pieces(self) -> Iterator[tuple[Fraction, Ext, Fraction]]:
         """Yield (start, end, value) triples covering [0, alpha); last end is alpha."""
@@ -453,9 +455,9 @@ class StepFunction:
 
 class _Field:
     """A field built on first read (a StepFunction's or a PLC's Fractions, a
-    rearrangement's level integral) and kept in the instance dict, where
-    later reads find it first (a non-data descriptor; ``__getattr__`` would
-    slow every attribute read)."""
+    PLC's node pairs) and kept in the instance dict, where later reads find
+    it first (a non-data descriptor; ``__getattr__`` would slow every
+    attribute read)."""
 
     def __init__(self, name, build):
         self.name, self.build = name, build
@@ -578,30 +580,25 @@ def canonicalize(breakpoints, values, tail, alpha=INF) -> StepFunction:
         raise PreconditionError(
             f"{len(ts)} breakpoints need {len(ts)} values, got {len(vs) - 1}"
         )
-    return _merged(alpha, _check_cuts(ts, alpha), [*chain.from_iterable(map(_ratio, vs))], ts, vs)
+    return _merged(alpha, _check_cuts(ts, alpha), [*chain.from_iterable(map(_ratio, vs))])
 
 
-def _merged(alpha, cut_ints, value_ints, cuts=None, values=None) -> StepFunction:
+def _merged(alpha, cut_ints, value_ints) -> StepFunction:
     """The canonical StepFunction of checked piece data, trusted; the one
     code that merges piece data into a StepFunction.  cut_ints and
     value_ints are flat int pairs (n0, d0, n1, d1, ...): the cuts, strictly
     increasing inside (0, alpha), and every piece's reduced value, the tail
     last.  Equal neighbours merge by pair, and the survivors are stored as
     the tuples ``_cut_ints`` and ``_value_ints``, 16 bytes a pair (a tuple of
-    pair tuples takes 64).  Fraction cuts and values that a caller holds
-    are kept as the fields; otherwise the fields are built on first read."""
+    pair tuples takes 64); the Fraction fields are built from them on first
+    read."""
     n, d = value_ints[::2], value_ints[1::2]
     keep = [*map(ne, zip(n, d), zip(n[1:], d[1:]))]  # pair k differs from pair k+1
     if not all(keep):
         cut_ints = [*chain.from_iterable(compress(_pairs(cut_ints), keep))]
         value_ints = [*chain.from_iterable(compress(zip(n, d), keep)), n[-1], d[-1]]
-        if cuts is not None:
-            cuts, values = [*compress(cuts, keep)], [*compress(values, keep), values[-1]]
-    f = _trusted(StepFunction, alpha=alpha, _cut_ints=tuple(cut_ints),
-                 _value_ints=tuple(value_ints))
-    if cuts is not None:
-        vars(f).update(cuts=tuple(cuts), values=tuple(values[:-1]), tail=values[-1])
-    return f
+    return _trusted(StepFunction, alpha=alpha, _cut_ints=tuple(cut_ints),
+                    _value_ints=tuple(value_ints))
 
 
 def _pairs(ints) -> Iterator[tuple[int, int]]:
@@ -770,8 +767,8 @@ class PiecewiseLinearConcave:
     last node on.  ``slope``, stored when it is built, is the slope function:
     the segment slopes, then final_slope.  Canonical form: ``slope`` is a
     star.  Merge raw node data with :func:`plc_from_nodes`.  Stored as
-    ``slope`` and ``_node_ints``, the flat int pairs of jump0 and the node
-    values; the Fraction fields are built on first read.
+    ``slope`` and ``jump0``; the node values, as int pairs (``_node_ints``)
+    and as Fractions, and the other Fraction fields are built on first read.
     """
 
     alpha: Ext
@@ -785,15 +782,15 @@ class PiecewiseLinearConcave:
                              self.alpha)
         if len(phi.cuts) != len(self.cuts):  # a collinear node merged away
             raise PreconditionError(_NOT_CONCAVE)
-        vars(self).update(vars(phi))
+        vars(self).update(vars(phi), node_values=phi.node_values, final_slope=phi.final_slope)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._node_ints == other._node_ints and self.slope == other.slope
+            return self.jump0 == other.jump0 and self.slope == other.slope
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.slope, self._node_ints[-2:]))
+        return hash((self.jump0, self.slope))
 
     def value_at(self, t) -> Fraction:
         """Exact value at t; t=alpha allowed for alpha=1 (the left limit)."""
@@ -851,14 +848,10 @@ def plc_from_nodes(cuts, node_values, final_slope, jump0=0, alpha=INF) -> Piecew
     # a collinear node is a cut between equal neighbouring slopes
     slopes = [*((v - pv) / (s - ps) for s, v, ps, pv in
                 zip(cuts, node_values, [_ZERO, *cuts], [jump0, *node_values])), final_slope]
-    slope = _merged(alpha, cut_ints, [*chain.from_iterable(map(_ratio, slopes))], cuts, slopes)
+    slope = _merged(alpha, cut_ints, [*chain.from_iterable(map(_ratio, slopes))])
     if not is_decreasing_rearrangement(slope):
         raise PreconditionError(_NOT_CONCAVE)
-    value_of = dict(zip(cuts, node_values))
-    nodes = (*map(value_of.get, slope.cuts),)
-    return _trusted(PiecewiseLinearConcave, alpha=alpha, cuts=slope.cuts, node_values=nodes,
-                    final_slope=final_slope, jump0=jump0, slope=slope,
-                    _node_ints=(*chain.from_iterable(map(_ratio, (jump0, *nodes))),))
+    return _trusted(PiecewiseLinearConcave, alpha=alpha, slope=slope, jump0=jump0)
 
 
 def _plc_at(phi: PiecewiseLinearConcave, tn: int, td: int) -> tuple[int, int]:
@@ -878,8 +871,15 @@ def _plc_at(phi: PiecewiseLinearConcave, tn: int, td: int) -> tuple[int, int]:
     return _reduced(bn * d + bd * mn * (tn * sd - sn * td), bd * d)
 
 
+def _sum_nodes(p: PiecewiseLinearConcave) -> tuple[int, ...]:
+    """The flat int pairs of jump0, then of p at each cut: the running sums
+    of jump0 and of each slope times its segment's length."""
+    steps = _products(_value_pairs(p.slope), _lengths(_cut_pairs(p.slope), INF))
+    return (*chain.from_iterable(_sums(chain([_ratio(p.jump0)], steps))),)
+
+
 # set after @_record, as for StepFunction
 PiecewiseLinearConcave.cuts = _Field("cuts", lambda p: p.slope.cuts)
 PiecewiseLinearConcave.node_values = _Field("node_values", lambda p: _fractions(p._node_ints[2:]))
 PiecewiseLinearConcave.final_slope = _Field("final_slope", lambda p: p.slope.tail)
-PiecewiseLinearConcave.jump0 = _Field("jump0", lambda p: _frac(*p._node_ints[:2]))
+PiecewiseLinearConcave._node_ints = _Field("_node_ints", _sum_nodes)

@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -64,6 +65,13 @@ def test_rat_str_prints_past_the_int_string_limit():
     # parsing keeps the interpreter's limit: an overlong literal is rejected
     with pytest.raises(ParseError):
         parse_rat("1/" + "3" * 5000)
+
+
+def test_rat_str_runs_without_the_int_string_limit_query(monkeypatch):
+    # Python 3.10.0-3.10.6 has no sys.get_int_max_str_digits (and no limit)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert rat_str(F(-3, 7)) == "-3/7"
+    assert rat_str(F(10**50 + 1, 3)) == f"{10**50 + 1}/3"
 
 
 def test_canonicalize_merges_and_validates():

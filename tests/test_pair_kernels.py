@@ -308,11 +308,11 @@ def cold_star(alpha, tail=0):
 @pytest.mark.parametrize("alpha", [INF, F(1)])
 def test_kernels_that_read_no_node_leave_the_level_integral_unbuilt(alpha):
     """The walk's consumers sum their own running integrals, so on fresh
-    operands the rearrangement result never builds its level integral.
-    M_phi with a piecewise-linear phi reads Phi_x(inf) off the level
-    integral's last pair on [0, inf), and ``majorant_pair`` reads the
-    pass-through level integral of its star as int pairs: neither builds a
-    node Fraction."""
+    operands the level integral of the rearrangement result, stored as its
+    slope function (the star) and jump0, never sums its nodes.  M_phi with a
+    piecewise-linear phi reads Phi_x(inf) off the level integral's last
+    pair on [0, inf), and ``majorant_pair`` reads the pass-through level
+    integral of its star as int pairs: neither builds a node Fraction."""
     rng = random.Random(2006)
     plc = plc_phi(alpha)
     ops = [("hlp_compare", lambda x, y: hlp_compare(y, x)),
@@ -325,11 +325,11 @@ def test_kernels_that_read_no_node_leave_the_level_integral_unbuilt(alpha):
         x, y = large_operand(rng, alpha), large_operand(rng, alpha)
         cold(lambda: op(x, y))()
         for u in (x, y):
-            built = vars(rearrange.rearrangement(u))
-            if name == "norm Marcinkiewicz PiecewiseLinearConcave" and "level_integral" in built:
-                assert not {"cuts", "node_values", "jump0"} & set(vars(built["level_integral"]))
+            built = set(vars(rearrange.rearrangement(u).level_integral))
+            if name == "norm Marcinkiewicz PiecewiseLinearConcave":
+                assert not {"cuts", "node_values"} & built
             else:
-                assert "level_integral" not in built, name
+                assert not {"_node_ints", "cuts", "node_values", "final_slope"} & built, name
     if alpha == INF:
         x = cold_star(INF)
         rearrange._rearrange.cache_clear()
@@ -339,5 +339,21 @@ def test_kernels_that_read_no_node_leave_the_level_integral_unbuilt(alpha):
             majorize.majorant_pair(x, t, eps)
         phi = rearrange.rearrangement(x).level_integral
         assert rearrange.rearrangement(x).star is x and len(phi._node_ints) == 2 * PIECES + 2
-        assert not {"cuts", "node_values", "jump0"} & set(vars(phi))
+        assert not {"cuts", "node_values"} & set(vars(phi))
 
+
+def test_flattenings_build_no_cut_fraction_of_their_star():
+    """``_flatten`` bisects its star's cut pairs, so a flattening, on the
+    sorted star of ``flatten_head`` or on ``majorant_pair``'s fresh operand,
+    builds none of that star's cut Fractions."""
+    rng = random.Random(2027)
+    x = abs(large_operand(rng, INF))
+    rearrange._rearrange.cache_clear()
+    experiments.flatten_head(x, 40)
+    star = rearrange.rearrangement(x).star
+    assert star is not x and "cuts" not in vars(star)
+    star = cold_star(INF)
+    tau = star.support_bound / 3  # read off the last cut pair
+    eps = rearrange.level_integral(star).value_at(tau) / 5
+    majorize.majorant_pair(star, tau, eps)
+    assert not {"cuts", "values"} & set(vars(star))

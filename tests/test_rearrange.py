@@ -227,11 +227,13 @@ def test_the_lazy_level_integral_equals_the_oracle_plc_on_every_route(case):
     route, x = case
     _rearrange.cache_clear()
     rr = rearrangement(x)
-    assert "level_integral" not in vars(rr)  # built on first read
     assert (rr.star is x) == is_decreasing_rearrangement(x)
     assert route != "star" or rr.star is x
     phi = rr.level_integral
-    assert rr.level_integral is phi and not {"cuts", "node_values"} & set(vars(phi))
+    # stored as its slope function, the star, and jump0: the nodes are
+    # summed, and their Fractions built, on first read
+    assert rr.level_integral is phi and phi.slope is rr.star and phi.jump0 == 0
+    assert not {"_node_ints", "cuts", "node_values", "final_slope"} & set(vars(phi))
     # the oracle: a raw sort of x's pieces and cumulative Fraction sums
     star = _sorted_oracle_star(x)
     nodes, acc, prev = [], F(0), F(0)

@@ -8,9 +8,9 @@ samples (two samples per class, and each mix that differs from the first in
 one field only), ``hash`` (``StepFunction`` and ``PiecewiseLinearConcave``
 keep their own), and AttributeError on assignment.  ``__post_init__`` runs
 on the public constructor, looked up on the class, and not on ``_trusted``.
-A StepFunction and a PiecewiseLinearConcave are stored as int pairs, so
-their trusted samples hold only those, and their fields, ``repr`` and
-``==`` come from them.
+A StepFunction is stored as int pairs and a PiecewiseLinearConcave as its
+slope function and jump0, so their trusted samples hold only those, and
+their fields, ``repr`` and ``==`` come from them.
 """
 
 import dataclasses
@@ -33,7 +33,7 @@ from rearrcalc import (
     box,
     canonicalize,
 )
-from rearrcalc.stepfn import _trusted
+from rearrcalc.stepfn import _trusted, plc_from_nodes
 
 _STEP_A = box(1, 1)
 _STEP_B = canonicalize([F(1, 2)], [F(3)], F(1), F(1))
@@ -137,9 +137,10 @@ def _flat(*qs):
 
 def _trusted_from(cls, values):
     """A trusted record of the field values; a StepFunction or a
-    PiecewiseLinearConcave gets only its stored form, the flat int pairs
-    (a PLC's slope function, then jump0 and its node values), and builds its
-    Fractions when read.  Nothing is validated: a mix need not be canonical."""
+    PiecewiseLinearConcave gets only its stored form (a StepFunction's flat
+    int pairs; a PLC's slope function and jump0, its nodes summed from
+    them) and builds its Fractions when read.  Nothing is validated: a mix
+    need not be canonical."""
     if cls is StepFunction:
         alpha, cuts, vals, tail = values
         return _trusted(cls, alpha=alpha, _cut_ints=_flat(*cuts), _value_ints=_flat(*vals, tail))
@@ -147,7 +148,7 @@ def _trusted_from(cls, values):
         alpha, cuts, nodes, final, jump0 = values
         slopes = [(v - pv) / (c - pc) for c, v, pc, pv in
                   zip(cuts, nodes, (0, *cuts), (jump0, *nodes))]
-        return _trusted(cls, alpha=alpha, _node_ints=_flat(jump0, *nodes),
+        return _trusted(cls, alpha=alpha, jump0=jump0,
                         slope=_trusted_from(StepFunction, (alpha, cuts, slopes, final)))
     return _trusted(cls, **dict(zip((n for n, _ in RECORDS[cls][0]), values)))
 
@@ -232,3 +233,39 @@ def test_post_init_runs_on_the_public_constructor_only(cls, monkeypatch):
         assert _trusted_from(cls, values) == rec
     assert len(calls) == 2
 
+
+def _as(kind, q):
+    """q as the caller may pass it: an int (when q is whole), a "p/q"
+    string or the Fraction itself."""
+    if kind is int:
+        return int(q) if q.denominator == 1 else q
+    return f"{q.numerator}/{q.denominator}" if kind is str else q
+
+
+@pytest.mark.parametrize("alpha", [INF, F(1)], ids=["inf", "1"])
+@pytest.mark.parametrize("kind", [int, str, F], ids=lambda k: k.__name__)
+def test_public_constructors_keep_none_of_the_callers_raw_fields(kind, alpha):
+    """``StepFunction(...)`` and ``PiecewiseLinearConcave(...)`` overwrite
+    every field the caller passed with its builder's Fractions, in
+    declaration order."""
+    if alpha == INF:
+        step = ((F(1), F(3)), (F(2), F(5)), F(0))
+        plc = ((F(1), F(3)), (F(2), F(3)), F(0), F(1))  # slopes 1, 1/2, 0
+    else:
+        step = ((F(1, 4), F(1, 2)), (F(2), F(5)), F(1))
+        plc = ((F(1, 4), F(1, 2)), (F(1), F(5, 4)), F(1, 2), F(1, 2))  # slopes 2, 1, 1/2
+    built = [(StepFunction, canonicalize(*step, alpha), step),
+             (PiecewiseLinearConcave, plc_from_nodes(*plc, alpha), plc)]
+    for cls, expected, fields in built:
+        raw = [tuple(_as(kind, q) for q in f) if type(f) is tuple else _as(kind, f)
+               for f in fields]
+        rec = cls(alpha, *raw)
+        names = [n for n, _ in RECORDS[cls][0]]
+        assert list(vars(rec))[:len(names)] == names
+        assert vars(rec)["alpha"] is expected.alpha
+        for name in names[1:]:
+            stored = vars(rec)[name]
+            assert stored == getattr(expected, name), name
+            scalars = stored if type(stored) is tuple else (stored,)
+            assert all(type(q) is F for q in scalars), name
+        assert rec == expected and hash(rec) == hash(expected)

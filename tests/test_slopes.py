@@ -108,6 +108,25 @@ def test_plc_from_nodes_keeps_the_nodes_where_the_slope_changes(data):
     assert all(phi.value_at(c) == v for c, v in zip(cuts, nodes))
 
 
+@SETTINGS
+@given(node_data())
+def test_the_nodes_summed_from_the_slopes_and_jump0_are_the_input_nodes(data):
+    """A PLC stores only its slope function and jump0: the node pairs it
+    sums from them are jump0's and the input nodes' at the surviving cuts,
+    and ``==`` tells apart two PLCs that differ only in jump0."""
+    cuts, nodes, final, jump0, alpha = data
+    try:
+        phi = plc_from_nodes(cuts, nodes, final, jump0, alpha)
+    except PreconditionError:
+        return
+    kept = [jump0, *(v for c, v in zip(cuts, nodes) if c in phi.cuts)]
+    assert phi._node_ints == tuple(i for q in kept for i in q.as_integer_ratio())
+    again = plc_from_nodes(cuts, nodes, final, jump0, alpha)
+    assert phi == again and hash(phi) == hash(again)
+    lifted = plc_from_nodes(cuts, [v + 1 for v in nodes], final, jump0 + 1, alpha)
+    assert lifted.slope == phi.slope and lifted != phi and phi != lifted
+
+
 def test_plc_from_nodes_rejects_a_cut_outside_the_domain():
     # on [0, 1), a node at t = 2 on the line through the others (slope 1)
     # would merge away, and one off it would not: both are outside
