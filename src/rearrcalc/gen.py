@@ -11,10 +11,9 @@ failing.
 
 from __future__ import annotations
 
-import copy
 import itertools
-import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -286,48 +285,56 @@ def run_rearrange_suite(cases: int, seed: int) -> SuiteResult:
     return _suite("rearrange", cases, seed, checks)
 
 
-def _phi_grid_le(x: StepFunction, y: StepFunction, grid: int) -> Optional[Fraction]:
-    """Dense-grid oracle for Phi_x <= Phi_y: checks every grid point t_j = j*h.
+def _oracle_phi(x: StepFunction) -> tuple[tuple[Fraction, ...], list[tuple[Fraction, Fraction]]]:
+    """Phi_x(t) = int_0^t x* from the sort oracle, as affine branches.
 
-    The per-point comparison runs in integer arithmetic (exact): on a node
-    interval both functions are affine, so Phi_x(t_j) > Phi_y(t_j) becomes
-    n1 + n2*j > 0 for segment-constant integers n1, n2.
+    Returns (cuts, branches): Phi_x(t) = a + b*t with (a, b) = branches[k]
+    on the k-th piece (cuts[k-1], cuts[k]] of ``_sorted_oracle_star`` and,
+    for k = len(cuts), past its last cut.  The slopes b are the star's values;
+    the intercepts a are running Fraction sums from a = 0 on the first piece:
+    Phi_x is continuous, so a grows by (b - b')*c where the slope drops from b
+    to b' at the cut c.  Nothing of ``rearrange`` is used.
     """
-    fx = rearrange.level_integral(x)
-    fy = rearrange.level_integral(y)
-    if x.alpha == INF:
-        horizon = max([*fx.cuts, *fy.cuts, _ONE]) + 2
-    else:
-        horizon = _ONE
+    star = _sorted_oracle_star(x)
+    slopes = [*star.values, star.tail]
+    branches = [(_ZERO, slopes[0])]
+    for c, v in zip(star.cuts, slopes[1:]):
+        a, b = branches[-1]
+        branches.append((a + (b - v) * c, v))
+    return star.cuts, branches
+
+
+def _oracle_phi_at(x: StepFunction, t: Fraction) -> Fraction:
+    """Phi_x(t) for 0 < t < alpha, read off the branches of ``_oracle_phi``."""
+    cuts, branches = _oracle_phi(x)
+    a, b = branches[bisect_left(cuts, t)]
+    return a + b * t
+
+
+def _phi_grid_le(x: StepFunction, y: StepFunction, grid: int) -> Optional[Fraction]:
+    """Dense-grid oracle for Phi_x <= Phi_y: the first grid point t_j = j*h,
+    0 < j <= grid, with Phi_x(t_j) > Phi_y(t_j), or None when there is none.
+
+    Phi_x and Phi_y are the branches of ``_oracle_phi``, so nothing of
+    ``rearrange`` is used.  On each segment between the merged cuts both are
+    affine, so the test at t_j is d + s*j > 0 with d and s exact and
+    constant on the segment (n1 + n2*j > 0 once denominators are cleared).
+    Its first hit there is found in closed form: the least j past -d/s when
+    s > 0, else the segment's first grid index.  A call costs O(pieces), not
+    O(grid), and checks the same predicate at the same grid points as a scan.
+    """
+    (cx, bx), (cy, by) = _oracle_phi(x), _oracle_phi(y)
+    horizon = max([*cx, *cy, _ONE]) + 2 if x.alpha == INF else _ONE
     h = horizon / grid
-    nodes = sorted({c for c in (*fx.cuts, *fy.cuts) if c < horizon})
-    ends = nodes + [horizon]
-    lo = _ZERO
     j_lo = 0  # grid points with t_j <= lo are already checked
-    for hi in ends:
-        probe1 = lo + (hi - lo) / 3
-        probe2 = lo + 2 * (hi - lo) / 3
-
-        def branch(f):
-            v1, v2 = f.value_at(probe1), f.value_at(probe2)
-            slope = (v2 - v1) / (probe2 - probe1)
-            return v1 - slope * probe1, slope
-
-        (ax, bx), (ay, by) = branch(fx), branch(fy)
-        # difference (ax-ay) + (bx-by)*t at t = j*h, cleared of denominators
-        c1 = (ax - ay)
-        c2 = (bx - by) * h
-        den = c1.denominator * c2.denominator // math.gcd(
-            c1.denominator, c2.denominator
-        )
-        n1 = c1.numerator * (den // c1.denominator)
-        n2 = c2.numerator * (den // c2.denominator)
-        j_hi = int(hi / h)  # floor: last grid index inside (lo, hi]
-        for j in range(j_lo + 1, min(j_hi, grid) + 1):
-            if n1 + n2 * j > 0:
-                return h * j
-        j_lo = max(j_lo, min(j_hi, grid))
-        lo = hi
+    for hi in sorted({*cx, *cy}) + [horizon]:  # every cut lies below the horizon
+        (ax, sx), (ay, sy) = bx[bisect_left(cx, hi)], by[bisect_left(cy, hi)]
+        d, s = ax - ay, (sx - sy) * h
+        j_hi = min(int(hi / h), grid)  # floor: last grid index inside (lo, hi]
+        j = j_lo + 1 if s <= 0 else max(j_lo + 1, -d // s + 1)
+        if j <= j_hi and d + s * j > 0:
+            return h * j
+        j_lo = j_hi
     return None
 
 
@@ -343,7 +350,7 @@ def _hlp_problems(y: StepFunction, x: StepFunction) -> tuple[list[str], bool]:
         w = verdict.witness
         if not (0 < w and (x.alpha == INF or w < x.alpha)):
             problems.append("witness outside the domain")
-        elif rearrange.level_integral(y).value_at(w) <= rearrange.level_integral(x).value_at(w):
+        elif _oracle_phi_at(y, w) <= _oracle_phi_at(x, w):
             problems.append("witness does not witness")
     if not majorize.hlp_compare(x, x).holds:
         problems.append("reflexivity fails")
@@ -442,10 +449,17 @@ def run_spaces_suite(cases: int, seed: int) -> SuiteResult:
         space = rand_space(rng, alpha)
         x = rand_step(rng, alpha, max_pieces=6, nonzero_tail=True)
         y = rand_step(rng, alpha, max_pieces=6)
-        snapshot = copy.copy(rng)  # rng's state: shrinking replays the draws that failed
+        snapshot = rng.getstate()  # shrinking replays the draws that failed
         yield (_space_problems(space, x, y, rng), {"space": space, "x": x, "y": y},
-               lambda c: _space_problems(c["space"], c["x"], c["y"], copy.copy(snapshot)))
+               lambda c: _space_problems(c["space"], c["x"], c["y"], _replay(snapshot)))
     return _suite("spaces", cases, seed, checks)
+
+
+def _replay(state: tuple) -> random.Random:
+    """A fresh generator that draws on from a saved ``getstate()``."""
+    rng = random.Random()
+    rng.setstate(state)
+    return rng
 
 
 def _space_problems(space, x, y, rng) -> list[str]:

@@ -22,10 +22,17 @@ from plain Fraction sums written here, so no code of ``rearrange``,
   point (on each piece the objective is convex, or monotone for the
   hyperbola, and on the first and last pieces it is monotone towards a cut),
   so the grid maximum equals the norm.
+* The hlp suite's oracle ``gen._phi_grid_le`` finds its first grid hit per
+  segment in closed form; a point-by-point scan of the same grid over Phi
+  summed here finds the same point.  It and the suite's witness check run
+  with ``rearrange`` disabled, and the suite fails when the rearrangement
+  drops a group of pieces.
 """
 
 import math
+import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +47,7 @@ from rearrcalc import (
     measure_distance,
     norm,
 )
+from rearrcalc import gen, majorize, rearrange
 from rearrcalc.gen import _sorted_oracle_star
 from rearrcalc.stepfn import plc_from_nodes
 from test_walks import MAXIMAL_CASES, at, rationals, step_functions
@@ -254,3 +262,108 @@ def test_marcinkiewicz_star_norm_against_the_grid_maximum(case):
     points = [t for t in grid(x, phi) if t < x.alpha]
     best = max(phi_at(phi, t) * at(star, t) for t in points)
     assert best <= norm(SpaceSpec("MarcinkiewiczStar", phi, x.alpha), x)
+
+
+# -- the hlp suite's grid oracle -----------------------------------------------
+
+
+def scan_phi_le(x, y, grid):
+    """The first t_j = j*h, 0 < j <= grid, with Phi_x(t_j) > Phi_y(t_j), or
+    None: every grid point in turn, on the horizon of ``gen._phi_grid_le``."""
+    (nx, sx), (ny, sy) = phi_nodes(x), phi_nodes(y)
+    horizon = max(nx[-1][0], ny[-1][0], F(1)) + 2 if x.alpha == INF else F(1)
+    h = horizon / grid
+    for j in range(1, grid + 1):
+        if phi_x(nx, sx, h * j) > phi_x(ny, sy, h * j):
+            return h * j
+    return None
+
+
+def slope_at(x, t):
+    """x*(t-), the slope of Phi_x on the piece that ends at or past t > 0."""
+    return phi_branch(*phi_nodes(x), t)[1]
+
+
+# Phi_x - Phi_y is t on (0, 1], then 1 on (1, inf): a coarse grid first
+# meets it where it is constant
+FLAT_GAP = (canonicalize([F(1), F(5)], [F(3), F(1)], 0, INF),
+            canonicalize([F(1), F(5)], [F(2), F(1)], 0, INF))
+
+
+def hlp_pairs(alpha, count=30):
+    """(x, y) pairs of the hlp suite's kinds on one domain: majorized pairs
+    in both orders, unrelated pairs, x with itself, and on [0, inf) FLAT_GAP
+    and pairs that share their last pieces."""
+    rng = random.Random(0 if alpha == INF else 1)
+    pairs = [FLAT_GAP] if alpha == INF else []
+    for _ in range(count):
+        y, x = gen.majorized_pair(rng, alpha)
+        u, v = gen.rand_step(rng, alpha, max_pieces=8), gen.rand_step(rng, alpha, max_pieces=8)
+        pairs += [(x, y), (y, x), (u, v), (u, u)]
+        if alpha == INF:  # the same star past the first piece, a larger head
+            star = _sorted_oracle_star(u)
+            if star.cuts:
+                pairs.append((canonicalize(star.cuts, [star.values[0] + 1, *star.values[1:]],
+                                           star.tail, INF), star))
+    return pairs
+
+
+@pytest.mark.parametrize("alpha", [INF, F(1)], ids=["inf", "one"])
+def test_phi_grid_le_finds_the_first_hit_of_a_point_by_point_scan(alpha):
+    hits = flat_hits = 0
+    for grid in (1, 2, 7, 64, 500):
+        for x, y in hlp_pairs(alpha):
+            hit = gen._phi_grid_le(x, y, grid)
+            assert hit == scan_phi_le(x, y, grid), (x.to_json(), y.to_json(), grid)
+            if hit is not None:
+                hits += 1
+                flat_hits += slope_at(x, hit) == slope_at(y, hit)
+    # the corpus meets hits, and hits on segments where Phi_x - Phi_y is constant
+    assert hits > 50 and flat_hits > 0
+
+
+def test_phi_grid_le_on_a_constant_gap():
+    x, y = FLAT_GAP
+    assert gen._phi_grid_le(x, y, 1) == 7  # the one grid point, past the last cut
+    assert gen._phi_grid_le(x, y, 7) == 1  # the first grid point t = 1 is a hit
+    assert gen._phi_grid_le(x, y, 8) == F(7, 8)
+    assert gen._phi_grid_le(y, x, 500) is None
+    assert gen._phi_grid_le(x, x, 500) is None  # Phi_x - Phi_x = 0 on every segment
+
+
+def test_the_hlp_oracle_and_witness_check_use_no_rearrangement(monkeypatch):
+    pairs = hlp_pairs(INF, 10) + hlp_pairs(F(1), 10)
+    hits = [gen._phi_grid_le(x, y, 64) for x, y in pairs]
+    # what _hlp_problems(y, x) asks: y ≺ x, and x ≺ x
+    verdicts = {(id(u), id(x)): majorize.hlp_compare(u, x)
+                for x, y in pairs for u in (x, y)}
+    problems = [gen._hlp_problems(y, x) for x, y in pairs]
+    assert {holds for _, holds in problems} == {True, False}
+
+    def broken(x):
+        raise AssertionError("rearrange called")
+
+    monkeypatch.setattr(rearrange, "_rearrange", broken)
+    monkeypatch.setattr(majorize, "hlp_compare", lambda y, x: verdicts[id(y), id(x)])
+    assert [gen._phi_grid_le(x, y, 64) for x, y in pairs] == hits
+    assert [gen._hlp_problems(y, x) for x, y in pairs] == problems
+
+
+def test_the_hlp_suite_catches_a_rearrangement_that_drops_a_group(monkeypatch):
+    real = rearrange._sorted_star
+
+    def drops_the_first_group(x):
+        star = real(x)
+        lengths = [c - p for p, c in zip((0, *star.cuts), star.cuts)]
+        return canonicalize(list(accumulate(lengths[1:])), star.values[1:], star.tail,
+                            star.alpha)
+
+    rearrange._rearrange.cache_clear()
+    monkeypatch.setattr(rearrange, "_sorted_star", drops_the_first_group)
+    try:
+        res = gen.run_hlp_suite(40, 0)
+    finally:
+        rearrange._rearrange.cache_clear()
+    problems = [p for f in res.failures for p in f["problems"]]
+    assert any(p.startswith("grid oracle found violation") or p == "witness does not witness"
+               for p in problems), problems

@@ -113,3 +113,17 @@ def test_a_shrunk_prop32_instance_keeps_its_contract(monkeypatch):
         # x = x* by the sorting oracle, x*(inf) = 0, and Phi_x(tau) as an integral of x
         assert x.alpha == INF and gen._sorted_oracle_star(x) == x and x.tail == 0
         assert 0 < eps < integrate(x, 0, tau)
+
+
+def test_the_spaces_shrinker_replays_the_draws_of_the_failing_case(monkeypatch):
+    draws = []
+
+    def fails(space, x, y, rng):
+        draws.append([rng.getrandbits(64) for _ in range(3)])
+        return ["synthetic"]
+
+    monkeypatch.setattr(gen, "_space_problems", fails)
+    res = gen.run_spaces_suite(1, 5)
+    assert len(res.failures) == 1
+    # detection draws from the suite's rng, every shrink try from its saved state
+    assert len(draws) > 1 and all(d == draws[0] for d in draws)
