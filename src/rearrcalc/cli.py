@@ -182,12 +182,8 @@ def _render(payload: dict, fmt: str) -> str:
 
 
 def _emit(args, payload: dict, table_text: str | None = None) -> int:
-    if args.format == "json" or table_text is None:
-        print(_render(payload, args.format))
-    elif args.format == "table":
-        print(table_text)
-    else:
-        print(_render(payload, "csv"))
+    table = args.format == "table" and table_text is not None
+    print(table_text if table else _render(payload, args.format))
     return _EXIT_OK
 
 
@@ -361,11 +357,6 @@ def _cmd_prop_test(args) -> int:
 # -- replications -------------------------------------------------------------
 
 
-def _columns(widths: tuple[int, ...], rows) -> list[str]:
-    """Right-aligned fixed-width columns, two spaces apart."""
-    return ["  ".join(str(c).rjust(w) for c, w in zip(row, widths)) for row in rows]
-
-
 def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -419,7 +410,7 @@ def _replicate_lemma43(n_list):
         "embeds_in_L1": embeds_in_l1(space),
         "rows": rows,
     }
-    table = _columns((4, 10, 10, 6, 6), [
+    table = experiments._columns((4, 10, 10, 6, 6), [
         ("n", "norm_y", "norm_x", "y_hlp", "x_hlp"),
         *((r["n"], r["norm_y"], r["norm_x"], _yes(r["y_hlp"]), _yes(r["x_hlp"]))
           for r in rows),
@@ -446,7 +437,7 @@ def _replicate_thm47(n_list):
             "within_bound": norm_y <= bound,
         })
     payload = {"x": x.to_json(), "space": space.to_json(), "rows": rows}
-    table = _columns((4, 10, 10, 10, 10, 0), [
+    table = experiments._columns((4, 10, 10, 10, 10, 0), [
         ("n", "norm_y", "head_term", "tail_norm", "bound", "ok"),
         *((r["n"], r["norm_y"], r["head_term"], r["tail_norm"], r["bound"],
            _yes(r["within_bound"])) for r in rows),

@@ -52,6 +52,11 @@ from .stepfn import (
 DEFAULT_DELTAS = (Fraction(1), Fraction(1, 2), Fraction(1, 10))
 
 
+def _columns(widths: Sequence[int], rows) -> list[str]:
+    """Right-aligned fixed-width columns, two spaces apart."""
+    return ["  ".join(str(c).rjust(w) for c, w in zip(row, widths)) for row in rows]
+
+
 @_record
 class SequenceFamily:
     """An indexed family n -> x_n."""
@@ -77,8 +82,7 @@ def flatten_head(x: StepFunction, n: int) -> StepFunction:
         raise PreconditionError("head flattening needs a nonnegative x")
     if not isinstance(n, int) or n < 1:
         raise PreconditionError(f"head length must be an integer >= 1, got {n!r}")
-    rr = rearrangement(x)
-    y = _flatten(rr.star, _ZERO, n, rr.level_integral.value_at(n) / n)
+    y = _flatten(rearrangement(x).star, _ZERO, n, maximal_eval(x, n))
     verdict = hlp_compare(y, x)
     if not verdict.holds:
         raise AssertionError(
@@ -247,20 +251,13 @@ class ProbeReport:
             if r.norm_gap is not None:
                 row.append(ext_str(r.norm_gap))
             rows.append(row)
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
-        fmt = lambda row: "  ".join(c.rjust(w) for c, w in zip(row, widths))
-        lines = [
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        return "\n".join([
             f"probe={self.probe} family={self.family} space={self.space.kind} "
             f"verdict={self.verdict}",
-            fmt(header),
-            fmt(["-" * w for w in widths]),
-        ]
-        lines += [fmt(r) for r in rows]
-        lines.append(f"notes: {self.notes}")
-        return "\n".join(lines)
+            *_columns(widths, [header, ["-" * w for w in widths], *rows]),
+            f"notes: {self.notes}",
+        ])
 
 
 def _members(x: StepFunction, family: SequenceFamily, space: SpaceSpec,

@@ -71,11 +71,7 @@ def rand_star(rng: random.Random, alpha: Ext = INF, max_pieces: int = 8) -> Step
     """A random nonzero decreasing rearrangement (tail 0 when alpha = inf)."""
     k = rng.randint(1, max_pieces)
     drops = [_frac(rng, 12, 6) for _ in range(k)]
-    total = sum(drops)
-    values = []
-    for d in drops:
-        values.append(total)
-        total -= d
+    values = list(itertools.accumulate(reversed(drops)))[::-1]  # drops by drops[i] at cut i
     cuts = _rand_cuts(rng, k, alpha)
     j = len(cuts)  # fewer than k only on [0, 1)
     return canonicalize(cuts, values[:j], values[j] if j < k else _ZERO, alpha)
@@ -88,22 +84,14 @@ def rand_phi(rng: random.Random, alpha: Ext = INF, force_pl: bool = False):
     k = rng.randint(0, 4)
     jump0 = _frac(rng, 6, 6) if rng.random() < 0.3 else _ZERO
     drops = [_frac(rng, 6, 6) for _ in range(k + 1)]
-    slopes = []
-    total = sum(drops)
-    for d in drops:
-        slopes.append(total)
-        total -= d
+    slopes = list(itertools.accumulate(reversed(drops)))[::-1]
     final = slopes[-1] if rng.random() < 0.3 else _ZERO
     # on [0, 1) the k <= 4 steps of at most 11/48 stay inside the domain
-    cuts, acc = [], _ZERO
-    vals, v = [], jump0
-    for m in slopes[:k]:
-        step = _frac(rng, 8, 4) if alpha == INF else Fraction(rng.randint(1, 11), 48)
-        acc += step
-        v += m * step
-        cuts.append(acc)
-        vals.append(v)
-    return plc_from_nodes(cuts, vals, final if k else slopes[0], jump0, alpha)
+    steps = [_frac(rng, 8, 4) if alpha == INF else Fraction(rng.randint(1, 11), 48)
+             for _ in range(k)]
+    vals = itertools.accumulate((m * s for m, s in zip(slopes, steps)), initial=jump0)
+    return plc_from_nodes(list(itertools.accumulate(steps)), list(vals)[1:],
+                          final if k else slopes[0], jump0, alpha)
 
 
 def rand_space(rng: random.Random, alpha: Ext = INF) -> spaces.SpaceSpec:
@@ -167,8 +155,7 @@ def majorized_pair(rng: random.Random, alpha: Ext = INF):
         r = star.support_bound * Fraction(rng.randint(1, 16), 8)
         if alpha != INF and r >= 1:
             r = (star.support_bound + 1) / 2
-        avg = rearrange.level_integral(star).value_at(r) / r
-        return majorize._flatten(star, _ZERO, r, avg), x
+        return majorize._flatten(star, _ZERO, r, rearrange.maximal_eval(star, r)), x
     return star, x
 
 
@@ -225,25 +212,14 @@ def _suite(name: str, cases: int, seed: int, checks, **stats) -> SuiteResult:
 
 def _sorted_oracle_star(x: StepFunction) -> StepFunction:
     """Independent rearrangement oracle: raw sort of |x| piece data."""
-    items = []
-    for s, e, v in x.pieces():
-        if e == INF:
-            continue
-        items.append((abs(v), e - s))
-    items.sort(key=lambda p: p[0], reverse=True)
-    plateau = abs(x.tail) if x.alpha == INF else None
-    if plateau is not None:
-        items = [(v, l) for v, l in items if v > plateau]
-    cuts, values, acc = [], [], _ZERO
-    for v, l in items:
-        acc += l
-        cuts.append(acc)
-        values.append(v)
-    if plateau is None:
-        tail = values.pop()
-        cuts.pop()
-        return canonicalize(cuts, values, tail, x.alpha)
-    return canonicalize(cuts, values, plateau, INF)
+    items = sorted(((abs(v), e - s) for s, e, v in x.pieces() if e != INF), reverse=True)
+    if x.alpha == INF:  # |tail| is an infinite plateau that absorbs the rest
+        tail = abs(x.tail)
+        items = [(v, l) for v, l in items if v > tail]
+    else:  # the smallest value is the tail, on the piece that ends at 1
+        tail = items.pop()[0]
+    cuts = itertools.accumulate(l for _, l in items)
+    return canonicalize(list(cuts), [v for v, _ in items], tail, x.alpha)
 
 
 def _distribution_oracle(star: StepFunction, lam: Fraction) -> Ext:
@@ -591,17 +567,10 @@ SUITES: dict[str, Callable[[int, int], SuiteResult]] = {
 # -- shrinking ----------------------------------------------------------------
 
 
-def _drop_piece(x: StepFunction, idx: int) -> Optional[StepFunction]:
-    pieces = list(zip(x.cuts, x.values))
-    if idx >= len(pieces):
-        return None
-    del pieces[idx]
-    try:
-        return canonicalize(
-            [c for c, _ in pieces], [v for _, v in pieces], x.tail, x.alpha
-        )
-    except RearrCalcError:
-        return None
+def _drop_piece(x: StepFunction, idx: int) -> StepFunction:
+    """x without its piece idx < len(x.cuts): the next piece reaches back."""
+    return canonicalize(x.cuts[:idx] + x.cuts[idx + 1:], x.values[:idx] + x.values[idx + 1:],
+                        x.tail, x.alpha)
 
 
 def _simplify_rat(q: Fraction) -> list[Fraction]:
@@ -638,10 +607,7 @@ def shrink_case(case: dict, still_fails: Callable[[dict], bool]) -> dict:
         improved = False
         for key, val in list(case.items()):
             if isinstance(val, StepFunction):
-                candidates = [
-                    s for i in range(len(val.cuts))
-                    if (s := _drop_piece(val, i)) is not None
-                ]
+                candidates = [_drop_piece(val, i) for i in range(len(val.cuts))]
                 candidates += _rat_variants(val)
             elif isinstance(val, Fraction):
                 candidates = _simplify_rat(val)

@@ -44,6 +44,7 @@ from .rearrange import (
     RearrangementResult,
     _phi_saturated,
     level_integral,
+    maximal_eval,
     rearrangement,
 )
 from .stepfn import (
@@ -349,7 +350,7 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
     copy ((Phi_x(tau) - eps)/Phi_x(tau)) * x; other seeds mix scaling,
     head-averaging, and independently drawn shapes fitted under x.
     """
-    tau, eps, phi, phi_tau = _section(x, tau, eps, "sampling")
+    tau, eps, _, phi_tau = _section(x, tau, eps, "sampling")
     rng = random.Random(seed)
     strategy = 0 if seed == 0 else rng.choice(["scale", "head", "shape"])
     if strategy == 0 or strategy == "scale":
@@ -361,7 +362,7 @@ def sample_family_member(x: StepFunction, tau, eps, seed: int) -> StepFunction:
         bound = max(x.support_bound, tau, 1)
         r = Fraction(rng.randint(1, 4 * bound.numerator * bound.denominator),
                      2 * bound.denominator ** 2)
-        avg = phi.value_at(r) / r
+        avg = maximal_eval(x, r)
         y0 = _flatten(x, _ZERO, r, avg)
         m = avg * tau if tau < r else phi_tau  # Phi_y0(tau), the chord below r
         c = min(_ONE, (phi_tau - eps) / m) * Fraction(rng.randint(8, 16), 16)

@@ -16,11 +16,13 @@ piece's cut and value as four flat ints, zipped off the stored int tuples
 of x (``stepfn``), works out its length and adds it to the group of its
 |value|, the ratio (|p|, q) of its value p/q (exact, as a Fraction is in
 lowest terms), over the lcm of the group's length denominators: a gcd only
-when that lcm grows.  Only the distinct values are sorted, by the int key
-(|p| << k) // q = floor(|p/q| 2^k), with k = 2 * D.bit_length() for D the
-largest value denominator: distinct values differ by at least 1/D^2 >
-2^-k, so the keys order them exactly.  The star's cuts are running sums of
-the group lengths (``stepfn``'s kernel), one gcd per distinct value.
+when that lcm grows.  On [0, inf) the groups at or below |tail| are dropped
+by cross-multiplication.  Only the distinct values left are sorted, by the
+int key (|p| << k) // q = floor(|p/q| 2^k), with k = 2 * D.bit_length() for
+D the largest denominator among them: distinct values differ by at least
+1/D^2 > 2^-k, so the keys order them exactly.  The star's cuts are
+running sums of the group lengths (``stepfn``'s kernel), one gcd per
+distinct value.
 
 A star passes through: when x is already x* (``stepfn``'s
 ``is_decreasing_rearrangement``), the rearrangement returns x itself as
@@ -105,18 +107,17 @@ def _sorted_star(x: StepFunction) -> StepFunction:
             g = gcd(sd, d)
             sn, sd = sn * (d // g), sd // g * d
         groups[key] = sn + n * (sd // d), sd
-    # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
-    tn, td = x._value_ints[-2:]
-    k = 2 * max([td, *(q for _, q in groups)]).bit_length()
-    ratio_of = {(p << k) // q: (p, q) for p, q in groups}
-    keys = sorted(ratio_of, reverse=True)
-    if x.alpha is INF:
+    if x.alpha is INF:  # |tail| absorbs the groups at or below it
+        tn, td = x._value_ints[-2:]
         tail = abs(tn), td
-        top = (tail[0] << k) // td
-        keys = [key for key in keys if key > top]  # |tail| absorbs the rest
-    else:  # the smallest value is the tail of the rearrangement
-        tail = ratio_of[keys.pop()]
-    ratios = [ratio_of[key] for key in keys]
+        ratios = [(p, q) for p, q in groups if p * td > tail[0] * q]
+    else:
+        ratios = [*groups]
+    # floor(|p/q| 2^k) with 2^k > D^2: exact, see the module docstring
+    k = 2 * max((q for _, q in ratios), default=1).bit_length()
+    ratios.sort(key=lambda r: (r[0] << k) // r[1], reverse=True)
+    if x.alpha is not INF:  # the smallest value is the tail of the rearrangement
+        tail = ratios.pop()
     return _trusted(StepFunction, alpha=x.alpha,
                     _cut_ints=(*chain.from_iterable(_sums(groups[r] for r in ratios)),),
                     _value_ints=(*chain.from_iterable(ratios), *tail), _is_star=True)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rearrcalc import gen, majorize, rearrange
-from rearrcalc.stepfn import INF, StepFunction, integrate
+from rearrcalc.stepfn import INF, StepFunction, canonicalize, integrate
 
 
 def test_prop32_instance_meets_its_contract():
@@ -23,8 +23,8 @@ def test_prop32_instance_meets_its_contract():
 def _shrink_candidates(value):
     """What gen.shrink_case tries in place of value."""
     if isinstance(value, StepFunction):
-        dropped = (gen._drop_piece(value, i) for i in range(len(value.cuts)))
-        return [s for s in dropped if s is not None] + gen._rat_variants(value)
+        dropped = [gen._drop_piece(value, i) for i in range(len(value.cuts))]
+        return dropped + gen._rat_variants(value)
     return gen._simplify_rat(value)
 
 
@@ -127,3 +127,17 @@ def test_the_spaces_shrinker_replays_the_draws_of_the_failing_case(monkeypatch):
     assert len(res.failures) == 1
     # detection draws from the suite's rng, every shrink try from its saved state
     assert len(draws) > 1 and all(d == draws[0] for d in draws)
+
+
+def test_dropping_any_piece_is_the_canonical_form_of_the_rest():
+    rng = random.Random(30)
+    for _ in range(400):
+        alpha = INF if rng.random() < 0.5 else 1
+        x = gen.rand_step(rng, alpha, nonzero_tail=True)
+        for idx in range(len(x.cuts)):
+            cuts, values = [], []
+            for j, (s, e, v) in enumerate(x.pieces()):
+                if j != idx and j < len(x.cuts):  # the piece past the last cut is the tail
+                    cuts.append(Fraction(e))
+                    values.append(Fraction(v))
+            assert gen._drop_piece(x, idx) == canonicalize(cuts, values, x.tail, x.alpha)
